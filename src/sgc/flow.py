@@ -1,159 +1,138 @@
-"""Max-flow on vertex-split networks: internally disjoint paths, separators, fans.
+"""Menger flows over the implicit vertex-split graph: separators, disjoint paths, fans.
 
-Every vertex v is split into an entry node 2v and an exit node 2v+1 joined by
-a unit-capacity arc, so integral flow counts internally vertex-disjoint paths.
-Augmenting paths are found with BFS, which is plenty at the scale this package
-targets (flow values bounded by vertex degrees on small graphs).
+Every vertex v stands for an entry and an exit joined by a unit-capacity arc,
+and every edge uv for uncapacitated arcs from each endpoint's exit to the
+other's entry, so integral flow counts internally vertex-disjoint paths.  That
+network is never built.  One engine, ``_fan``, finds augmenting paths in it
+with breadth-first layers over the ``g.adj_mask`` bitmasks, and keeps the flow
+as per-vertex ``pred``/``succ`` links plus a mask of the vertices that carry
+flow.  Every query is a fan: paths from a source to distinct targets, where a
+target takes one unit and has no exit.  An s-t query is the fan from s to the
+neighbours of t, with t appended to each path.  Given a ``limit``, the engine
+stops augmenting once the flow reaches it, so a caller that only asks whether
+a pair beats a bound pays for at most that many paths.
 """
 from __future__ import annotations
 
-from collections import deque
+from dataclasses import dataclass
 
-from .graphs import Graph
-
-
-class _Net:
-    def __init__(self, size: int) -> None:
-        self.arcs: list[list[list[int]]] = [[] for _ in range(size)]  # [to, cap, rev]
-        self.forward: list[tuple[int, int, int]] = []  # (tail, index, original cap)
-
-    def add(self, a: int, b: int, cap: int) -> None:
-        self.arcs[a].append([b, cap, len(self.arcs[b])])
-        self.arcs[b].append([a, 0, len(self.arcs[a]) - 1])
-        self.forward.append((a, len(self.arcs[a]) - 1, cap))
-
-    def augment(self, s: int, t: int) -> int:
-        """Push one augmenting path of flow from s to t; returns the amount pushed."""
-        prev: dict[int, tuple[int, int]] = {s: (-1, -1)}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            if x == t:
-                break
-            for idx, arc in enumerate(self.arcs[x]):
-                if arc[1] > 0 and arc[0] not in prev:
-                    prev[arc[0]] = (x, idx)
-                    queue.append(arc[0])
-        if t not in prev:
-            return 0
-        # trace back for the bottleneck, then apply it
-        amount = None
-        x = t
-        while x != s:
-            px, pidx = prev[x]
-            cap = self.arcs[px][pidx][1]
-            amount = cap if amount is None else min(amount, cap)
-            x = px
-        x = t
-        while x != s:
-            px, pidx = prev[x]
-            arc = self.arcs[px][pidx]
-            arc[1] -= amount
-            self.arcs[x][arc[2]][1] += amount
-            x = px
-        return amount  # type: ignore[return-value]
-
-    def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
-        total = 0
-        while limit is None or total < limit:
-            pushed = self.augment(s, t)
-            if pushed == 0:
-                break
-            total += pushed
-        return total
-
-    def reachable(self, s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            x = queue.popleft()
-            for arc in self.arcs[x]:
-                if arc[1] > 0 and arc[0] not in seen:
-                    seen.add(arc[0])
-                    queue.append(arc[0])
-        return seen
-
-    def used(self) -> dict[tuple[int, int], int]:
-        """Remaining flow units per forward arc, keyed by (tail, arc index)."""
-        flows = {}
-        for tail, idx, cap in self.forward:
-            f = cap - self.arcs[tail][idx][1]
-            if f > 0:
-                flows[(tail, idx)] = f
-        return flows
+from .graphs import Graph, bits
 
 
-def _entry(v: int) -> int:
-    return 2 * v
+@dataclass
+class _Fan:
+    source: int
+    targets: int
+    value: int
+    pred: list[int]
+    succ: list[int]
+    used: int  # vertices carrying flow, reached targets included
+    cut: int | None  # minimum cut nearest the source; None when stopped at the limit
+
+    def paths(self) -> list[list[int]]:
+        """The flow as vertex paths from the source, by ascending first vertex."""
+        out = []
+        for w in bits(self.used):
+            if self.pred[w] == self.source:
+                path = [self.source, w]
+                while not self.targets >> w & 1:
+                    w = self.succ[w]
+                    path.append(w)
+                out.append(path)
+        return out
 
 
-def _exit(v: int) -> int:
-    return 2 * v + 1
-
-
-def _build(g: Graph, edge_cap: int, no_exit: frozenset[int] = frozenset(),
-           extra_nodes: int = 0, block_entry: int | None = None) -> _Net:
-    net = _Net(2 * g.n + extra_nodes)
-    for v in range(g.n):
-        if v not in no_exit:
-            net.add(_entry(v), _exit(v), 1)
-    for u, v in sorted(g.edges):
-        if v != block_entry:
-            net.add(_exit(u), _entry(v), edge_cap)
-        if u != block_entry:
-            net.add(_exit(v), _entry(u), edge_cap)
-    return net
-
-
-def _walk_paths(net: _Net, source: int, sink: int, start_vertex: int) -> list[list[int]]:
-    """Decompose integral flow into vertex paths from the source's vertex."""
-    flows = net.used()
-    outgoing: dict[int, list[tuple[int, int]]] = {}
-    for (tail, idx), _ in sorted(flows.items()):
-        outgoing.setdefault(tail, []).append((tail, idx))
-    paths = []
-    while True:
-        options = [key for key in outgoing.get(source, []) if flows.get(key, 0) > 0]
-        if not options:
-            break
-        path = [start_vertex]
-        node = source
-        key = options[0]
+def _fan(g: Graph, source: int, targets: int, blocked: int, limit: int | None) -> _Fan:
+    """Augment from ``source`` towards the ``targets`` mask until no augmenting
+    path is left or the flow reaches ``limit``; ``blocked`` vertices, the
+    source among them, are never entered."""
+    adj = g.adj_mask
+    alive = ((1 << g.n) - 1) & ~blocked
+    pred = [-1] * g.n
+    succ = [-1] * g.n
+    used = value = 0
+    while limit is None or value < limit:
+        # layers[j] holds the exits reached after j entry steps.  An entry of
+        # a flow-carrying vertex leads backwards along its path: to the exit
+        # of its pred, and on through that vertex's entry ("rev") unless the
+        # entry was reached already.
+        seen_in = rev_in = hit = 0
+        seen_out = frontier = 1 << source
+        layers = []
+        while frontier and not hit:
+            layers.append(frontier)
+            reach = 0
+            for x in bits(frontier):
+                reach |= adj[x]
+            reach &= alive & ~seen_in
+            seen_in |= reach
+            hit = reach & targets & ~used
+            frontier = reach & ~used
+            for w in bits(reach & used):
+                p = pred[w]
+                while p != source and not seen_out >> p & 1:
+                    seen_out |= 1 << p
+                    frontier |= 1 << p
+                    if seen_in >> p & 1:
+                        break
+                    seen_in |= 1 << p
+                    rev_in |= 1 << p
+                    p = pred[p]
+            seen_out |= frontier
+        if not hit:
+            return _Fan(source, targets, value, pred, succ, used, seen_in & ~seen_out)
+        # Walk the path back.  Links are applied afterwards: the walk reads
+        # the old succ of every vertex it leaves backwards.
+        w = (hit & -hit).bit_length() - 1
+        flips = 1 << w  # vertices whose used bit changes
+        links = []
+        j = len(layers) - 1
         while True:
-            flows[key] -= 1
-            node = net.arcs[key[0]][key[1]][0]
-            if node == sink:
+            low = adj[w] & layers[j]  # w's entry was reached from one of these exits
+            x = (low & -low).bit_length() - 1
+            links.append((x, w))
+            if x == source:
                 break
-            if node % 2 == 0:  # an entry node: record the vertex
-                path.append(node // 2)
-            key = next(k for k in outgoing.get(node, []) if flows.get(k, 0) > 0)
-        paths.append(path)
-    return paths
+            j -= 1
+            if not used >> x & 1:  # x's exit came from its own entry
+                flips |= 1 << x
+                w = x
+                continue
+            # x's exit came backwards from its succ's entry; a succ whose entry
+            # was itself reached backwards drops out of the flow
+            w = succ[x]
+            while rev_in >> w & 1:
+                flips |= 1 << w
+                w = succ[w]
+        for x, w in links:
+            pred[w] = x
+            succ[x] = w
+        used ^= flips
+        value += 1
+    return _Fan(source, targets, value, pred, succ, used, None)
 
 
 def disjoint_paths(g: Graph, s: int, t: int, limit: int | None = None) -> list[list[int]]:
     """A maximum set (optionally capped) of internally vertex-disjoint s-t paths."""
     if s == t:
         raise ValueError("endpoints must differ")
-    net = _build(g, edge_cap=1, block_entry=s)
-    net.max_flow(_exit(s), _entry(t), limit)
-    paths = _walk_paths(net, _exit(s), _entry(t), s)
-    for p in paths:
-        p.append(t)
-    return paths
+    direct = [[s, t]] if g.has_edge(s, t) else []
+    rest = None if limit is None else limit - len(direct)
+    fan = _fan(g, s, g.adj_mask[t] & ~(1 << s), 1 << s | 1 << t, rest)
+    return (direct + [p + [t] for p in fan.paths()])[:limit]
 
 
-def min_vertex_separator(g: Graph, s: int, t: int) -> tuple[int, frozenset[int]]:
-    """Menger for a non-adjacent pair: (local connectivity, witness separator)."""
+def min_vertex_separator(g: Graph, s: int, t: int,
+                         limit: int | None = None) -> tuple[int, frozenset[int] | None]:
+    """Menger for a non-adjacent pair: (local connectivity, witness separator).
+
+    With ``limit``, the search stops once ``limit`` disjoint paths are found
+    and returns ``(limit, None)``: the pair's connectivity is at least that.
+    """
     if g.has_edge(s, t):
         raise ValueError("separator queries need a non-adjacent pair")
-    big = g.n + 1
-    net = _build(g, edge_cap=big, block_entry=s)
-    value = net.max_flow(_exit(s), _entry(t))
-    reach = net.reachable(_exit(s))
-    sep = frozenset(v for v in range(g.n)
-                    if _entry(v) in reach and _exit(v) not in reach)
-    return value, sep
+    fan = _fan(g, s, g.adj_mask[t], 1 << s | 1 << t, limit)
+    return fan.value, None if fan.cut is None else frozenset(bits(fan.cut))
 
 
 def max_fan(g: Graph, origin: int, targets: frozenset[int],
@@ -162,12 +141,7 @@ def max_fan(g: Graph, origin: int, targets: frozenset[int],
     and touching the target set exactly at their final vertex."""
     if origin in targets:
         raise ValueError("origin may not be a target")
-    if not targets:
-        return []
-    sink = 2 * g.n
-    net = _build(g, edge_cap=1, no_exit=frozenset(targets),
-                 extra_nodes=1, block_entry=origin)
-    for t in sorted(targets):
-        net.add(_entry(t), sink, 1)
-    net.max_flow(_exit(origin), sink, limit)
-    return _walk_paths(net, _exit(origin), sink, origin)
+    mask = 0
+    for t in targets:
+        mask |= 1 << t
+    return _fan(g, origin, mask, 1 << origin, limit).paths()

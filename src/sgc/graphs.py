@@ -183,12 +183,21 @@ def is_bipartite(g: Graph) -> Bipartition | None:
 
 
 # ---------------------------------------------------------------------------
-# graph6 (short form, n <= 62) and a plain edge-list text format
+# graph6 (short form for n <= 62, long form up to 258047) and a plain
+# edge-list text format
+
+# graph6's bound for the four-byte long-form header; larger graphs take the
+# eight-byte header, which is not supported
+GRAPH6_MAX_N = 258047
+
 
 def emit_graph6(g: Graph) -> str:
-    if not 0 <= g.n <= 62:
-        raise FormatError(f"short-form graph6 supports 0 <= n <= 62, got n={g.n}")
-    out = [chr(63 + g.n)]
+    if not 0 <= g.n <= GRAPH6_MAX_N:
+        raise FormatError(f"graph6 supports 0 <= n <= {GRAPH6_MAX_N}, got n={g.n}")
+    if g.n <= 62:
+        out = [chr(63 + g.n)]
+    else:
+        out = ["~"] + [chr(63 + (g.n >> shift & 63)) for shift in (12, 6, 0)]
     acc = 0
     nbits = 0
     for j in range(1, g.n):
@@ -216,17 +225,25 @@ def parse_graph6(text: str) -> Graph:
             raise FormatError(f"byte {ch!r} outside the graph6 alphabet")
         vals.append(v)
     n = vals[0]
+    body = vals[1:]
     if n == 63:
-        raise FormatError("long-form graph6 header (n > 62) not supported")
+        if len(vals) < 4:
+            raise FormatError("truncated graph6 long-form header")
+        if vals[1] == 63:
+            raise FormatError(f"graph6 sizes above {GRAPH6_MAX_N} are not supported")
+        n = vals[1] << 12 | vals[2] << 6 | vals[3]
+        body = vals[4:]
+        if n <= 62:
+            raise FormatError(f"graph6 long-form header for n={n}, which needs the short form")
     npairs = n * (n - 1) // 2
     want = (npairs + 5) // 6
-    if len(vals) - 1 != want:
+    if len(body) != want:
         raise FormatError(
-            f"graph6 body for n={n} needs {want} bytes, got {len(vals) - 1}")
+            f"graph6 body for n={n} needs {want} bytes, got {len(body)}")
     edges = []
     pos = 0
     pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    for v in vals[1:]:
+    for v in body:
         for shift in range(5, -1, -1):
             bit = (v >> shift) & 1
             if pos < npairs:

@@ -3,8 +3,13 @@
 The independence number is computed by branch and bound with a greedy
 clique-cover upper bound, which closes quickly on the dense-ish instances this
 package cares about (a few dozen vertices).  Vertex connectivity runs Menger
-computations on a vertex-split flow network over a dominating set of
-non-adjacent pairs.
+flows (``flow.min_vertex_separator``, bitmask augmenting paths over the
+implicit vertex-split graph) on the Esfahanian-Hakimi pair set: a
+minimum-degree vertex v against each non-neighbour, and each non-adjacent pair
+of v's neighbours.  Each flow is capped at the best cut found so far, since a
+pair that reaches it cannot lower the answer.  The certificate is computed
+once per ``Graph`` instance and kept in its instance dict, beside the cached
+``adj`` and ``adj_mask``, so every caller holding the same instance shares it.
 """
 from __future__ import annotations
 
@@ -132,6 +137,15 @@ def independence_number(g: Graph, budget: Budget | int | None = None) -> Indepen
 
 
 def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
+    """kappa(g) with a separator of that size, computed once per instance."""
+    memo = vars(g)
+    cert = memo.get("vertex_connectivity")
+    if cert is None:
+        cert = memo["vertex_connectivity"] = _vertex_connectivity(g)
+    return cert
+
+
+def _vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     n = g.n
     if n <= 1:
         return ConnectivityCertificate(0, None, True)
@@ -142,18 +156,14 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     v = min(range(n), key=lambda u: (g.degree(u), u))
     best = g.degree(v)
     best_sep = frozenset(g.adj[v])
-    for w in range(n):
-        if w != v and not g.has_edge(v, w):
-            value, sep = flow.min_vertex_separator(g, v, w)
-            if value < best:
-                best, best_sep = value, sep
     nbrs = g.adj[v]
-    for i, a in enumerate(nbrs):
-        for b in nbrs[i + 1:]:
-            if not g.has_edge(a, b):
-                value, sep = flow.min_vertex_separator(g, a, b)
-                if value < best:
-                    best, best_sep = value, sep
+    pairs = [(v, w) for w in range(n) if w != v and not g.has_edge(v, w)]
+    pairs += [(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1:]
+              if not g.has_edge(a, b)]
+    for a, b in pairs:
+        value, sep = flow.min_vertex_separator(g, a, b, limit=best)
+        if value < best:
+            best, best_sep = value, sep
     check_separator(g, best_sep)
     if len(best_sep) != best:
         raise CertificateError("separator size disagrees with the flow value")

@@ -159,9 +159,10 @@ def _graph_ref(g: Graph, fallback: str) -> str:
 
 
 def _cached(cache: dict | None, g: Graph, key: str, compute):
+    """``compute()``, memoized in ``cache`` under the graph's value and ``key``."""
     if cache is None:
         return compute()
-    full_key = (_graph_ref(g, f"n{g.n}m{g.m}"), key)
+    full_key = (g, key)
     if full_key not in cache:
         cache[full_key] = compute()
     return cache[full_key]
@@ -175,7 +176,7 @@ def check_lemma3_bound(g: Graph, budget: Budget | None = None,
                        cache: dict | None = None) -> tuple[str, str]:
     """Conjectured bound: s(G) <= 2*ceil(alpha/kappa) - 2 whenever kappa >= 1."""
     budget = budget or Budget()
-    kappa = _cached(cache, g, "kappa", lambda: vertex_connectivity(g)).kappa
+    kappa = vertex_connectivity(g).kappa
     if kappa < 1:
         return "skipped", "hypothesis needs kappa >= 1"
     alpha_cert = _cached(cache, g, "alpha", lambda: independence_number(g, budget))
@@ -196,7 +197,7 @@ def check_lemma5_cycles(g: Graph, budget: Budget | None = None,
                         cache: dict | None = None) -> tuple[str, str]:
     """At most ceil(alpha/kappa) cycles (degenerate allowed) cover V."""
     budget = budget or Budget()
-    kappa = _cached(cache, g, "kappa", lambda: vertex_connectivity(g)).kappa
+    kappa = vertex_connectivity(g).kappa
     if kappa < 1:
         return "skipped", "hypothesis needs kappa >= 1"
     alpha_cert = _cached(cache, g, "alpha", lambda: independence_number(g, budget))
@@ -216,7 +217,7 @@ def check_theorem1(g: Graph, budget: Budget | None = None,
                    cache: dict | None = None) -> tuple[str, str]:
     """s(G) <= kappa(G) implies a constructible spanning generalized caterpillar."""
     budget = budget or Budget()
-    kappa = _cached(cache, g, "kappa", lambda: vertex_connectivity(g)).kappa
+    kappa = vertex_connectivity(g).kappa
     mb = _cached(cache, g, "s", lambda: min_branch_spanning_tree(g, budget))
     if mb.value > kappa:
         if not mb.exact:
@@ -234,7 +235,7 @@ def check_corollary(g: Graph, budget: Budget | None = None,
                     cache: dict | None = None) -> tuple[str, str]:
     """alpha <= (kappa^2 + kappa) / 2 implies a spanning generalized caterpillar."""
     budget = budget or Budget()
-    kappa = _cached(cache, g, "kappa", lambda: vertex_connectivity(g)).kappa
+    kappa = vertex_connectivity(g).kappa
     alpha_cert = _cached(cache, g, "alpha", lambda: independence_number(g, budget))
     if not alpha_cert.exhaustive:
         return "timeout", "independence number not settled"
@@ -256,7 +257,7 @@ def check_theorem3(g: Graph, budget: Budget | None = None,
                    cache: dict | None = None) -> tuple[str, str]:
     """alpha <= 2*kappa + 1 implies a caterpillar certificate of max degree <= 5."""
     budget = budget or Budget()
-    kappa = _cached(cache, g, "kappa", lambda: vertex_connectivity(g)).kappa
+    kappa = vertex_connectivity(g).kappa
     alpha_cert = _cached(cache, g, "alpha", lambda: independence_number(g, budget))
     if not alpha_cert.exhaustive:
         return "timeout", "independence number not settled"
@@ -463,8 +464,7 @@ def verify_theorem(theorem_id: str, corpus: Corpus | None = None,
         if outcome == "verified":
             report.verified += 1
         elif outcome == "violation":
-            report.violations.append(
-                Violation(_graph_ref(g, f"n{g.n}m{g.m}"), detail))
+            report.violations.append(Violation(emit_graph6(g), detail))
         else:
             report.timeouts += 1
     report.elapsed_ms = (time.perf_counter() - started) * 1000.0

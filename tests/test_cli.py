@@ -8,6 +8,7 @@ import pytest
 from sgc.cli import main
 from sgc.families import theorem2_family
 from sgc.graphs import (
+    GRAPH6_MAX_N,
     complete_bipartite,
     cycle_graph,
     emit_graph6,
@@ -127,14 +128,18 @@ def test_generate_random_is_seeded(capsys):
     assert first == second
 
 
-def test_generate_large_instance_needs_edgelist(capsys):
-    code, _, err = run(capsys, "generate", "t2", "--m", "4")
-    assert code == 1
-    assert "--out edgelist" in err
+def test_generate_large_instance(capsys):
+    code, out, _ = run(capsys, "generate", "t2", "--m", "4")  # 82 vertices: long form
+    assert code == 0
+    assert parse_graph6(out.strip()) == theorem2_family(4).graph
 
     code, out, _ = run(capsys, "generate", "t2", "--m", "4", "--out", "edgelist")
     assert code == 0
     assert parse_edgelist(out) == theorem2_family(4).graph
+
+    code, _, err = run(capsys, "generate", "path", "--n", str(GRAPH6_MAX_N + 1))
+    assert code == 1
+    assert "--out edgelist" in err
 
 
 def test_generate_missing_parameter(capsys):

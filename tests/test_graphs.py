@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from sgc.errors import FormatError, GraphError
 from sgc.graphs import (
+    GRAPH6_MAX_N,
     Graph,
     complete_bipartite,
     complete_graph,
@@ -109,7 +110,7 @@ def test_graph6_rejects_malformed():
     with pytest.raises(FormatError):
         parse_graph6("\x1c??")  # byte below the alphabet
     with pytest.raises(FormatError):
-        parse_graph6("~???")  # long-form header
+        parse_graph6("~???")  # long-form header for a short-form size
     with pytest.raises(FormatError):
         parse_graph6("Bw?")  # trailing byte
     with pytest.raises(FormatError):
@@ -119,9 +120,19 @@ def test_graph6_rejects_malformed():
         parse_graph6("A" + chr(63 + 0b000001))
 
 
+@pytest.mark.parametrize("n", [63, 70, 500])
+def test_graph6_long_form_round_trip(n):
+    for g in (path_graph(n), random_connected(n, 10 / n, seed=n)):
+        text = emit_graph6(g)
+        assert text[0] == "~"
+        assert parse_graph6(text) == g
+
+
 def test_graph6_size_limit():
     with pytest.raises(FormatError):
-        emit_graph6(Graph(63, frozenset()))
+        emit_graph6(Graph(GRAPH6_MAX_N + 1, frozenset()))
+    with pytest.raises(FormatError):
+        parse_graph6("~~" + "?" * 6)  # eight-byte header, n > GRAPH6_MAX_N
 
 
 # --- edge lists --------------------------------------------------------------

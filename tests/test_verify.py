@@ -4,10 +4,18 @@ import pytest
 
 from sgc.errors import FormatError
 from sgc.families import counterexample_bipartite
-from sgc.graphs import complete_graph, cycle_graph, emit_graph6, new_graph, path_graph
+from sgc.graphs import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    emit_graph6,
+    new_graph,
+    path_graph,
+)
 from sgc.oracles import connected_graph_count
 from sgc.search import Budget
 from sgc.verify import (
+    PER_GRAPH_CHECKS,
     Corpus,
     TheoremReport,
     Violation,
@@ -138,9 +146,17 @@ def test_checks_share_a_cache():
     g = cycle_graph(5)
     check_lemma3_bound(g, cache=cache)
     keys_after_first = set(cache)
-    assert keys_after_first  # alpha, kappa and s landed in the cache
+    assert keys_after_first  # alpha and s landed in the cache
     check_theorem1(g, cache=cache)
     assert set(cache) >= keys_after_first
+
+
+def test_shared_cache_keeps_equal_sized_graphs_apart():
+    # P_70 and the star K_{1,69} both have 70 vertices and 69 edges
+    cache = {}
+    assert check_lemma3_bound(path_graph(70), cache=cache) == ("verified", "s <= 0 <= 68")
+    assert check_lemma3_bound(complete_bipartite(1, 69), cache=cache) == \
+        ("verified", "s <= 1 <= 136")
 
 
 # --- corpus-level runs --------------------------------------------------------
@@ -244,3 +260,18 @@ def test_replay_rejects_non_family_graph():
 def test_replay_per_graph_check():
     outcome, _ = replay_violation("lemma3", Violation(emit_graph6(cycle_graph(5)), ""))
     assert outcome == "verified"
+
+
+def test_replay_violation_on_long_form_graph6(monkeypatch):
+    checked = []
+
+    def flags_every_graph(g, budget=None, cache=None):
+        checked.append(g)
+        return "violation", f"flagged n={g.n}"
+
+    monkeypatch.setitem(PER_GRAPH_CHECKS, "lemma3", flags_every_graph)
+    g = complete_bipartite(1, 69)
+    (violation,) = verify_theorem("lemma3", Corpus([g])).violations
+    assert violation.graph6.startswith("~")
+    assert replay_violation("lemma3", violation) == ("violation", "flagged n=70")
+    assert checked == [g, g]
