@@ -52,10 +52,11 @@ def _fan(g: Graph, source: int, targets: int, blocked: int, limit: int | None) -
     succ = [-1] * g.n
     used = value = 0
     while limit is None or value < limit:
-        # layers[j] holds the exits reached after j entry steps.  An entry of
-        # a flow-carrying vertex leads backwards along its path: to the exit
-        # of its pred, and on through that vertex's entry ("rev") unless the
-        # entry was reached already.
+        # Breadth-first search of the residual graph; layers[j] holds the
+        # exits reached after j edge steps.  A free vertex's entry leads to
+        # its exit.  A flow-carrying vertex's entry leads back to its pred's
+        # exit, then to the pred's entry (recorded in rev_in), and so on back
+        # along the path until a node already reached or the source.
         seen_in = rev_in = hit = 0
         seen_out = frontier = 1 << source
         layers = []
@@ -129,8 +130,8 @@ def min_vertex_separator(g: Graph, s: int, t: int,
     With ``limit``, the search stops once ``limit`` disjoint paths are found
     and returns ``(limit, None)``: the pair's connectivity is at least that.
     """
-    if g.has_edge(s, t):
-        raise ValueError("separator queries need a non-adjacent pair")
+    if s == t or g.has_edge(s, t):
+        raise ValueError("separator queries need two distinct non-adjacent vertices")
     fan = _fan(g, s, g.adj_mask[t], 1 << s | 1 << t, limit)
     return fan.value, None if fan.cut is None else frozenset(bits(fan.cut))
 

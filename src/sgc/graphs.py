@@ -183,10 +183,10 @@ def is_bipartite(g: Graph) -> Bipartition | None:
 
 
 # ---------------------------------------------------------------------------
-# graph6 (short form for n <= 62, long form up to 258047) and a plain
-# edge-list text format
+# graph6 (short form for n <= 62, long form beyond) and a plain edge-list
+# text format
 
-# graph6's bound for the four-byte long-form header; larger graphs take the
+# graph6's bound for the four-byte long-form header; larger graphs need the
 # eight-byte header, which is not supported
 GRAPH6_MAX_N = 258047
 

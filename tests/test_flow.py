@@ -135,6 +135,8 @@ def test_flow_argument_validation():
     with pytest.raises(ValueError):
         flow.min_vertex_separator(g, 0, 1)
     with pytest.raises(ValueError):
+        flow.min_vertex_separator(g, 0, 0)
+    with pytest.raises(ValueError):
         flow.disjoint_paths(g, 1, 1)
     with pytest.raises(ValueError):
         flow.max_fan(g, 0, frozenset({0, 2}))
