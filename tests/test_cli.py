@@ -133,13 +133,15 @@ def test_generate_large_instance(capsys):
     assert code == 0
     assert parse_graph6(out.strip()) == theorem2_family(4).graph
 
-    code, out, _ = run(capsys, "generate", "t2", "--m", "4", "--out", "edgelist")
-    assert code == 0
-    assert parse_edgelist(out) == theorem2_family(4).graph
 
+def test_generate_large_instance_needs_edgelist(capsys):
     code, _, err = run(capsys, "generate", "path", "--n", str(GRAPH6_MAX_N + 1))
     assert code == 1
     assert "--out edgelist" in err
+
+    code, out, _ = run(capsys, "generate", "t2", "--m", "4", "--out", "edgelist")
+    assert code == 0
+    assert parse_edgelist(out) == theorem2_family(4).graph
 
 
 def test_generate_missing_parameter(capsys):
