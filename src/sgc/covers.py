@@ -7,6 +7,13 @@ may overlap, and degenerate entries of one vertex or one edge are permitted.
 Both solvers branch on the entry that covers the smallest uncovered vertex.
 Failed (uncovered-set, remaining-count) states are memoized, which keeps the
 searches exhaustive while avoiding order-duplicated work.
+
+Hamiltonian paths of induced subgraphs (``ham_path_in_mask``, also the path
+cover's one-path case) come from the Bellman-Held-Karp subset DP: for every
+vertex subset, the set of vertices a path through exactly that subset can end
+at.  Each reachable subset takes the union of its ends' neighbourhoods once,
+and every vertex of that union outside the subset becomes an end of the
+subset grown by it.  The DP charges its 2**n states to the budget up front.
 """
 from __future__ import annotations
 
@@ -109,13 +116,21 @@ def ham_path_in_mask(g: Graph, alive: int, budget: Budget) -> tuple[int, ...] | 
     ends = [0] * (full + 1)
     for i in range(nv):
         ends[1 << i] = 1 << i
-    for mask in range(1, full + 1):
-        reach = ends[mask]
+    # the iterator reads each entry when it gets there, after every smaller
+    # subset has written to it
+    for mask, reach in enumerate(ends):
         if not reach:
             continue
-        for e in bits(reach):
-            for b in bits(cadj[e] & ~mask):
-                ends[mask | (1 << b)] |= 1 << b
+        grow = 0
+        while reach:
+            low = reach & -reach
+            grow |= cadj[low.bit_length() - 1]
+            reach ^= low
+        grow &= ~mask
+        while grow:
+            low = grow & -grow
+            ends[mask | low] |= low
+            grow ^= low
     if not ends[full]:
         return None
     # walk the DP backwards to recover one witness path

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Iterator
+from functools import cached_property, wraps
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import FormatError, GraphError
 
@@ -28,6 +28,33 @@ def bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def once_per_instance(settled: Callable[[Any], bool] | None = None):
+    """Keep the result of ``f(obj, ...)`` in ``obj``'s instance dict.
+
+    The result is stored under f's name, beside cached properties such as
+    ``Graph.adj``, so every caller holding the same instance shares one
+    computation, while an equal instance built anew computes again.  A kept
+    result is returned at once, whatever the later arguments; so with
+    ``settled``, only results it accepts are kept, and an answer that a
+    budget cut short is computed again by the next call, under that call's
+    budget.
+    """
+    def decorate(f: Callable) -> Callable:
+        key = f.__name__
+
+        @wraps(f)
+        def memoized(obj, *args, **kwargs):
+            memo = vars(obj)
+            result = memo.get(key)
+            if result is None:
+                result = f(obj, *args, **kwargs)
+                if settled is None or settled(result):
+                    memo[key] = result
+            return result
+        return memoized
+    return decorate
 
 
 @dataclass(frozen=True)

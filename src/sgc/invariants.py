@@ -7,9 +7,13 @@ flows (``flow.min_vertex_separator``, bitmask augmenting paths over the
 implicit vertex-split graph) on the Esfahanian-Hakimi pair set: a
 minimum-degree vertex v against each non-neighbour, and each non-adjacent pair
 of v's neighbours.  Each flow is capped at the best cut found so far, since a
-pair that reaches it cannot lower the answer.  The certificate is computed
-once per ``Graph`` instance and kept in its instance dict, beside the cached
-``adj`` and ``adj_mask``, so every caller holding the same instance shares it.
+pair that reaches it cannot lower the answer.
+
+Both certificates are computed once per ``Graph`` instance and kept in its
+instance dict (``graphs.once_per_instance``), beside the cached ``adj`` and
+``adj_mask``, so every caller holding the same instance shares them.  Alpha is
+kept only once its search was exhaustive: a call whose budget ran out leaves
+nothing behind, and the next call searches again under its own budget.
 """
 from __future__ import annotations
 
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 from . import flow
 from .errors import CertificateError
-from .graphs import Graph, bits, is_connected
+from .graphs import Graph, bits, is_connected, once_per_instance
 from .search import Budget, OutOfBudget, as_budget
 
 
@@ -99,6 +103,7 @@ def _clique_cover_bound(adj: tuple[int, ...], mask: int) -> int:
     return len(cliques)
 
 
+@once_per_instance(lambda cert: cert.exhaustive)
 def independence_number(g: Graph, budget: Budget | int | None = None) -> IndependenceCertificate:
     budget = as_budget(budget)
     adj = g.adj_mask
@@ -136,16 +141,9 @@ def independence_number(g: Graph, budget: Budget | int | None = None) -> Indepen
     return IndependenceCertificate(best, witness, exhaustive)
 
 
+@once_per_instance()
 def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
-    """kappa(g) with a separator of that size, computed once per instance."""
-    memo = vars(g)
-    cert = memo.get("vertex_connectivity")
-    if cert is None:
-        cert = memo["vertex_connectivity"] = _vertex_connectivity(g)
-    return cert
-
-
-def _vertex_connectivity(g: Graph) -> ConnectivityCertificate:
+    """kappa(g) with a separator of that size."""
     n = g.n
     if n <= 1:
         return ConnectivityCertificate(0, None, True)

@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 
 from .covers import anchored_path_cover, ham_path_in_mask
 from .errors import CertificateError, GraphError
-from .graphs import Edge, Graph, bits, is_connected, norm_edge
+from .graphs import Edge, Graph, bits, is_connected, norm_edge, once_per_instance
 from .search import Budget, Decision, OutOfBudget, as_budget
 
 TREE_KINDS = ("path", "spider", "caterpillar", "generalized_caterpillar", "other")
@@ -87,7 +87,9 @@ def validate_spanning_tree(t: SpanningTree) -> None:
         raise CertificateError("tree edge set does not span the graph")
 
 
+@once_per_instance()
 def branch_profile(t: SpanningTree) -> BranchProfile:
+    """Branch vertices, degree-3 vertices and maximum degree, once per tree."""
     degs = [len(t.adj[v]) for v in range(t.host.n)]
     return BranchProfile(
         branch_vertices=frozenset(v for v, d in enumerate(degs) if d > 2),
@@ -177,8 +179,14 @@ def classify_tree(t: SpanningTree) -> tuple[str, CaterpillarCertificate | None]:
 # ---------------------------------------------------------------------------
 # hamiltonian paths and spanning-tree search
 
+@once_per_instance(lambda dec: dec.status != "unknown")
 def hamiltonian_path(g: Graph, budget: Budget | int | None = None) -> Decision:
-    """Bitmask-DP Hamiltonian path decision; witness is the vertex order."""
+    """Bitmask-DP Hamiltonian path decision; witness is the vertex order.
+
+    A yes or no is kept on the ``Graph`` instance, so s, the SGC decision and
+    the constructive pipelines share one DP per instance; an "unknown" is not
+    kept, and the next call runs the DP again under its own budget.
+    """
     budget = as_budget(budget)
     if g.n == 0:
         return Decision("yes", ())
@@ -367,7 +375,10 @@ class MinBranchResult:
     exact: bool
 
 
+@once_per_instance(lambda result: result.exact)
 def min_branch_spanning_tree(g: Graph, budget: Budget | int | None = None) -> MinBranchResult:
+    """s(g) with a spanning tree attaining it; exact results are kept on the
+    ``Graph`` instance, inexact ones are searched again by the next call."""
     if not is_connected(g):
         raise GraphError("min-branch spanning tree needs a connected graph")
     budget = as_budget(budget)

@@ -158,14 +158,31 @@ def _graph_ref(g: Graph, fallback: str) -> str:
     return emit_graph6(g) if g.n <= 62 else fallback
 
 
-def _cached(cache: dict | None, g: Graph, key: str, compute):
-    """``compute()``, memoized in ``cache`` under the graph's value and ``key``."""
+def _cached(cache: dict | None, g: Graph, key: str, compute, settled):
+    """``compute()``, memoized in ``cache`` under the graph's value and ``key``.
+
+    Only a ``settled`` result is kept: an unsettled one reflects the budget of
+    the check that computed it, and a later check has a budget of its own.
+    """
     if cache is None:
         return compute()
     full_key = (g, key)
-    if full_key not in cache:
-        cache[full_key] = compute()
-    return cache[full_key]
+    result = cache.get(full_key)
+    if result is None:
+        result = compute()
+        if settled(result):
+            cache[full_key] = result
+    return result
+
+
+def _alpha(g: Graph, budget: Budget, cache: dict | None):
+    return _cached(cache, g, "alpha", lambda: independence_number(g, budget),
+                   lambda cert: cert.exhaustive)
+
+
+def _min_branch(g: Graph, budget: Budget, cache: dict | None):
+    return _cached(cache, g, "s", lambda: min_branch_spanning_tree(g, budget),
+                   lambda result: result.exact)
 
 
 # --- per-graph checks -------------------------------------------------------
@@ -179,11 +196,11 @@ def check_lemma3_bound(g: Graph, budget: Budget | None = None,
     kappa = vertex_connectivity(g).kappa
     if kappa < 1:
         return "skipped", "hypothesis needs kappa >= 1"
-    alpha_cert = _cached(cache, g, "alpha", lambda: independence_number(g, budget))
+    alpha_cert = _alpha(g, budget, cache)
     if not alpha_cert.exhaustive:
         return "timeout", "independence number not settled"
     bound = 2 * ceil(alpha_cert.alpha / kappa) - 2
-    mb = _cached(cache, g, "s", lambda: min_branch_spanning_tree(g, budget))
+    mb = _min_branch(g, budget, cache)
     if mb.value <= bound:
         # mb.value is always a valid upper bound on s(G), exact or not.
         return "verified", f"s <= {mb.value} <= {bound}"
@@ -200,7 +217,7 @@ def check_lemma5_cycles(g: Graph, budget: Budget | None = None,
     kappa = vertex_connectivity(g).kappa
     if kappa < 1:
         return "skipped", "hypothesis needs kappa >= 1"
-    alpha_cert = _cached(cache, g, "alpha", lambda: independence_number(g, budget))
+    alpha_cert = _alpha(g, budget, cache)
     if not alpha_cert.exhaustive:
         return "timeout", "independence number not settled"
     k = ceil(alpha_cert.alpha / kappa)
@@ -218,7 +235,7 @@ def check_theorem1(g: Graph, budget: Budget | None = None,
     """s(G) <= kappa(G) implies a constructible spanning generalized caterpillar."""
     budget = budget or Budget()
     kappa = vertex_connectivity(g).kappa
-    mb = _cached(cache, g, "s", lambda: min_branch_spanning_tree(g, budget))
+    mb = _min_branch(g, budget, cache)
     if mb.value > kappa:
         if not mb.exact:
             return "timeout", "hypothesis s <= kappa not settled"
@@ -236,7 +253,7 @@ def check_corollary(g: Graph, budget: Budget | None = None,
     """alpha <= (kappa^2 + kappa) / 2 implies a spanning generalized caterpillar."""
     budget = budget or Budget()
     kappa = vertex_connectivity(g).kappa
-    alpha_cert = _cached(cache, g, "alpha", lambda: independence_number(g, budget))
+    alpha_cert = _alpha(g, budget, cache)
     if not alpha_cert.exhaustive:
         return "timeout", "independence number not settled"
     limit = (kappa * kappa + kappa) // 2
@@ -258,7 +275,7 @@ def check_theorem3(g: Graph, budget: Budget | None = None,
     """alpha <= 2*kappa + 1 implies a caterpillar certificate of max degree <= 5."""
     budget = budget or Budget()
     kappa = vertex_connectivity(g).kappa
-    alpha_cert = _cached(cache, g, "alpha", lambda: independence_number(g, budget))
+    alpha_cert = _alpha(g, budget, cache)
     if not alpha_cert.exhaustive:
         return "timeout", "independence number not settled"
     if alpha_cert.alpha > 2 * kappa + 1:

@@ -1,0 +1,168 @@
+"""The Hamiltonian-path DP and the per-instance memo of s, alpha and HP."""
+import random
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from sgc import trees
+from sgc.covers import PathCover, ham_path_in_mask, validate_path_cover
+from sgc.graphs import (
+    Graph,
+    bits,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_connected,
+)
+from sgc.invariants import independence_number
+from sgc.oracles import has_hamiltonian_path_brute
+from sgc.search import Budget
+from sgc.trees import branch_profile, hamiltonian_path, min_branch_spanning_tree
+
+
+@st.composite
+def graphs(draw, max_n=8):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if not pairs:
+        return Graph(n, frozenset())
+    return Graph(n, frozenset(draw(st.lists(st.sampled_from(pairs), unique=True))))
+
+
+def _induced(g, alive):
+    """The induced subgraph on ``alive``, relabelled to 0..k-1."""
+    verts = list(bits(alive))
+    index = {v: i for i, v in enumerate(verts)}
+    return Graph(len(verts), frozenset((index[u], index[v]) for u, v in g.edges
+                                       if u in index and v in index))
+
+
+def _reference_dp(g, alive):
+    """The DP with the ends-times-neighbours inner loop, and its witness walk."""
+    verts = list(bits(alive))
+    nv = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    cadj = [sum(1 << index[u] for u in g.adj[v] if u in index) for v in verts]
+    full = (1 << nv) - 1
+    ends = [0] * (full + 1)
+    for i in range(nv):
+        ends[1 << i] = 1 << i
+    for mask in range(1, full + 1):
+        for e in bits(ends[mask]):
+            for b in bits(cadj[e] & ~mask):
+                ends[mask | (1 << b)] |= 1 << b
+    if not ends[full]:
+        return None
+    path, mask = [], full
+    e = (ends[full] & -ends[full]).bit_length() - 1
+    while True:
+        path.append(verts[e])
+        mask ^= 1 << e
+        if not mask:
+            return tuple(reversed(path))
+        prev = ends[mask] & cadj[e]
+        e = (prev & -prev).bit_length() - 1
+
+
+@settings(deadline=None, max_examples=150)
+@given(graphs())
+def test_hamiltonian_path_matches_brute(g):
+    dec = hamiltonian_path(g)
+    assert dec.status == ("yes" if has_hamiltonian_path_brute(g) else "no")
+    if dec.status == "yes" and g.n:
+        validate_path_cover(g, PathCover((dec.witness,)))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ham_path_in_mask_on_sub_masks(seed):
+    rng = random.Random(seed)
+    g = random_connected(10, 0.45, seed)
+    for _ in range(40):
+        alive = rng.getrandbits(g.n)
+        if alive.bit_count() < 2:
+            continue
+        budget = Budget()
+        path = ham_path_in_mask(g, alive, budget)
+        assert budget.spent == 1 << alive.bit_count()
+        assert (path is not None) == has_hamiltonian_path_brute(_induced(g, alive))
+        assert path == _reference_dp(g, alive)
+        if path is not None:
+            assert sorted(path) == list(bits(alive))
+            assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 12])
+def test_hamiltonian_path_closed_forms(n):
+    for g in (path_graph(n), complete_graph(n)) + ((cycle_graph(n),) if n >= 3 else ()):
+        dec = hamiltonian_path(g)
+        assert dec.status == "yes"
+        validate_path_cover(g, PathCover((dec.witness,)))
+
+
+@pytest.mark.parametrize("a", [1, 2, 4, 5])
+def test_no_hamiltonian_path_in_unbalanced_bipartite(a):
+    # a path alternates sides, so the sides may differ by at most one;
+    # a = 1 is the claw K_{1,3}
+    assert hamiltonian_path(complete_bipartite(a, a + 2)).status == "no"
+
+
+def _count_dp_calls(monkeypatch):
+    calls = []
+    real = trees.ham_path_in_mask
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(trees, "ham_path_in_mask", counted)
+    return calls
+
+
+def test_hamiltonian_path_is_kept_per_instance(monkeypatch):
+    calls = _count_dp_calls(monkeypatch)
+    g = random_connected(9, 0.4, 3)
+    first = hamiltonian_path(g)
+    assert first.status != "unknown" and len(calls) == 1
+    assert hamiltonian_path(g) is first
+    # s and the SGC decision reuse it without charging their budgets
+    budget = Budget()
+    min_branch_spanning_tree(g, budget)
+    trees.decide_sgc(g, budget)
+    assert len(calls) == 1
+    again = Graph(g.n, g.edges)
+    assert hamiltonian_path(again) == first
+    assert len(calls) == 2
+
+
+def test_unknown_hamiltonian_path_is_not_kept():
+    g = complete_graph(8)
+    assert hamiltonian_path(g, Budget(max_nodes=0)).status == "unknown"
+    settled = hamiltonian_path(g)
+    assert settled.status == "yes"
+    assert hamiltonian_path(g, Budget(max_nodes=0)) is settled
+
+
+def test_inexact_min_branch_is_not_kept():
+    g = complete_bipartite(3, 6)
+    assert not min_branch_spanning_tree(g, Budget(max_nodes=0)).exact
+    exact = min_branch_spanning_tree(g)
+    assert exact.exact and exact.value == 1
+    assert min_branch_spanning_tree(g, Budget(max_nodes=0)) is exact
+    assert min_branch_spanning_tree(Graph(g.n, g.edges)) is not exact
+
+
+def test_non_exhaustive_alpha_is_not_kept():
+    g = complete_bipartite(6, 12)
+    assert not independence_number(g, Budget(max_nodes=0)).exhaustive
+    cert = independence_number(g)
+    assert cert.exhaustive and cert.alpha == 12
+    assert independence_number(g, Budget(max_nodes=0)) is cert
+    assert independence_number(Graph(g.n, g.edges)) is not cert
+
+
+def test_branch_profile_is_kept_per_tree():
+    res = min_branch_spanning_tree(complete_bipartite(3, 6))
+    profile = branch_profile(res.tree)
+    assert branch_profile(res.tree) is profile
+    assert len(profile.branch_vertices) == res.value

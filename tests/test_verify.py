@@ -5,12 +5,14 @@ import pytest
 from sgc.errors import FormatError
 from sgc.families import counterexample_bipartite
 from sgc.graphs import (
+    Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     emit_graph6,
     new_graph,
     path_graph,
+    random_connected,
 )
 from sgc.oracles import connected_graph_count
 from sgc.search import Budget
@@ -157,6 +159,19 @@ def test_shared_cache_keeps_equal_sized_graphs_apart():
     assert check_lemma3_bound(path_graph(70), cache=cache) == ("verified", "s <= 0 <= 68")
     assert check_lemma3_bound(complete_bipartite(1, 69), cache=cache) == \
         ("verified", "s <= 1 <= 136")
+
+
+@pytest.mark.parametrize("same_instance", [True, False])
+def test_shared_cache_keeps_no_timeout(same_instance):
+    # alpha = 5 > 2*kappa + 1 = 3, but a 3-node budget cannot settle alpha
+    g = random_connected(12, 0.3, 5)
+    later = g if same_instance else Graph(g.n, g.edges)
+    cache = {}
+    first = verify_theorem("lemma3", Corpus([g]), budget_nodes=3, cache=cache)
+    assert first.timeouts == 1
+    report = verify_theorem("theorem3", Corpus([later]), budget_nodes=10_000_000,
+                            cache=cache)
+    assert report.hypothesis_count == 0 and report.timeouts == 0
 
 
 # --- corpus-level runs --------------------------------------------------------
