@@ -33,7 +33,7 @@ from .graphs import (
 )
 from .families import theorem2_family
 from .invariants import independence_number, vertex_connectivity
-from .search import DEFAULT_MS_BUDGET, DEFAULT_NODE_BUDGET, Budget
+from .search import DEFAULT_MS_BUDGET, DEFAULT_NODE_BUDGET, Budget, _fresh_budget
 from .trees import branch_profile, classify_tree, decide_sgc, min_branch_spanning_tree
 from .verify import THEOREM_IDS, Corpus, verify_theorem
 
@@ -45,10 +45,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _fresh_budget(args: argparse.Namespace) -> Budget:
-    return Budget(max_nodes=args.budget_nodes, max_ms=args.budget_ms)
 
 
 def _add_budget_options(parser: argparse.ArgumentParser) -> None:
@@ -141,7 +137,7 @@ def _print_analysis_text(record: dict) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     graphs = _load_graphs(_read_input(args.input), args.format)
     for i, g in enumerate(graphs):
-        record = _analyze_one(g, _fresh_budget(args))
+        record = _analyze_one(g, _fresh_budget(args.budget_nodes, args.budget_ms))
         if args.text:
             if i:
                 print()
@@ -185,7 +181,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         raise FormatError("construct expects exactly one input graph")
     g = graphs[0]
     build = construct_sgc_theorem1 if args.theorem == "theorem1" else construct_sgc_theorem3
-    result = build(g, _fresh_budget(args))
+    result = build(g, _fresh_budget(args.budget_nodes, args.budget_ms))
     record: dict = {"status": result.status, "theorem": args.theorem}
     if result.reason:
         record["reason"] = result.reason

@@ -8,12 +8,22 @@ Both solvers branch on the entry that covers the smallest uncovered vertex.
 Failed (uncovered-set, remaining-count) states are memoized, which keeps the
 searches exhaustive while avoiding order-duplicated work.
 
-Hamiltonian paths of induced subgraphs (``ham_path_in_mask``, also the path
-cover's one-path case) come from the Bellman-Held-Karp subset DP: for every
-vertex subset, the set of vertices a path through exactly that subset can end
-at.  Each reachable subset takes the union of its ends' neighbourhoods once,
-and every vertex of that union outside the subset becomes an end of the
-subset grown by it.  The DP charges its 2**n states to the budget up front.
+One table builder, ``_ends_table``, runs the Bellman-Held-Karp subset DP: for
+every vertex subset, the set of vertices a path through exactly that subset
+can end at.  Each reachable subset takes the union of its ends' neighbourhoods
+once, and every vertex of that union outside the subset becomes an end of the
+subset grown by it.  The DP charges its 2**n states to the budget up front,
+and ``_walk`` reads one path through any subset back out of the table.
+
+Two readers share it.  ``ham_path_in_mask`` (Hamiltonian paths of induced
+subgraphs, also the path cover's one-path case) walks the full subset.  The
+path cover settles a two-path state from one table over its vertex set: two
+paths cover it exactly when the whole set, or both sides of some split T |
+rest with T holding the lowest vertex v, have a path.  It does so only when
+the set is connected and v is no cut vertex, where the state's first branch
+(the path (v,)) would pay for a DP on all but v anyway; every other state
+branches on the paths through v.  No counting bound is involved, so the
+search without ``counting_prune`` stays bound-free.
 """
 from __future__ import annotations
 
@@ -60,6 +70,8 @@ def validate_path_cover(g: Graph, cover: PathCover) -> None:
 def validate_cycle_cover(g: Graph, cover: CycleCover) -> None:
     seen = 0
     for entry in cover.cycles:
+        if not entry:
+            raise CertificateError("empty cycle entry")
         if len(set(entry)) != len(entry):
             raise CertificateError(f"repeated vertex in cycle entry {entry}")
         for v in entry:
@@ -98,22 +110,21 @@ def mask_components(adj: tuple[int, ...], alive: int) -> list[int]:
     return comps
 
 
-def ham_path_in_mask(g: Graph, alive: int, budget: Budget) -> tuple[int, ...] | None:
-    """A Hamiltonian path of the induced subgraph on ``alive`` via bitmask DP."""
+def _ends_table(g: Graph, alive: int, budget: Budget
+                ) -> tuple[list[int], list[int], list[int]]:
+    """The Held-Karp table over ``alive``: its vertices, their neighbourhoods
+    inside ``alive`` and ``ends``, all as masks over positions in the vertex
+    list.  ``ends[S]`` is the set of ends of paths through exactly S.
+    Charges the 2**|alive| states up front."""
     verts = list(bits(alive))
     nv = len(verts)
-    if nv == 0:
-        return ()
-    if nv == 1:
-        return (verts[0],)
     index = {v: i for i, v in enumerate(verts)}
     cadj = [0] * nv
     for i, v in enumerate(verts):
         for u in bits(g.adj_mask[v] & alive):
             cadj[i] |= 1 << index[u]
     budget.spend(1 << nv)
-    full = (1 << nv) - 1
-    ends = [0] * (full + 1)
+    ends = [0] * (1 << nv)
     for i in range(nv):
         ends[1 << i] = 1 << i
     # the iterator reads each entry when it gets there, after every smaller
@@ -131,12 +142,15 @@ def ham_path_in_mask(g: Graph, alive: int, budget: Budget) -> tuple[int, ...] | 
             low = grow & -grow
             ends[mask | low] |= low
             grow ^= low
-    if not ends[full]:
-        return None
-    # walk the DP backwards to recover one witness path
+    return verts, cadj, ends
+
+
+def _walk(verts: list[int], cadj: list[int], ends: list[int], mask: int
+          ) -> tuple[int, ...]:
+    """Walk the table backwards from subset ``mask`` (``ends[mask]`` nonzero)
+    to one path through exactly that subset."""
     path = []
-    mask = full
-    e = (ends[full] & -ends[full]).bit_length() - 1
+    e = (ends[mask] & -ends[mask]).bit_length() - 1
     while True:
         path.append(verts[e])
         mask ^= 1 << e
@@ -146,6 +160,30 @@ def ham_path_in_mask(g: Graph, alive: int, budget: Budget) -> tuple[int, ...] | 
         e = (prev & -prev).bit_length() - 1
     path.reverse()
     return tuple(path)
+
+
+def ham_path_in_mask(g: Graph, alive: int, budget: Budget) -> tuple[int, ...] | None:
+    """A Hamiltonian path of the induced subgraph on ``alive`` via bitmask DP."""
+    if not alive & (alive - 1):  # at most one vertex
+        return tuple(bits(alive))
+    verts, cadj, ends = _ends_table(g, alive, budget)
+    full = len(ends) - 1
+    return _walk(verts, cadj, ends, full) if ends[full] else None
+
+
+def _two_path_cover(g: Graph, alive: int, budget: Budget
+                    ) -> list[tuple[int, ...]] | None:
+    """At most two disjoint paths covering ``alive``, read off one table: one
+    Hamiltonian path, or a split T | alive - T with a path through each side,
+    where T holds the lowest vertex (position 0, so T is odd)."""
+    verts, cadj, ends = _ends_table(g, alive, budget)
+    full = len(ends) - 1
+    if ends[full]:
+        return [_walk(verts, cadj, ends, full)]
+    for t in range(1, full, 2):
+        if ends[t] and ends[full ^ t]:
+            return [_walk(verts, cadj, ends, t), _walk(verts, cadj, ends, full ^ t)]
+    return None
 
 
 def _iter_paths_through(g: Graph, v: int, alive: int, budget: Budget
@@ -209,6 +247,15 @@ def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
             failed.add(key)
             return None
         v = (alive & -alive).bit_length() - 1
+        if (r == 2 and anchors is None and len(comps) == 1
+                and len(mask_components(adj, alive & ~(1 << v))) <= 1):
+            # v is no cut vertex, so the first branch below, the path (v,),
+            # would run the DP on alive - v: one table on alive costs about
+            # twice that and settles the whole state
+            paths = _two_path_cover(g, alive, budget)
+            if paths is None:
+                failed.add(key)
+            return paths
         for path, pmask in _iter_paths_through(g, v, alive, budget):
             if anchors is not None:
                 if not ((1 << path[0]) | (1 << path[-1])) & anchors:

@@ -38,7 +38,7 @@ from .graphs import (
     random_connected,
 )
 from .invariants import independence_number, vertex_connectivity
-from .search import DEFAULT_MS_BUDGET, DEFAULT_NODE_BUDGET, Budget, OutOfBudget
+from .search import Budget, OutOfBudget, _fresh_budget
 from .trees import branch_profile, decide_sgc, min_branch_spanning_tree
 
 THEOREM_IDS = ("lemma3", "lemma4", "lemma5", "theorem1", "corollary",
@@ -406,13 +406,6 @@ DEFAULT_M_VALUES = {
     "lemma4": (1, 2, 3, 4),
     "theorem2": (1, 2),
 }
-
-
-def _fresh_budget(budget_nodes: int | None, budget_ms: float | None) -> Budget:
-    return Budget(
-        max_nodes=DEFAULT_NODE_BUDGET if budget_nodes is None else budget_nodes,
-        max_ms=DEFAULT_MS_BUDGET if budget_ms is None else budget_ms,
-    )
 
 
 def _run_family(theorem_id: str, m_values, budget_nodes, budget_ms) -> TheoremReport:

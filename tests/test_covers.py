@@ -49,6 +49,62 @@ def test_path_cover_matches_brute(corpus_n4, corpus_n5):
         assert path_cover_number(g) == path_cover_number_brute(g), g
 
 
+@st.composite
+def graphs(draw, max_n=8):
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if not pairs:
+        return Graph(n, frozenset())
+    return Graph(n, frozenset(draw(st.lists(st.sampled_from(pairs), unique=True))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_bounded_path_cover_matches_brute(g):
+    """The exhaustive search (two-path table included) against set partitions."""
+    number = path_cover_number_brute(g)
+    for k in (1, 2, 3):
+        dec = min_disjoint_path_cover(g, k, counting_prune=False)
+        assert dec.status == ("yes" if number <= k else "no"), k
+        if dec.status == "yes":
+            validate_path_cover(g, dec.witness)
+            assert len(dec.witness.paths) <= k
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_two_path_table_settles_lemma4_instance(m):
+    """K_{m,2m} with k = 2 and no counting bound: the top state is settled by
+    one subset table (2**3m nodes) instead of branching on every path."""
+    budget = Budget()
+    dec = min_disjoint_path_cover(complete_bipartite(m, 2 * m), 2, budget,
+                                  counting_prune=False)
+    assert dec.status == "no"
+    assert budget.spent <= 1 << 13
+
+
+def _spider(legs, length):
+    """Vertex 0 with ``legs`` paths of ``length`` vertices hanging off it."""
+    edges, tip = [], 1
+    for _ in range(legs):
+        prev = 0
+        for _ in range(length):
+            edges.append((prev, tip))
+            prev, tip = tip, tip + 1
+    return Graph(tip, frozenset(edges))
+
+
+@pytest.mark.parametrize("k, status, spent", [(2, "no", 188), (3, "yes", 84)])
+def test_two_path_states_without_table_keep_branching(k, status, spent):
+    """Vertex 0 of the spider is a cut vertex, and the two-path states below a
+    first path are disconnected: all of them branch on paths as before."""
+    g = _spider(4, 3)
+    budget = Budget()
+    dec = min_disjoint_path_cover(g, k, budget, counting_prune=False)
+    assert (dec.status, budget.spent) == (status, spent)
+    if status == "yes":
+        validate_path_cover(g, dec.witness)
+
+
 def test_path_cover_budget_unknown():
     dec = min_disjoint_path_cover(complete_bipartite(3, 6), 3, Budget(max_nodes=0))
     assert dec.status == "unknown"
@@ -125,3 +181,5 @@ def test_validate_cycle_cover_rules():
         validate_cycle_cover(g, CycleCover(((0, 1, 2),)))  # 0-2 closes a non-edge
     with pytest.raises(CertificateError):
         validate_cycle_cover(g, CycleCover(((0, 1), (2,))))  # vertex 3 uncovered
+    with pytest.raises(CertificateError):
+        validate_cycle_cover(g, CycleCover(((0, 1, 2, 3), ())))  # empty entry
