@@ -248,10 +248,12 @@ def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
             return None
         v = (alive & -alive).bit_length() - 1
         if (r == 2 and anchors is None and len(comps) == 1
-                and len(mask_components(adj, alive & ~(1 << v))) <= 1):
+                and len(mask_components(adj, alive & ~(1 << v))) <= 1
+                and budget.spent + (1 << alive.bit_count()) <= budget.max_nodes):
             # v is no cut vertex, so the first branch below, the path (v,),
             # would run the DP on alive - v: one table on alive costs about
-            # twice that and settles the whole state
+            # twice that and settles the whole state.  A table past the node
+            # budget is left to that branch, whose DP may still fit.
             paths = _two_path_cover(g, alive, budget)
             if paths is None:
                 failed.add(key)

@@ -82,6 +82,15 @@ def test_two_path_table_settles_lemma4_instance(m):
     assert budget.spent <= 1 << 13
 
 
+def test_two_path_table_left_out_past_the_budget():
+    """The table on P_12 (4,096 nodes) does not fit 3,000 nodes, but the
+    branch (0,) and a DP on the other 11 vertices (2,048 nodes) do."""
+    budget = Budget(max_nodes=3000)
+    dec = min_disjoint_path_cover(path_graph(12), 2, budget)
+    assert dec.status == "yes"
+    validate_path_cover(path_graph(12), dec.witness)
+
+
 def _spider(legs, length):
     """Vertex 0 with ``legs`` paths of ``length`` vertices hanging off it."""
     edges, tip = [], 1
@@ -93,11 +102,21 @@ def _spider(legs, length):
     return Graph(tip, frozenset(edges))
 
 
-@pytest.mark.parametrize("k, status, spent", [(2, "no", 188), (3, "yes", 84)])
-def test_two_path_states_without_table_keep_branching(k, status, spent):
-    """Vertex 0 of the spider is a cut vertex, and the two-path states below a
-    first path are disconnected: all of them branch on paths as before."""
-    g = _spider(4, 3)
+# a tree: the path 1-3-9-0-8-2, with the leaves 5, 6, 10 and the leg 4-7 on 2
+_TREE = Graph(11, frozenset({(0, 8), (0, 9), (1, 3), (2, 4), (2, 5), (2, 6),
+                             (2, 8), (2, 10), (3, 9), (4, 7)}))
+
+
+@pytest.mark.parametrize("g, k, status, spent", [
+    (_spider(4, 3), 2, "no", 188),
+    (_spider(4, 3), 3, "yes", 84),
+    (_TREE, 3, "no", 378),
+    (_TREE, 4, "yes", 504),
+])
+def test_two_path_states_without_table_keep_branching(g, k, status, spent):
+    """Sparse graphs whose two-path states are disconnected or have a cut
+    vertex as lowest vertex: they branch on paths, with the node counts of
+    the search that branched in every state."""
     budget = Budget()
     dec = min_disjoint_path_cover(g, k, budget, counting_prune=False)
     assert (dec.status, budget.spent) == (status, spent)
