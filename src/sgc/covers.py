@@ -8,7 +8,7 @@ Both solvers branch on the entry that covers the smallest uncovered vertex.
 Failed (uncovered-set, remaining-count) states are memoized, which keeps the
 searches exhaustive while avoiding order-duplicated work.
 
-One table builder, ``_ends_table``, runs the Bellman-Held-Karp subset DP: for
+One function, ``_ends_table``, runs the Bellman-Held-Karp subset DP: for
 every vertex subset, the set of vertices a path through exactly that subset
 can end at.  Each reachable subset takes the union of its ends' neighbourhoods
 once, and every vertex of that union outside the subset becomes an end of the
@@ -20,10 +20,10 @@ subgraphs, also the path cover's one-path case) walks the full subset.  The
 path cover settles a two-path state from one table over its vertex set: two
 paths cover it exactly when the whole set, or both sides of some split T |
 rest with T holding the lowest vertex v, have a path.  It does so only when
-the set is connected and v is no cut vertex, where the state's first branch
-(the path (v,)) would pay for a DP on all but v anyway; every other state
-branches on the paths through v.  No counting bound is involved, so the
-search without ``counting_prune`` stays bound-free.
+the set is connected, v is no cut vertex and the table fits the node budget:
+there the state's first branch (the path (v,)) would pay for a DP on all but
+v anyway.  Every other state branches on the paths through v.  No counting
+bound is involved, so the search without ``counting_prune`` stays bound-free.
 """
 from __future__ import annotations
 

@@ -74,7 +74,8 @@ def test_bounded_path_cover_matches_brute(g):
 @pytest.mark.parametrize("m", [3, 4])
 def test_two_path_table_settles_lemma4_instance(m):
     """K_{m,2m} with k = 2 and no counting bound: the top state is settled by
-    one subset table (2**3m nodes) instead of branching on every path."""
+    one subset table (2**3m nodes and the state itself) instead of branching
+    on every path."""
     budget = Budget()
     dec = min_disjoint_path_cover(complete_bipartite(m, 2 * m), 2, budget,
                                   counting_prune=False)
