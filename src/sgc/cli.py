@@ -33,7 +33,7 @@ from .graphs import (
 )
 from .families import theorem2_family
 from .invariants import independence_number, vertex_connectivity
-from .search import DEFAULT_MS_BUDGET, DEFAULT_NODE_BUDGET, Budget, _fresh_budget
+from .search import DEFAULT_NODE_BUDGET, Budget, _fresh_budget
 from .trees import branch_profile, classify_tree, decide_sgc, min_branch_spanning_tree
 from .verify import THEOREM_IDS, Corpus, verify_theorem
 
@@ -50,8 +50,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_budget_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
                         metavar="N", help="search-node allowance per graph")
-    parser.add_argument("--budget-ms", type=float, default=DEFAULT_MS_BUDGET,
-                        metavar="MS", help="wall-clock allowance per graph")
+    parser.add_argument("--budget-ms", type=float, default=None, metavar="MS",
+                        help="wall-clock allowance per graph (default: none)")
 
 
 def _add_input_options(parser: argparse.ArgumentParser) -> None:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Literal
 
 from . import flow
+from .covers import cycles_through
 from .errors import CertificateError, GraphError
 from .graphs import Edge, Graph, is_connected, norm_edge
 from .invariants import independence_number, vertex_connectivity
@@ -171,35 +172,15 @@ def _absorb_all(g: Graph, cycle: list[int], wset: list[int],
 
 
 def _exhaustive_cycle(g: Graph, wset: list[int], budget: Budget) -> list[int] | None:
-    """Search every cycle through wset[0] (direction-canonical) for one that
-    covers all of ``wset``.  Exact, so only sensible on small graphs."""
-    start = wset[0]
-    want = set(wset)
-    adj = g.adj
-    found: list[int] | None = None
-
-    def rec(path: list[int], mask: int) -> bool:
-        budget.spend()
-        tip = path[-1]
-        for u in adj[tip]:
-            bit = 1 << u
-            if bit & mask:
-                continue
-            path.append(u)
-            if (len(path) >= 3 and g.has_edge(u, start)
-                    and path[1] < path[-1] and want <= set(path)):
-                nonlocal found
-                found = list(path)
-                path.pop()
-                return True
-            if rec(path, mask | bit):
-                path.pop()
-                return True
-            path.pop()
-        return False
-
-    rec([start], 1 << start)
-    return found
+    """The first cycle through wset[0] that covers all of ``wset``.  Exact, so
+    only sensible on small graphs."""
+    want = 0
+    for x in wset:
+        want |= 1 << x
+    for cycle, mask in cycles_through(g, wset[0], budget):
+        if not want & ~mask:
+            return list(cycle)
+    return None
 
 
 EXHAUSTIVE_CYCLE_LIMIT = 12

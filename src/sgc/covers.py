@@ -6,7 +6,9 @@ may overlap, and degenerate entries of one vertex or one edge are permitted.
 
 Both solvers branch on the entry that covers the smallest uncovered vertex.
 Failed (uncovered-set, remaining-count) states are memoized, which keeps the
-searches exhaustive while avoiding order-duplicated work.
+searches exhaustive while avoiding order-duplicated work.  The cycle entries
+through a vertex come from ``cycles_through``, the one walk over the cycles
+through a vertex, which ``construct.cycle_through`` falls back on as well.
 
 One function, ``_ends_table``, runs the Bellman-Held-Karp subset DP: for
 every vertex subset, the set of vertices a path through exactly that subset
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import CertificateError
-from .graphs import Graph, bits, is_bipartite
+from .graphs import Graph, bits, is_bipartite, mask_components
 from .search import Budget, Decision, OutOfBudget, as_budget
 
 
@@ -90,25 +92,6 @@ def validate_cycle_cover(g: Graph, cover: CycleCover) -> None:
 
 # ---------------------------------------------------------------------------
 # shared search plumbing
-
-def mask_components(adj: tuple[int, ...], alive: int) -> list[int]:
-    """Connected components of the induced subgraph on ``alive``, as masks."""
-    comps = []
-    rest = alive
-    while rest:
-        seed = rest & -rest
-        seen = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            for v in bits(frontier):
-                grow |= adj[v]
-            frontier = grow & alive & ~seen
-            seen |= frontier
-        comps.append(seen)
-        rest &= ~seen
-    return comps
-
 
 def _ends_table(g: Graph, alive: int, budget: Budget
                 ) -> tuple[list[int], list[int], list[int]]:
@@ -328,29 +311,39 @@ def anchored_path_cover(g: Graph, alive: int, anchors: int,
 # ---------------------------------------------------------------------------
 # cycle covers (entries may share vertices)
 
-def _entries_through(g: Graph, v: int, budget: Budget) -> list[tuple[tuple[int, ...], int]]:
-    """Cover entries containing v: simple cycles (canonical orientation),
-    then degenerate edges and the bare vertex, largest coverage first."""
+def cycles_through(g: Graph, v: int, budget: Budget
+                   ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every simple cycle through v once, with its vertex mask, in depth-first
+    order from v.  A cycle is listed from v in the orientation whose second
+    vertex is below its last.  Charges one node per DFS step."""
     adj = g.adj
-    entries: list[tuple[tuple[int, ...], int]] = []
-    stack = [v]
-
-    def dfs(used: int) -> None:
-        budget.spend()
-        tip = stack[-1]
-        for u in adj[tip]:
+    closes = g.adj_mask[v]
+    path = [v]
+    used = 1 << v
+    todo = [iter(adj[v])]
+    budget.spend()
+    while todo:
+        for u in todo[-1]:
             ub = 1 << u
             if ub & used:
                 continue
-            stack.append(u)
-            if len(stack) >= 3 and g.has_edge(u, v) and stack[1] < stack[-1]:
-                entries.append((tuple(stack), used | ub))
-            dfs(used | ub)
-            stack.pop()
+            path.append(u)
+            used |= ub
+            if ub & closes and len(path) >= 3 and path[1] < u:
+                yield tuple(path), used
+            budget.spend()
+            todo.append(iter(adj[u]))
+            break
+        else:
+            todo.pop()
+            used ^= 1 << path.pop()
 
-    dfs(1 << v)
-    entries.sort(key=lambda e: -len(e[0]))
-    for u in adj[v]:
+
+def _entries_through(g: Graph, v: int, budget: Budget) -> list[tuple[tuple[int, ...], int]]:
+    """Cover entries containing v: simple cycles (canonical orientation),
+    then degenerate edges and the bare vertex, largest coverage first."""
+    entries = sorted(cycles_through(g, v, budget), key=lambda e: -len(e[0]))
+    for u in g.adj[v]:
         entries.append(((v, u), (1 << v) | (1 << u)))
     entries.append(((v,), 1 << v))
     return entries

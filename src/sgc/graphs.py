@@ -174,19 +174,27 @@ def random_connected(n: int, p: float, seed: int, max_attempts: int = 10_000) ->
 # ---------------------------------------------------------------------------
 # elementary predicates
 
+def mask_components(adj: tuple[int, ...], alive: int) -> list[int]:
+    """Connected components of the induced subgraph on ``alive``, as masks,
+    lowest vertex first; ``adj`` holds the neighbourhood mask of each vertex."""
+    comps = []
+    while alive:
+        seen = frontier = alive & -alive
+        while frontier:
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = grow & alive & ~seen
+            seen |= frontier
+        comps.append(seen)
+        alive ^= seen
+    return comps
+
+
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    adj = g.adj_mask
-    seen = 1
-    frontier = 1
-    while frontier:
-        grow = 0
-        for v in bits(frontier):
-            grow |= adj[v]
-        frontier = grow & ~seen
-        seen |= frontier
-    return seen == (1 << g.n) - 1
+    return g.n <= 1 or len(mask_components(g.adj_mask, (1 << g.n) - 1)) == 1
 
 
 def is_bipartite(g: Graph) -> Bipartition | None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import flow
 from .errors import CertificateError
-from .graphs import Graph, bits, is_connected, once_per_instance
+from .graphs import Graph, bits, is_connected, mask_components, once_per_instance
 from .search import Budget, OutOfBudget, as_budget
 
 
@@ -53,21 +53,13 @@ def check_independent_set(g: Graph, vertices: frozenset[int]) -> None:
 
 def check_separator(g: Graph, separator: frozenset[int]) -> None:
     """Raise CertificateError unless removing ``separator`` disconnects g."""
-    alive = [v for v in range(g.n) if v not in separator]
-    if len(alive) < 2:
+    alive = 0
+    for v in range(g.n):
+        if v not in separator:
+            alive |= 1 << v
+    if alive.bit_count() < 2:
         raise CertificateError("separator leaves fewer than two vertices")
-    alive_mask = 0
-    for v in alive:
-        alive_mask |= 1 << v
-    seen = 1 << alive[0]
-    frontier = seen
-    while frontier:
-        grow = 0
-        for v in bits(frontier):
-            grow |= g.adj_mask[v]
-        frontier = grow & alive_mask & ~seen
-        seen |= frontier
-    if seen == alive_mask:
+    if len(mask_components(g.adj_mask, alive)) == 1:
         raise CertificateError("graph stays connected after removing the separator")
 
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Any, Literal
 
 DEFAULT_NODE_BUDGET = 10_000_000
-DEFAULT_MS_BUDGET = 10_000.0
 
 
 class OutOfBudget(Exception):
@@ -50,10 +49,11 @@ class Budget:
 
 
 def _fresh_budget(budget_nodes: int | None, budget_ms: float | None) -> Budget:
-    """A new per-graph Budget; None takes the default node or ms allowance."""
+    """A new per-graph Budget; None takes the default node allowance, or no
+    wall-clock limit, so that an answer does not depend on machine load."""
     return Budget(
         max_nodes=DEFAULT_NODE_BUDGET if budget_nodes is None else budget_nodes,
-        max_ms=DEFAULT_MS_BUDGET if budget_ms is None else budget_ms,
+        max_ms=budget_ms,
     )
 
 

@@ -10,11 +10,11 @@ generalized caterpillar / other, reporting the finest class that matches.
 caterpillar if and only if some simple path Q of the graph can be extended by
 vertex-disjoint "leg" paths covering the remaining vertices, each leg hanging
 off Q by one edge at a leg endpoint.  Exhausting all candidate spines is
-therefore a sound "no" proof.  A full spanning-tree-enumeration fallback is
-available behind the ``oracle`` flag.
+therefore a sound "no" proof.
 """
 from __future__ import annotations
 
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 
 from .covers import anchored_path_cover, ham_path_in_mask
 from .errors import CertificateError, GraphError
-from .graphs import Edge, Graph, bits, is_connected, norm_edge, once_per_instance
+from .graphs import Edge, Graph, is_connected, norm_edge, once_per_instance
 from .search import Budget, Decision, OutOfBudget, as_budget
 
 TREE_KINDS = ("path", "spider", "caterpillar", "generalized_caterpillar", "other")
@@ -240,80 +240,21 @@ def _connectable(n: int, fixed: list[Edge], rest: list[Edge]) -> bool:
     return comps == 1
 
 
-EnumerationResult = namedtuple("EnumerationResult", "count truncated")
-
-
-def spanning_tree_enumerate(g: Graph,
-                            visitor: Callable[[frozenset[Edge]], None] | None = None,
-                            cap: int | None = None) -> EnumerationResult:
-    """Visit every spanning tree exactly once (include/exclude over sorted edges
-    with a connectivity feasibility check on the exclude branch)."""
-    if not is_connected(g):
-        raise GraphError("spanning tree enumeration needs a connected graph")
+def _tree_search(g: Graph, budget: Budget,
+                 stop: Callable[[frozenset[Edge]], bool] | None,
+                 branch_limit: int | None = None,
+                 degree_cap: int | None = None) -> frozenset[Edge] | None:
+    """Include/exclude search over the sorted edges for spanning trees with at
+    most ``branch_limit`` branch vertices and maximum degree at most
+    ``degree_cap`` (None: no limit); an edge is left out only while the rest
+    can still connect.  Each tree goes to ``stop`` as its edge set, and the
+    search ends at the first tree ``stop`` returns True for (with no ``stop``:
+    the first tree), which it returns; None when the search ran out.  Charges
+    one node per search step."""
     n = g.n
-    if n <= 1:
-        if visitor is not None:
-            visitor(frozenset())
-        return EnumerationResult(1, False)
     edges = g.sorted_edges()
     m = len(edges)
-    parent = list(range(n))
-    size = [1] * n
-    chosen: list[Edge] = []
-    count = 0
-    truncated = False
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def rec(i: int) -> None:
-        nonlocal count, truncated
-        if truncated:
-            return
-        if len(chosen) == n - 1:
-            if cap is not None and count >= cap:
-                # one more tree exists beyond the cap: now truncation is a fact
-                truncated = True
-                return
-            count += 1
-            if visitor is not None:
-                visitor(frozenset(chosen))
-            return
-        if i == m or m - i < n - 1 - len(chosen):
-            return
-        u, v = edges[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
-            chosen.append(edges[i])
-            rec(i + 1)
-            chosen.pop()
-            size[ru] -= size[rv]
-            parent[rv] = rv
-            if truncated:
-                return
-        if _connectable(n, chosen, edges[i + 1:]):
-            rec(i + 1)
-
-    rec(0)
-    return EnumerationResult(count, truncated)
-
-
-def constrained_spanning_tree(g: Graph, branch_limit: int, budget: Budget,
-                              degree_cap: int | None = None) -> Decision:
-    """Is there a spanning tree with at most ``branch_limit`` branch vertices
-    (and, when given, maximum degree at most ``degree_cap``)?  Witness is the
-    tree's edge set."""
-    n = g.n
-    if n <= 2:
-        return Decision("yes", frozenset(g.sorted_edges()[: max(n - 1, 0)]))
-    edges = g.sorted_edges()
-    m = len(edges)
+    limit = n if branch_limit is None else branch_limit
     parent = list(range(n))
     size = [1] * n
     deg = [0] * n
@@ -329,14 +270,15 @@ def constrained_spanning_tree(g: Graph, branch_limit: int, budget: Budget,
         nonlocal branches
         budget.spend()
         if len(chosen) == n - 1:
-            return frozenset(chosen)
+            tree = frozenset(chosen)
+            return tree if stop is None or stop(tree) else None
         if i == m or m - i < n - 1 - len(chosen):
             return None
         u, v = edges[i]
         ru, rv = find(u), find(v)
         if ru != rv and (degree_cap is None or (deg[u] < degree_cap and deg[v] < degree_cap)):
             newb = (deg[u] == 2) + (deg[v] == 2)
-            if branches + newb <= branch_limit:
+            if branches + newb <= limit:
                 if size[ru] < size[rv]:
                     ru, rv = rv, ru
                 parent[rv] = ru
@@ -358,11 +300,51 @@ def constrained_spanning_tree(g: Graph, branch_limit: int, budget: Budget,
             return rec(i + 1)
         return None
 
+    return rec(0)
+
+
+EnumerationResult = namedtuple("EnumerationResult", "count truncated")
+
+
+def spanning_tree_enumerate(g: Graph,
+                            visitor: Callable[[frozenset[Edge]], None] | None = None,
+                            cap: int | None = None) -> EnumerationResult:
+    """Visit every spanning tree exactly once, in the order of the
+    include/exclude edge search; with ``cap``, stop after that many and
+    report whether more exist."""
+    if not is_connected(g):
+        raise GraphError("spanning tree enumeration needs a connected graph")
+    if g.n <= 1:
+        if visitor is not None:
+            visitor(frozenset())
+        return EnumerationResult(1, False)
+    count = 0
+
+    def visit(tree: frozenset[Edge]) -> bool:
+        nonlocal count
+        if cap is not None and count >= cap:
+            return True  # one more tree exists beyond the cap
+        count += 1
+        if visitor is not None:
+            visitor(tree)
+        return False
+
+    beyond = _tree_search(g, Budget(max_nodes=sys.maxsize), visit)
+    return EnumerationResult(count, beyond is not None)
+
+
+def constrained_spanning_tree(g: Graph, branch_limit: int, budget: Budget,
+                              degree_cap: int | None = None) -> Decision:
+    """Is there a spanning tree with at most ``branch_limit`` branch vertices
+    (and, when given, maximum degree at most ``degree_cap``)?  Witness is the
+    tree's edge set."""
+    if g.n <= 2:
+        return Decision("yes", frozenset(g.sorted_edges()[: max(g.n - 1, 0)]))
     try:
-        got = rec(0)
+        tree = _tree_search(g, budget, None, branch_limit, degree_cap)
     except OutOfBudget:
         return Decision("unknown")
-    return Decision("yes", got) if got is not None else Decision("no")
+    return Decision("yes", tree) if tree is not None else Decision("no")
 
 
 @dataclass(frozen=True)
@@ -439,8 +421,7 @@ def _tree_from_spine(g: Graph, spine: tuple[int, ...],
     return cert
 
 
-def decide_sgc(g: Graph, budget: Budget | int | None = None,
-               oracle: bool = False) -> Decision:
+def decide_sgc(g: Graph, budget: Budget | int | None = None) -> Decision:
     """Does g admit a spanning tree whose branch vertices all lie on one path?
 
     Yes answers carry a validated CaterpillarCertificate; a "no" is an
@@ -453,8 +434,6 @@ def decide_sgc(g: Graph, budget: Budget | int | None = None,
     if n <= 2:
         order = tuple(range(n))
         return Decision("yes", CaterpillarCertificate(_path_as_tree(g, order), order))
-    if oracle:
-        return _decide_sgc_by_enumeration(g, budget)
 
     hp = hamiltonian_path(g, budget)
     if hp.status == "yes":
@@ -476,29 +455,6 @@ def decide_sgc(g: Graph, budget: Budget | int | None = None,
             legs = anchored_path_cover(g, alive, anchors, budget)
             if legs is not None:
                 return Decision("yes", _tree_from_spine(g, spine, legs))
-    except OutOfBudget:
-        return Decision("unknown")
-    return Decision("no")
-
-
-def _decide_sgc_by_enumeration(g: Graph, budget: Budget) -> Decision:
-    found: list[CaterpillarCertificate] = []
-
-    class _Stop(Exception):
-        pass
-
-    def visit(edge_set: frozenset[Edge]) -> None:
-        budget.spend()
-        _, cert = classify_tree(SpanningTree(g, edge_set))
-        if cert is not None:
-            found.append(cert)
-            raise _Stop
-
-    try:
-        spanning_tree_enumerate(g, visit)
-    except _Stop:
-        validate_caterpillar_certificate(found[0])
-        return Decision("yes", found[0])
     except OutOfBudget:
         return Decision("unknown")
     return Decision("no")

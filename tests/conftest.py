@@ -1,26 +1,13 @@
-import itertools
-
 import pytest
 
-from sgc.graphs import Graph, is_connected
-
-
-def connected_graphs(n: int):
-    """Every connected labelled graph on exactly n vertices."""
-    pairs = list(itertools.combinations(range(n), 2))
-    out = []
-    for mask in range(1 << len(pairs)):
-        g = Graph(n, frozenset(pairs[i] for i in range(len(pairs)) if mask >> i & 1))
-        if is_connected(g):
-            out.append(g)
-    return out
+from sgc.verify import Corpus
 
 
 @pytest.fixture(scope="session")
 def corpus_n4():
-    return [g for n in (1, 2, 3, 4) for g in connected_graphs(n)]
+    return Corpus.embedded(4).graphs
 
 
 @pytest.fixture(scope="session")
 def corpus_n5():
-    return connected_graphs(5)
+    return [g for g in Corpus.embedded(5) if g.n == 5]

@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 
-from .graphs import Edge, Graph, bits, norm_edge
+from sgc.graphs import Edge, Graph, bits, norm_edge
 
 
 def independence_number_brute(g: Graph) -> int:

@@ -21,7 +21,7 @@ from sgc.covers import (
 from sgc.families import counterexample_bipartite, expected_theorem2_invariants, theorem2_family
 from sgc.graphs import complete_bipartite, emit_graph6, parse_graph6
 from sgc.invariants import independence_number, vertex_connectivity
-from sgc.oracles import (
+from oracles import (
     cycle_cover_number_brute,
     independence_number_brute,
     min_branch_brute,

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from sgc.cli import main
+from sgc.cli import build_parser, main
 from sgc.families import theorem2_family
 from sgc.graphs import (
     GRAPH6_MAX_N,
@@ -16,6 +16,7 @@ from sgc.graphs import (
     parse_graph6,
     path_graph,
 )
+from sgc.search import _fresh_budget
 
 
 def run(capsys, *argv):
@@ -255,3 +256,13 @@ def test_module_entry_point(tmp_path):
         input="A_\n", capture_output=True, text=True, check=False)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 2
+
+
+def test_default_budget_has_no_deadline():
+    """Only the node budget limits a search by default, so an answer does not
+    depend on machine load; the wall clock is opt-in."""
+    budget = _fresh_budget(None, None)
+    assert budget.max_ms is None and budget.exhausted is False
+    args = build_parser().parse_args(["verify", "lemma4"])
+    assert args.budget_ms is None
+    assert _fresh_budget(None, 5.0).max_ms == 5.0

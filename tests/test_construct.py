@@ -15,9 +15,19 @@ from sgc.construct import (
     vertex_disjoint_fan,
 )
 from sgc.errors import CertificateError, GraphError
-from sgc.graphs import Graph, complete_bipartite, complete_graph, cycle_graph, is_connected, new_graph, path_graph
+from sgc import construct
+from sgc.graphs import (
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    is_connected,
+    new_graph,
+    path_graph,
+    random_connected,
+)
 from sgc.invariants import vertex_connectivity
-from sgc.oracles import _has_hamiltonian_cycle_on, max_fan_brute
+from oracles import _has_hamiltonian_cycle_on, max_fan_brute
 from sgc.search import Budget
 from sgc.trees import branch_profile, classify_tree, spanning_tree, validate_caterpillar_certificate
 
@@ -113,6 +123,26 @@ def _brute_cycle_exists(g, w):
             if w <= set(block) and _has_hamiltonian_cycle_on(g, block):
                 return True
     return False
+
+
+def test_cycle_through_exhaustive_fallback_node_counts(monkeypatch):
+    """Where the fan absorption fails, the fallback takes the first covering
+    cycle of the walk, at the node count it had before the walk was shared."""
+    fallbacks = []
+    exhaustive = construct._exhaustive_cycle
+
+    def counted(g, wset, budget):
+        fallbacks.append(wset)
+        return exhaustive(g, wset, budget)
+
+    monkeypatch.setattr(construct, "_exhaustive_cycle", counted)
+    g = random_connected(7, 0.5, 16)
+    for w, cycle, spent in (((2, 4, 6), (2, 0, 4, 1, 6, 5), 25),
+                            ((1, 2, 4, 6), (1, 4, 0, 2, 3, 5, 6), 56)):
+        budget = Budget()
+        assert cycle_through(g, list(w), budget).cycle == cycle
+        assert budget.spent == spent
+    assert fallbacks == [[2, 4, 6], [1, 2, 4, 6]]
 
 
 def test_cycle_through_matches_existence_brute():

@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import factorial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,6 +9,7 @@ from sgc.covers import (
     PathCover,
     anchored_path_cover,
     cycle_cover_number,
+    cycles_through,
     min_cycle_cover,
     min_disjoint_path_cover,
     path_cover_number,
@@ -13,8 +17,15 @@ from sgc.covers import (
     validate_path_cover,
 )
 from sgc.errors import CertificateError
-from sgc.graphs import Graph, complete_bipartite, complete_graph, cycle_graph, path_graph
-from sgc.oracles import cycle_cover_number_brute, path_cover_number_brute
+from sgc.graphs import (
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    random_connected,
+)
+from oracles import _has_hamiltonian_cycle_on, cycle_cover_number_brute, path_cover_number_brute
 from sgc.search import Budget
 
 
@@ -187,6 +198,48 @@ def test_cycle_cover_witnesses_validate():
 def test_cycle_cover_matches_brute(corpus_n4, corpus_n5):
     for g in corpus_n4 + corpus_n5[::11]:
         assert cycle_cover_number(g) == cycle_cover_number_brute(g), g
+
+
+def test_cycles_through_complete_graph_counts():
+    for n in range(3, 8):
+        g = complete_graph(n)
+        cycles = sum(factorial(n - 1) // (2 * factorial(n - k)) for k in range(3, n + 1))
+        paths = sum(factorial(n - 1) // factorial(n - 1 - k) for k in range(n))
+        for v in (0, n - 1):
+            budget = Budget()
+            found = [cycle for cycle, _ in cycles_through(g, v, budget)]
+            assert len(found) == len(set(found)) == cycles
+            # one node per DFS step, that is per simple path starting at v
+            assert budget.spent == paths
+
+
+def test_cycles_through_match_hamiltonian_blocks(corpus_n4, corpus_n5):
+    for g in corpus_n4 + corpus_n5[::7] + [complete_bipartite(3, 3), cycle_graph(6)]:
+        for v in range(g.n):
+            masks = set()
+            for cycle, mask in cycles_through(g, v, Budget()):
+                assert cycle[0] == v and cycle[1] < cycle[-1]
+                assert len(set(cycle)) == len(cycle) >= 3
+                assert all(g.has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+                assert mask == sum(1 << u for u in cycle)
+                masks.add(mask)
+            blocks = {sum(1 << u for u in block)
+                      for k in range(3, g.n + 1)
+                      for block in combinations(range(g.n), k)
+                      if v in block and _has_hamiltonian_cycle_on(
+                          g, (v,) + tuple(u for u in block if u != v))}
+            assert masks == blocks
+
+
+def test_min_cycle_cover_node_counts():
+    """The nodes charged on fixed graphs, as before the cycle walk was shared."""
+    for g, k, status, spent in ((complete_bipartite(3, 5), 1, "no", 217),
+                                (complete_bipartite(3, 5), 2, "yes", 546),
+                                (complete_bipartite(3, 5), 3, "yes", 875),
+                                (random_connected(9, 0.4, 1), 1, "yes", 733)):
+        budget = Budget()
+        assert min_cycle_cover(g, k, budget).status == status
+        assert budget.spent == spent
 
 
 def test_validate_cycle_cover_rules():

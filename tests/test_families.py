@@ -10,7 +10,7 @@ from sgc.families import (
 )
 from sgc.graphs import complete_bipartite, is_bipartite, is_connected
 from sgc.invariants import independence_number, vertex_connectivity
-from sgc.oracles import independence_number_brute, vertex_connectivity_brute
+from oracles import independence_number_brute, vertex_connectivity_brute
 
 
 def test_parameter_validation():

@@ -16,7 +16,7 @@ from sgc.graphs import (
     path_graph,
 )
 from sgc.invariants import check_separator, vertex_connectivity
-from sgc.oracles import max_fan_brute, vertex_connectivity_brute
+from oracles import max_fan_brute, vertex_connectivity_brute
 
 
 @st.composite

@@ -1,10 +1,15 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
+
+from oracles import _connected_mask
 
 from sgc.errors import FormatError, GraphError
 from sgc.graphs import (
     GRAPH6_MAX_N,
     Graph,
+    bits,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -12,6 +17,7 @@ from sgc.graphs import (
     emit_graph6,
     is_bipartite,
     is_connected,
+    mask_components,
     new_graph,
     parse_edgelist,
     parse_graph6,
@@ -75,6 +81,23 @@ def test_connectivity_predicate():
     assert not is_connected(Graph(3, frozenset({(0, 1)})))
     assert is_connected(Graph(1, frozenset()))
     assert is_connected(Graph(0, frozenset()))
+
+
+@given(graphs(max_n=10), st.data())
+def test_mask_components_match_reference(g, data):
+    alive = data.draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
+    comps = mask_components(g.adj_mask, alive)
+    covered = 0
+    for comp in comps:
+        assert comp and not comp & covered
+        assert _connected_mask(g, comp)
+        covered |= comp
+    assert covered == alive
+    assert comps == sorted(comps, key=lambda c: c & -c)
+    for a, b in combinations(comps, 2):
+        assert not any(g.adj_mask[v] & b for v in bits(a))
+    assert (len(comps) <= 1) == _connected_mask(g, alive)
+    assert is_connected(g) == _connected_mask(g, (1 << g.n) - 1)
 
 
 def test_random_connected_deterministic():

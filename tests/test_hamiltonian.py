@@ -16,7 +16,7 @@ from sgc.graphs import (
     random_connected,
 )
 from sgc.invariants import independence_number
-from sgc.oracles import has_hamiltonian_path_brute
+from oracles import has_hamiltonian_path_brute
 from sgc.search import Budget
 from sgc.trees import branch_profile, hamiltonian_path, min_branch_spanning_tree
 

@@ -2,14 +2,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgc.errors import CertificateError
-from sgc.graphs import Graph, complete_bipartite, complete_graph, cycle_graph, path_graph
+from sgc.graphs import Graph, bits, complete_bipartite, complete_graph, cycle_graph, path_graph
 from sgc.invariants import (
     check_independent_set,
     check_separator,
     independence_number,
     vertex_connectivity,
 )
-from sgc.oracles import independence_number_brute, vertex_connectivity_brute
+from oracles import _connected_mask, independence_number_brute, vertex_connectivity_brute
 from sgc.search import Budget
 
 
@@ -79,10 +79,41 @@ def test_kappa_matches_brute(corpus_n4, corpus_n5):
         assert vertex_connectivity(g).kappa == vertex_connectivity_brute(g)
 
 
+def _separator_error(g, separator):
+    try:
+        check_separator(g, separator)
+    except CertificateError as exc:
+        return str(exc)
+    return None
+
+
 def test_check_separator_rejects_non_cuts():
     g = complete_graph(4)
     with pytest.raises(CertificateError):
         check_separator(g, frozenset({0}))
+    stays = "graph stays connected after removing the separator"
+    too_few = "separator leaves fewer than two vertices"
+    p4 = path_graph(4)
+    assert _separator_error(p4, frozenset({1})) is None
+    assert _separator_error(p4, frozenset({1, 9})) is None  # out of range: ignored
+    assert _separator_error(p4, frozenset()) == stays
+    assert _separator_error(p4, frozenset({0})) == stays
+    assert _separator_error(p4, frozenset({0, 1, 2})) == too_few
+    assert _separator_error(Graph(1, frozenset()), frozenset()) == too_few
+
+
+def test_check_separator_matches_reference(corpus_n4, corpus_n5):
+    for g in corpus_n4 + corpus_n5[::9]:
+        full = (1 << g.n) - 1
+        for cut in range(full + 1):
+            alive = full & ~cut
+            if alive.bit_count() < 2:
+                want = "separator leaves fewer than two vertices"
+            elif _connected_mask(g, alive):
+                want = "graph stays connected after removing the separator"
+            else:
+                want = None
+            assert _separator_error(g, frozenset(bits(cut))) == want
 
 
 @st.composite

@@ -1,8 +1,16 @@
 import pytest
 
 from sgc.errors import CertificateError, GraphError
-from sgc.graphs import Graph, complete_bipartite, complete_graph, cycle_graph, new_graph, path_graph
-from sgc.oracles import (
+from sgc.graphs import (
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    new_graph,
+    path_graph,
+    random_connected,
+)
+from oracles import (
     classify_tree_brute,
     min_branch_brute,
     sgc_brute,
@@ -15,6 +23,7 @@ from sgc.trees import (
     SpanningTree,
     branch_profile,
     classify_tree,
+    constrained_spanning_tree,
     decide_sgc,
     hamiltonian_path,
     min_branch_spanning_tree,
@@ -136,6 +145,25 @@ def test_enumeration_cap_and_visitor():
     assert full.count == 16 and not full.truncated
 
 
+def test_constrained_spanning_tree_node_counts():
+    """The nodes charged on fixed graphs, as before the enumeration and the
+    constrained search shared one edge search."""
+    cases = ((random_connected(12, 0.25, 4), 1, None, "yes", 18),
+             (random_connected(12, 0.25, 4), 1, 3, "yes", 1167),
+             (random_connected(12, 0.25, 5), 1, None, "yes", 777),
+             (random_connected(12, 0.25, 5), 1, 3, "yes", 363),
+             (theorem2_family(1).graph, 3, None, "no", 12),
+             (theorem2_family(1).graph, 3, 3, "no", 12))
+    for g, limit, cap, status, spent in cases:
+        budget = Budget()
+        dec = constrained_spanning_tree(g, limit, budget, degree_cap=cap)
+        assert (dec.status, budget.spent) == (status, spent)
+        if dec.status == "yes":
+            profile = branch_profile(spanning_tree(g, dec.witness))
+            assert len(profile.branch_vertices) <= limit
+            assert cap is None or profile.max_degree <= cap
+
+
 def test_min_branch_examples():
     assert min_branch_spanning_tree(cycle_graph(6)).value == 0
     assert min_branch_spanning_tree(new_graph(4, [(0, 1), (0, 2), (0, 3)])).value == 1
@@ -178,10 +206,7 @@ def test_decide_sgc_yes_certificates_validate(corpus_n5):
 
 def test_decide_sgc_agrees_with_enumeration_and_brute(corpus_n4, corpus_n5):
     for g in corpus_n4 + corpus_n5[::41]:
-        fast = decide_sgc(g).status
-        slow = decide_sgc(g, oracle=True).status
-        assert fast == slow
-        assert (fast == "yes") == sgc_brute(g)
+        assert (decide_sgc(g).status == "yes") == sgc_brute(g)
 
 
 def test_decide_sgc_smallest_no_instance():
@@ -190,4 +215,4 @@ def test_decide_sgc_smallest_no_instance():
     g = new_graph(10, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5),
                        (2, 6), (2, 7), (3, 8), (3, 9)])
     assert decide_sgc(g).status == "no"
-    assert decide_sgc(g, oracle=True).status == "no"
+    assert not sgc_brute(g)

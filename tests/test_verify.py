@@ -14,7 +14,7 @@ from sgc.graphs import (
     path_graph,
     random_connected,
 )
-from sgc.oracles import connected_graph_count
+from oracles import connected_graph_count
 from sgc.search import Budget
 from sgc.verify import (
     PER_GRAPH_CHECKS,
