@@ -6,16 +6,25 @@ may overlap, and degenerate entries of one vertex or one edge are permitted.
 
 Both solvers branch on the entry that covers the smallest uncovered vertex.
 Failed (uncovered-set, remaining-count) states are memoized, which keeps the
-searches exhaustive while avoiding order-duplicated work.  The cycle entries
-through a vertex come from ``cycles_through``, the one walk over the cycles
-through a vertex, which ``construct.cycle_through`` falls back on as well.
+searches exhaustive while avoiding order-duplicated work.
+
+The cycle cover branches only on the inclusion-maximal entries through v:
+the vertex sets of cycles through v, the edges {v, u} and {v}, each dropped
+when another of them contains it.  This keeps the search exhaustive.  Say r
+entries cover the uncovered set U, and e is the one through v.  Swap e for a
+maximal entry e' through v with e a subset of e'.  Then U - e' lies inside
+U - e, which the other r - 1 entries cover, and entries may overlap, so the
+swap never breaks a cover.  The entries come from a subset DP over the vertex
+sets of paths that start at v; ``cycles_through``, the one walk over the
+cycles through a vertex, is what ``construct.cycle_through`` falls back on.
 
 One function, ``_ends_table``, runs the Bellman-Held-Karp subset DP: for
 every vertex subset, the set of vertices a path through exactly that subset
 can end at.  Each reachable subset takes the union of its ends' neighbourhoods
 once, and every vertex of that union outside the subset becomes an end of the
 subset grown by it.  The DP charges its 2**n states to the budget up front,
-and ``_walk`` reads one path through any subset back out of the table.
+and ``_walk`` reads one path through any subset back out of the table; it
+also reads the witness cycles out of the cycle cover's table.
 
 Two readers share it.  ``ham_path_in_mask`` (Hamiltonian paths of induced
 subgraphs, also the path cover's one-path case) walks the full subset.  The
@@ -30,7 +39,7 @@ bound is involved, so the search without ``counting_prune`` stays bound-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import CertificateError
 from .graphs import Graph, bits, is_bipartite, mask_components
@@ -128,12 +137,14 @@ def _ends_table(g: Graph, alive: int, budget: Budget
     return verts, cadj, ends
 
 
-def _walk(verts: list[int], cadj: list[int], ends: list[int], mask: int
-          ) -> tuple[int, ...]:
-    """Walk the table backwards from subset ``mask`` (``ends[mask]`` nonzero)
-    to one path through exactly that subset."""
+def _walk(verts: Sequence[int], cadj: Sequence[int], ends: Sequence[int] | dict[int, int],
+          mask: int, last: int = -1) -> tuple[int, ...]:
+    """Walk the table backwards from subset ``mask`` to one path through
+    exactly that subset, ending at a position in ``last`` (default: any;
+    ``ends[mask] & last`` must be nonzero)."""
     path = []
-    e = (ends[mask] & -ends[mask]).bit_length() - 1
+    e = ends[mask] & last
+    e = (e & -e).bit_length() - 1
     while True:
         path.append(verts[e])
         mask ^= 1 << e
@@ -340,12 +351,70 @@ def cycles_through(g: Graph, v: int, budget: Budget
 
 
 def _entries_through(g: Graph, v: int, budget: Budget) -> list[tuple[tuple[int, ...], int]]:
-    """Cover entries containing v: simple cycles (canonical orientation),
-    then degenerate edges and the bare vertex, largest coverage first."""
-    entries = sorted(cycles_through(g, v, budget), key=lambda e: -len(e[0]))
+    """The inclusion-maximal cover entries containing v, with their masks,
+    largest first: vertex sets of simple cycles through v (one witness cycle
+    each, in canonical orientation), then the edges {v, u} and the bare
+    vertex, each kept only when no larger entry contains it.
+
+    A subset DP over the vertex sets of paths that start at v: ``ends[S]`` is
+    the set of ends of such paths through exactly S, and S carries a cycle
+    through v when it has at least three vertices and an end next to v.
+    Only reachable sets are visited, one node each, so the DP makes no more
+    states than ``cycles_through`` takes DFS steps from v."""
+    adj = g.adj_mask
+    closes = adj[v]
+    vbit = 1 << v
+    ends = {vbit: vbit}
+    # the sets in order of size, appended while the list is read: a set is
+    # read after every set one smaller, so its ends are complete by then
+    order = [vbit]
+    level_end = 0
+    cycles = []
+    for i, s in enumerate(order):
+        if i == level_end:  # the sets of the next size are all listed
+            level_end = len(order)
+            budget.spend(level_end - i)
+        reach = ends[s]
+        if reach & closes and s.bit_count() > 2:
+            cycles.append(s)
+        step = 0
+        while reach:
+            low = reach & -reach
+            step |= adj[low.bit_length() - 1]
+            reach ^= low
+        step &= ~s
+        while step:
+            low = step & -step
+            t = s | low
+            old = ends.get(t)
+            if old is None:
+                ends[t] = low
+                order.append(t)
+            else:
+                ends[t] = old | low
+            step ^= low
+    entries = []
+    covered = 0
+    if cycles:
+        kept = []
+        cycles.sort(key=int.bit_count, reverse=True)
+        for s in cycles:
+            # s can only lie inside a kept set when each of its vertices does
+            if not s & ~covered and any(not s & ~k for k in kept):
+                continue
+            kept.append(s)
+            covered |= s
+        verts = range(g.n)
+        for s in kept:
+            path = _walk(verts, adj, ends, s, closes)
+            if path[1] > path[-1]:
+                path = (v,) + path[:0:-1]
+            entries.append((path, s))
     for u in g.adj[v]:
-        entries.append(((v, u), (1 << v) | (1 << u)))
-    entries.append(((v,), 1 << v))
+        if not covered >> u & 1:
+            entries.append(((v, u), vbit | 1 << u))
+    if not closes:
+        entries.append(((v,), vbit))
     return entries
 
 

@@ -11,6 +11,18 @@ caterpillar if and only if some simple path Q of the graph can be extended by
 vertex-disjoint "leg" paths covering the remaining vertices, each leg hanging
 off Q by one edge at a leg endpoint.  Exhausting all candidate spines is
 therefore a sound "no" proof.
+
+Once the graph is known to have no Hamiltonian path, only *minimal* spines
+are tried: a single vertex with at least three neighbours, or a longer path
+with at least two neighbours off it at each end.  This loses no tree.  A
+spanning generalized caterpillar T that is not a path has a branch vertex.
+Take as Q the path of T between its two outermost branch vertices (one
+vertex if there is one branch vertex).  Q holds every branch vertex, and its
+ends have degree at least three in T, so each end has at least two T-edges
+off Q, three when Q is one vertex.  Every component of T - Q holds no branch
+vertex, so it is a path, joined to Q by one edge of T at a vertex of degree
+at most two in T: one of the path's own ends.  So Q with those legs is found.
+While the Hamiltonian path is unknown, every simple path stays a candidate.
 """
 from __future__ import annotations
 
@@ -22,7 +34,7 @@ from typing import Callable, Iterator
 
 from .covers import anchored_path_cover, ham_path_in_mask
 from .errors import CertificateError, GraphError
-from .graphs import Edge, Graph, is_connected, norm_edge, once_per_instance
+from .graphs import Edge, Graph, is_bipartite, is_connected, norm_edge, once_per_instance
 from .search import Budget, Decision, OutOfBudget, as_budget
 
 TREE_KINDS = ("path", "spider", "caterpillar", "generalized_caterpillar", "other")
@@ -183,6 +195,12 @@ def classify_tree(t: SpanningTree) -> tuple[str, CaterpillarCertificate | None]:
 def hamiltonian_path(g: Graph, budget: Budget | int | None = None) -> Decision:
     """Bitmask-DP Hamiltonian path decision; witness is the vertex order.
 
+    A path alternates the sides of a bipartite graph, so sides that differ by
+    two or more answer "no" without the DP, but only where the DP's 2**n
+    states fit the budget, so that no answer differs from the DP's: a "no"
+    past the budget would send ``decide_sgc`` on to a spine search that cannot
+    settle ``theorem2_family(2)`` within it.
+
     A yes or no is kept on the ``Graph`` instance, so s, the SGC decision and
     the constructive pipelines share one DP per instance; an "unknown" is not
     kept, and the next call runs the DP again under its own budget.
@@ -190,6 +208,10 @@ def hamiltonian_path(g: Graph, budget: Budget | int | None = None) -> Decision:
     budget = as_budget(budget)
     if g.n == 0:
         return Decision("yes", ())
+    if budget.spent + (1 << g.n) <= budget.max_nodes:
+        part = is_bipartite(g)
+        if part is not None and abs(len(part.side_a) - len(part.side_b)) >= 2:
+            return Decision("no")
     try:
         hp = ham_path_in_mask(g, (1 << g.n) - 1, budget)
     except OutOfBudget:
@@ -339,7 +361,9 @@ def constrained_spanning_tree(g: Graph, branch_limit: int, budget: Budget,
     (and, when given, maximum degree at most ``degree_cap``)?  Witness is the
     tree's edge set."""
     if g.n <= 2:
-        return Decision("yes", frozenset(g.sorted_edges()[: max(g.n - 1, 0)]))
+        if g.m < g.n - 1:  # two vertices without an edge
+            return Decision("no")
+        return Decision("yes", frozenset(g.sorted_edges()))
     try:
         tree = _tree_search(g, budget, None, branch_limit, degree_cap)
     except OutOfBudget:
@@ -383,23 +407,36 @@ def min_branch_spanning_tree(g: Graph, budget: Budget | int | None = None) -> Mi
 # ---------------------------------------------------------------------------
 # the spanning generalized caterpillar decision
 
-def _spine_candidates(g: Graph, budget: Budget) -> Iterator[tuple[tuple[int, ...], int]]:
+def _spine_candidates(g: Graph, budget: Budget, minimal: bool
+                      ) -> Iterator[tuple[tuple[int, ...], int]]:
     """Every simple path of g exactly once (canonical: start <= end), as
-    (vertex sequence, vertex mask)."""
+    (vertex sequence, vertex mask).  With ``minimal``, only the minimal
+    spines: a vertex with at least three neighbours, or a longer path with at
+    least two neighbours off it at each end.  The start's count off the path
+    only falls as the path grows, so a start that fails it ends the branch."""
     adj = g.adj
+    adj_mask = g.adj_mask
+    off = 2 if minimal else 0
 
     def go(path: list[int], mask: int) -> Iterator[tuple[tuple[int, ...], int]]:
         budget.spend()
+        first = adj_mask[path[0]]
         for u in adj[path[-1]]:
             ub = 1 << u
             if not ub & mask:
+                grown = mask | ub
+                if (first & ~grown).bit_count() < off:
+                    continue
                 path.append(u)
-                if path[0] <= u:
-                    yield tuple(path), mask | ub
-                yield from go(path, mask | ub)
+                if path[0] <= u and (adj_mask[u] & ~grown).bit_count() >= off:
+                    yield tuple(path), grown
+                yield from go(path, grown)
                 path.pop()
 
     for s in range(g.n):
+        # an end has a neighbour on the path, so it needs three in all
+        if minimal and len(adj[s]) < 3:
+            continue
         yield (s,), 1 << s
         yield from go([s], 1 << s)
 
@@ -442,7 +479,7 @@ def decide_sgc(g: Graph, budget: Budget | int | None = None) -> Decision:
 
     full = (1 << n) - 1
     try:
-        for spine, qmask in _spine_candidates(g, budget):
+        for spine, qmask in _spine_candidates(g, budget, hp.status == "no"):
             alive = full & ~qmask
             if alive == 0:
                 return Decision("yes", _tree_from_spine(g, spine, []))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from sgc.covers import (
     CycleCover,
+    _entries_through,
     PathCover,
     anchored_path_cover,
     cycle_cover_number,
@@ -231,15 +232,54 @@ def test_cycles_through_match_hamiltonian_blocks(corpus_n4, corpus_n5):
             assert masks == blocks
 
 
+@settings(max_examples=40, deadline=None)
+@given(graphs())
+def test_bounded_cycle_cover_matches_brute(g):
+    """Maximal entries only, against plain set cover over every cycle set."""
+    number = cycle_cover_number_brute(g) if g.n else 0
+    for k in (1, 2, 3):
+        dec = min_cycle_cover(g, k)
+        assert dec.status == ("yes" if number <= k else "no"), k
+        if dec.status == "yes":
+            validate_cycle_cover(g, dec.witness)
+            assert len(dec.witness.cycles) <= k
+
+
+def test_entries_through_are_the_maximal_entries(corpus_n4, corpus_n5):
+    graphs_ = corpus_n4 + corpus_n5[::7] + [complete_bipartite(3, 4), complete_graph(6),
+                                             Graph(1, frozenset()), random_connected(9, 0.4, 1)]
+    for g in graphs_:
+        for v in range(g.n):
+            walked, dp = Budget(), Budget()
+            masks = [mask for _, mask in cycles_through(g, v, walked)]
+            masks += [(1 << v) | (1 << u) for u in g.adj[v]] + [1 << v]
+            maximal = {m for m in masks if not any(m != o and not m & ~o for o in masks)}
+            entries = _entries_through(g, v, dp)
+            assert {mask for _, mask in entries} == maximal
+            assert len(entries) == len(maximal)
+            # one node per vertex set against one per simple path from v
+            assert dp.spent <= walked.spent
+            sizes = [mask.bit_count() for _, mask in entries]
+            assert sizes == sorted(sizes, reverse=True)
+            for entry, mask in entries:
+                assert entry[0] == v and mask == sum(1 << u for u in entry)
+                if len(entry) >= 3:
+                    assert entry[1] < entry[-1]
+                assert len(entry) == mask.bit_count()
+                ring = entry + entry[:1] if len(entry) >= 3 else entry
+                assert all(g.has_edge(a, b) for a, b in zip(ring, ring[1:]))
+
+
 def test_min_cycle_cover_node_counts():
-    """The nodes charged on fixed graphs, as before the cycle walk was shared."""
-    for g, k, status, spent in ((complete_bipartite(3, 5), 1, "no", 217),
-                                (complete_bipartite(3, 5), 2, "yes", 546),
-                                (complete_bipartite(3, 5), 3, "yes", 875),
-                                (random_connected(9, 0.4, 1), 1, "yes", 733)):
+    """The nodes charged on fixed graphs; ``listed`` is what the search
+    charged when it listed every cycle through a vertex as an entry."""
+    for g, k, status, spent, listed in ((complete_bipartite(3, 5), 1, "no", 57, 217),
+                                        (complete_bipartite(3, 5), 2, "yes", 114, 546),
+                                        (complete_bipartite(3, 5), 3, "yes", 171, 875),
+                                        (random_connected(9, 0.4, 1), 1, "yes", 129, 733)):
         budget = Budget()
         assert min_cycle_cover(g, k, budget).status == status
-        assert budget.spent == spent
+        assert budget.spent == spent <= listed
 
 
 def test_validate_cycle_cover_rules():

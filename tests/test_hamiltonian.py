@@ -15,6 +15,7 @@ from sgc.graphs import (
     path_graph,
     random_connected,
 )
+from sgc.families import theorem2_family
 from sgc.invariants import independence_number
 from oracles import has_hamiltonian_path_brute
 from sgc.search import Budget
@@ -100,11 +101,25 @@ def test_hamiltonian_path_closed_forms(n):
         validate_path_cover(g, PathCover((dec.witness,)))
 
 
-@pytest.mark.parametrize("a", [1, 2, 4, 5])
+@pytest.mark.parametrize("a", range(1, 8))
 def test_no_hamiltonian_path_in_unbalanced_bipartite(a):
     # a path alternates sides, so the sides may differ by at most one;
     # a = 1 is the claw K_{1,3}
-    assert hamiltonian_path(complete_bipartite(a, a + 2)).status == "no"
+    g = complete_bipartite(a, a + 2)
+    budget = Budget()
+    assert hamiltonian_path(g, budget).status == "no"
+    assert budget.spent == 0  # answered by counting, no DP state visited
+    # where the DP would not fit the budget, the answer stays the DP's
+    assert hamiltonian_path(complete_bipartite(a, a + 2),
+                            Budget(max_nodes=(1 << g.n) - 1)).status == "unknown"
+
+
+def test_theorem2_family_2_hamiltonian_path_stays_unknown():
+    """Its sides hold 10 and 20 vertices, but the DP's 2**30 states exceed the
+    default budget, so counting does not answer: a "no" would send
+    decide_sgc on to a spine search that cannot settle the instance within
+    the budget."""
+    assert hamiltonian_path(theorem2_family(2).graph).status == "unknown"
 
 
 def _count_dp_calls(monkeypatch):

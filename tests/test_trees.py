@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sgc.errors import CertificateError, GraphError
 from sgc.graphs import (
@@ -20,6 +21,7 @@ from oracles import (
 from sgc.search import Budget
 from sgc.trees import (
     CaterpillarCertificate,
+    _spine_candidates,
     SpanningTree,
     branch_profile,
     classify_tree,
@@ -33,6 +35,16 @@ from sgc.trees import (
     validate_spanning_tree,
 )
 from sgc.families import theorem2_family
+
+
+@st.composite
+def connected_graphs(draw, min_n, max_n, max_extra=None):
+    """A random tree on n vertices plus extra edges (at most ``max_extra``)."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_extra)) if pairs else []
+    return Graph(n, frozenset(edges) | frozenset(extra))
 
 
 def _tree_graph(n, edges):
@@ -164,6 +176,15 @@ def test_constrained_spanning_tree_node_counts():
             assert cap is None or profile.max_degree <= cap
 
 
+def test_constrained_spanning_tree_small_graphs():
+    assert constrained_spanning_tree(Graph(2, frozenset()), 0, Budget()).status == "no"
+    dec = constrained_spanning_tree(path_graph(2), 0, Budget())
+    assert (dec.status, dec.witness) == ("yes", frozenset({(0, 1)}))
+    for n in (0, 1):
+        dec = constrained_spanning_tree(Graph(n, frozenset()), 0, Budget())
+        assert (dec.status, dec.witness) == ("yes", frozenset())
+
+
 def test_min_branch_examples():
     assert min_branch_spanning_tree(cycle_graph(6)).value == 0
     assert min_branch_spanning_tree(new_graph(4, [(0, 1), (0, 2), (0, 3)])).value == 1
@@ -216,3 +237,55 @@ def test_decide_sgc_smallest_no_instance():
                        (2, 6), (2, 7), (3, 8), (3, 9)])
     assert decide_sgc(g).status == "no"
     assert not sgc_brute(g)
+
+
+def test_decide_sgc_theorem2_family_1_nodes():
+    """Counting settles the Hamiltonian path and only minimal spines are
+    tried; the full DP and every spine took 10,859 nodes."""
+    budget = Budget()
+    assert decide_sgc(theorem2_family(1).graph, budget).status == "no"
+    assert budget.spent == 317 < 10_859
+
+
+def _off_path(g, path):
+    mask = sum(1 << q for q in path)
+    return [(g.adj_mask[q] & ~mask).bit_count() for q in (path[0], path[-1])]
+
+
+def test_minimal_spines_are_the_spines_with_branching_ends(corpus_n4, corpus_n5):
+    for g in corpus_n4 + corpus_n5[::5] + [theorem2_family(1).graph, complete_bipartite(3, 4)]:
+        every, minimal = Budget(), Budget()
+        want = [(path, mask) for path, mask in _spine_candidates(g, every, False)
+                if min(_off_path(g, path)) >= (3 if len(path) == 1 else 2)]
+        assert list(_spine_candidates(g, minimal, True)) == want
+        assert minimal.spent <= every.spent
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(7, 7))
+def test_decide_sgc_matches_brute_at_seven_vertices(g):
+    dec = decide_sgc(g)
+    assert (dec.status == "yes") == sgc_brute(g)
+    if dec.status == "yes":
+        validate_caterpillar_certificate(dec.witness)
+
+
+@settings(max_examples=60, deadline=None)
+@given(connected_graphs(8, 12, max_extra=2))
+def test_decide_sgc_matches_brute_on_near_trees(g):
+    """Few spanning trees, so the oracle stays cheap where "no" instances
+    (ten vertices and up) exist."""
+    dec = decide_sgc(g)
+    assert (dec.status == "yes") == sgc_brute(g)
+    if dec.status == "yes":
+        validate_caterpillar_certificate(dec.witness)
+
+
+@settings(max_examples=40, deadline=None)
+@given(connected_graphs(3, 8), st.data())
+def test_decide_sgc_never_no_under_a_budget_short_of_the_dp(g, data):
+    """The minimal-spine rule needs a proven "no" for the Hamiltonian path;
+    a budget the DP does not fit in leaves it unknown."""
+    limit = data.draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
+    assert hamiltonian_path(Graph(g.n, g.edges), Budget(max_nodes=limit)).status == "unknown"
+    assert decide_sgc(Graph(g.n, g.edges), Budget(max_nodes=limit)).status != "no"
