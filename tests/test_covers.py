@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from sgc.covers import (
     CycleCover,
-    _entries_through,
     PathCover,
+    _entries_through,
     anchored_path_cover,
     cycle_cover_number,
     cycles_through,

@@ -8,6 +8,7 @@ from sgc.graphs import (
     complete_graph,
     cycle_graph,
     new_graph,
+    norm_edge,
     path_graph,
     random_connected,
 )
@@ -21,8 +22,8 @@ from oracles import (
 from sgc.search import Budget
 from sgc.trees import (
     CaterpillarCertificate,
-    _spine_candidates,
     SpanningTree,
+    _spine_candidates,
     branch_profile,
     classify_tree,
     constrained_spanning_tree,
@@ -45,6 +46,24 @@ def connected_graphs(draw, min_n, max_n, max_extra=None):
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in edges]
     extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_extra)) if pairs else []
     return Graph(n, frozenset(edges) | frozenset(extra))
+
+
+# the smallest tree without an SGC: its four branch vertices fit on no path
+Y_OF_CHERRIES = new_graph(10, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5),
+                               (2, 6), (2, 7), (3, 8), (3, 9)])
+
+
+@st.composite
+def near_trees(draw):
+    """A relabelled tree plus at most two extra edges, so that the graph has
+    few spanning trees; the tree is a random one or one without an SGC."""
+    tree = draw(st.one_of(connected_graphs(8, 12, max_extra=0),
+                          st.sampled_from((Y_OF_CHERRIES, theorem2_family(1).graph))))
+    perm = draw(st.permutations(range(tree.n)))
+    edges = {norm_edge(perm[u], perm[v]) for u, v in tree.edges}
+    pairs = [(i, j) for i in range(tree.n) for j in range(i + 1, tree.n) if (i, j) not in edges]
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2))
+    return Graph(tree.n, frozenset(edges) | frozenset(extra))
 
 
 def _tree_graph(n, edges):
@@ -233,8 +252,7 @@ def test_decide_sgc_agrees_with_enumeration_and_brute(corpus_n4, corpus_n5):
 def test_decide_sgc_smallest_no_instance():
     """The 10-vertex Y of cherries is a tree, hence its own only spanning tree,
     and its four branch vertices do not fit on one path."""
-    g = new_graph(10, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5),
-                       (2, 6), (2, 7), (3, 8), (3, 9)])
+    g = Y_OF_CHERRIES
     assert decide_sgc(g).status == "no"
     assert not sgc_brute(g)
 
@@ -261,20 +279,12 @@ def test_minimal_spines_are_the_spines_with_branching_ends(corpus_n4, corpus_n5)
         assert minimal.spent <= every.spent
 
 
-@settings(max_examples=40, deadline=None)
-@given(connected_graphs(7, 7))
-def test_decide_sgc_matches_brute_at_seven_vertices(g):
-    dec = decide_sgc(g)
-    assert (dec.status == "yes") == sgc_brute(g)
-    if dec.status == "yes":
-        validate_caterpillar_certificate(dec.witness)
-
-
-@settings(max_examples=60, deadline=None)
-@given(connected_graphs(8, 12, max_extra=2))
-def test_decide_sgc_matches_brute_on_near_trees(g):
-    """Few spanning trees, so the oracle stays cheap where "no" instances
-    (ten vertices and up) exist."""
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(connected_graphs(7, 7), near_trees()))
+def test_decide_sgc_matches_brute(g):
+    """Seven vertices, past the corpus sample above, and graphs with few
+    spanning trees, where the oracle stays cheap at the sizes where graphs
+    without an SGC exist."""
     dec = decide_sgc(g)
     assert (dec.status == "yes") == sgc_brute(g)
     if dec.status == "yes":
