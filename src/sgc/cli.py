@@ -4,12 +4,15 @@ Four subcommands: ``analyze`` (invariants + caterpillar status for graphs on
 stdin or a file), ``generate`` (family and standard-graph emitters),
 ``construct`` (run a constructive pipeline on one graph and print its
 certificate), and ``verify`` (run a theorem checker over a corpus and print
-the report).  All JSON output is key-sorted so reruns are byte-identical;
-only verify's ``elapsed_ms`` field varies between runs.
+the report; ``verify all`` runs the seven claims over one corpus and prints
+one object of reports keyed by claim id, with a summary row per claim on
+stderr).  All JSON output is key-sorted so reruns are byte-identical; only
+verify's ``elapsed_ms`` field varies between runs.
 
-Exit codes: 0 success (including verification runs that record violations —
-the report is the product), 1 bad input or failed construction, 2 construction
-hypothesis rejected, 3 construction budget exhausted.
+Exit codes: 0 success, 1 bad input, failed construction or a claim violation
+(lemma4's violations are its refutation and do not count), 2 construction
+hypothesis rejected, 3 construction budget exhausted or a verify check timed
+out.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from .families import theorem2_family
 from .invariants import independence_number, vertex_connectivity
 from .search import DEFAULT_NODE_BUDGET, Budget, _fresh_budget
 from .trees import branch_profile, classify_tree, decide_sgc, min_branch_spanning_tree
-from .verify import THEOREM_IDS, Corpus, verify_theorem
+from .verify import PER_GRAPH_CHECKS, THEOREM_IDS, Corpus, verify_theorem
 
 
 class _Parser(argparse.ArgumentParser):
@@ -212,28 +215,50 @@ def _parse_m_values(args: argparse.Namespace):
         return (args.m,)
     if args.m_range is not None:
         lo, sep, hi = args.m_range.partition("..")
-        if not sep or not lo.isdigit() or not hi.isdigit():
-            raise ValueError("--m-range expects LOW..HIGH, e.g. 1..4")
+        if not sep or not lo.isdigit() or not hi.isdigit() or int(lo) > int(hi):
+            raise ValueError("--m-range expects LOW..HIGH with LOW <= HIGH, e.g. 1..4")
         return tuple(range(int(lo), int(hi) + 1))
     return None
 
 
+def _verify_exit_code(reports) -> int:
+    """1 if a claim records a violation (lemma4's violations are its
+    refutation, so they do not count), else 3 if a check timed out, else 0."""
+    if any(r.violations for r in reports if r.theorem_id != "lemma4"):
+        return 1
+    if any(r.timeouts for r in reports):
+        return 3
+    return 0
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
+    m_values = _parse_m_values(args)
+    claims = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
     corpus = None
-    if args.theorem not in ("lemma4", "theorem2"):
+    if any(claim in PER_GRAPH_CHECKS for claim in claims):
+        # one Corpus object for every claim, so they share the memoized invariants
         if args.corpus == "embedded":
             corpus = Corpus.embedded(args.max_n)
         else:
             corpus = Corpus.from_file(args.corpus)
-    report = verify_theorem(
-        args.theorem,
-        corpus=corpus,
-        m_values=_parse_m_values(args),
-        budget_nodes=args.budget_nodes,
-        budget_ms=args.budget_ms,
-    )
-    print(report.to_json(indent=2))
-    return 0
+    print(f"{'claim':<10} {'corpus':>7} {'checked':>8} {'verified':>9}"
+          f" {'violations':>11} {'timeouts':>9} {'seconds':>8}", file=sys.stderr)
+    reports = {}
+    for claim in claims:
+        report = verify_theorem(claim, corpus=corpus, m_values=m_values,
+                                budget_nodes=args.budget_nodes,
+                                budget_ms=args.budget_ms)
+        reports[claim] = report
+        print(f"{claim:<10} {report.corpus_size:>7} {report.hypothesis_count:>8}"
+              f" {report.verified:>9} {len(report.violations):>11}"
+              f" {report.timeouts:>9} {report.elapsed_ms / 1000:>8.1f}",
+              file=sys.stderr, flush=True)
+    if args.theorem == "all":
+        print(json.dumps({claim: report.to_dict() for claim, report in reports.items()},
+                         sort_keys=True, indent=2))
+    else:
+        print(report.to_json(indent=2))
+    return _verify_exit_code(reports.values())
 
 
 def build_parser() -> _Parser:
@@ -273,8 +298,8 @@ def build_parser() -> _Parser:
     construct.set_defaults(func=_cmd_construct)
 
     verify = sub.add_parser("verify",
-                            help="check one claim over a corpus, print a report")
-    verify.add_argument("theorem", choices=THEOREM_IDS)
+                            help="check one claim, or all, over a corpus; print the report")
+    verify.add_argument("theorem", choices=THEOREM_IDS + ("all",))
     verify.add_argument("--corpus", default="embedded", metavar="embedded|FILE",
                         help="graph source for per-graph claims")
     verify.add_argument("--max-n", type=int, default=6,

@@ -59,11 +59,6 @@ def corpus6():
     return Corpus.embedded(6)
 
 
-@pytest.fixture(scope="module")
-def cache():
-    return {}
-
-
 def test_c01_invariant_exactness():
     worst = 0.0
     failures = []
@@ -175,8 +170,8 @@ def test_c04_theorem2_verification():
             f"path cover number of K_(5,2) = 3 >= m+1 ({sub_s:.2f}s)")
 
 
-def test_c05_theorem1_end_to_end(corpus6, cache):
-    report = verify_theorem("theorem1", corpus=corpus6, cache=cache)
+def test_c05_theorem1_end_to_end(corpus6):
+    report = verify_theorem("theorem1", corpus=corpus6)
     report.check_arithmetic()
     ok = (not report.violations and report.timeouts == 0
           and report.verified == report.hypothesis_count > 0)
@@ -196,9 +191,9 @@ def test_c05_theorem1_end_to_end(corpus6, cache):
             f"timeouts={report.timeouts}")
 
 
-def test_c06_corollary_and_theorem3(corpus6, cache):
-    cor = verify_theorem("corollary", corpus=corpus6, cache=cache)
-    t3 = verify_theorem("theorem3", corpus=corpus6, cache=cache)
+def test_c06_corollary_and_theorem3(corpus6):
+    cor = verify_theorem("corollary", corpus=corpus6)
+    t3 = verify_theorem("theorem3", corpus=corpus6)
     for rep in (cor, t3):
         rep.check_arithmetic()
     ok = all(not rep.violations and rep.timeouts == 0
@@ -232,8 +227,8 @@ def test_c07_dirac_cycles(corpus6):
             f"({cycles} cycles over the corpus)")
 
 
-def test_c08_lemma5_cycle_covers(corpus6, cache):
-    report = verify_theorem("lemma5", corpus=corpus6, cache=cache)
+def test_c08_lemma5_cycle_covers(corpus6):
+    report = verify_theorem("lemma5", corpus=corpus6)
     report.check_arithmetic()
     ok = (not report.violations and report.timeouts == 0
           and report.verified == report.hypothesis_count > 0)
@@ -242,8 +237,8 @@ def test_c08_lemma5_cycle_covers(corpus6, cache):
             f"ceil(alpha/kappa) cycles; violations={len(report.violations)}")
 
 
-def test_c09_lemma3_bound_scan(corpus6, cache):
-    report = verify_theorem("lemma3", corpus=corpus6, cache=cache)
+def test_c09_lemma3_bound_scan(corpus6):
+    report = verify_theorem("lemma3", corpus=corpus6)
     report.check_arithmetic()
     findings = "; ".join(f"{v.graph6}: {v.detail}" for v in report.violations[:3])
     ok = not report.violations and report.timeouts == 0

@@ -17,6 +17,7 @@ from sgc.graphs import (
     path_graph,
 )
 from sgc.search import _fresh_budget
+from sgc.verify import PER_GRAPH_CHECKS, THEOREM_IDS, Corpus, verify_theorem
 
 
 def run(capsys, *argv):
@@ -234,9 +235,42 @@ def test_verify_m_options_are_exclusive(capsys):
 
 
 def test_verify_bad_m_range(capsys):
-    code, _, err = run(capsys, "verify", "lemma4", "--m-range", "3..x")
+    for m_range in ("3..x", "3..1"):
+        code, out, err = run(capsys, "verify", "lemma4", "--m-range", m_range)
+        assert code == 1 and out == ""
+        assert "LOW..HIGH" in err
+
+
+def test_verify_all_sweeps_every_claim(capsys):
+    code, out, err = run(capsys, "verify", "all", "--max-n", "4", "--m-range", "1..4")
+    assert code == 0  # lemma4's violations are its refutation
+    reports = json.loads(out)
+    assert list(reports) == sorted(THEOREM_IDS)
+    assert len(reports["lemma4"]["violations"]) == 2
+    corpus = Corpus.embedded(4)
+    for claim in THEOREM_IDS:
+        want = verify_theorem(claim, corpus=corpus, m_values=(1, 2, 3, 4)).to_dict()
+        got = reports[claim]
+        want.pop("elapsed_ms"), got.pop("elapsed_ms")
+        assert got == want
+    rows = [line.split()[0] for line in err.splitlines()[1:]]
+    assert rows == list(THEOREM_IDS)
+
+
+def test_verify_timeout_exits_3(capsys):
+    code, out, _ = run(capsys, "verify", "all", "--max-n", "4", "--m-range", "1..4",
+                       "--budget-nodes", "1")
+    assert code == 3
+    assert json.loads(out)["lemma5"]["timeouts"] > 0
+
+
+@pytest.mark.parametrize("claim", ["lemma3", "all"])
+def test_verify_violation_exits_1(capsys, monkeypatch, claim):
+    monkeypatch.setitem(PER_GRAPH_CHECKS, "lemma3",
+                        lambda g, budget=None: ("violation", "flagged"))
+    code, out, _ = run(capsys, "verify", claim, "--max-n", "3", "--m", "1")
     assert code == 1
-    assert "LOW..HIGH" in err
+    assert "flagged" in out
 
 
 # --- usage errors -------------------------------------------------------------

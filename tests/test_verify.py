@@ -144,20 +144,19 @@ def test_theorem3_check_outcomes():
 
 
 def test_checks_share_a_cache():
-    cache = {}
-    g = cycle_graph(5)
-    check_lemma3_bound(g, cache=cache)
-    keys_after_first = set(cache)
-    assert keys_after_first  # alpha and s landed in the cache
-    check_theorem1(g, cache=cache)
-    assert set(cache) >= keys_after_first
+    # The per-instance memo keeps the alpha and s that lemma3 settled, so
+    # theorem1 on the same instance charges no nodes for them; an equal graph
+    # built anew shares nothing, and its zero budget cannot settle s.
+    g = random_connected(9, 0.4, 3)
+    check_lemma3_bound(g)
+    assert check_theorem1(g, Budget(max_nodes=0))[0] == "verified"
+    assert check_theorem1(Graph(g.n, g.edges), Budget(max_nodes=0))[0] == "timeout"
 
 
 def test_shared_cache_keeps_equal_sized_graphs_apart():
     # P_70 and the star K_{1,69} both have 70 vertices and 69 edges
-    cache = {}
-    assert check_lemma3_bound(path_graph(70), cache=cache) == ("verified", "s <= 0 <= 68")
-    assert check_lemma3_bound(complete_bipartite(1, 69), cache=cache) == \
+    assert check_lemma3_bound(path_graph(70)) == ("verified", "s <= 0 <= 68")
+    assert check_lemma3_bound(complete_bipartite(1, 69)) == \
         ("verified", "s <= 1 <= 136")
 
 
@@ -166,11 +165,9 @@ def test_shared_cache_keeps_no_timeout(same_instance):
     # alpha = 5 > 2*kappa + 1 = 3, but a 3-node budget cannot settle alpha
     g = random_connected(12, 0.3, 5)
     later = g if same_instance else Graph(g.n, g.edges)
-    cache = {}
-    first = verify_theorem("lemma3", Corpus([g]), budget_nodes=3, cache=cache)
+    first = verify_theorem("lemma3", Corpus([g]), budget_nodes=3)
     assert first.timeouts == 1
-    report = verify_theorem("theorem3", Corpus([later]), budget_nodes=10_000_000,
-                            cache=cache)
+    report = verify_theorem("theorem3", Corpus([later]), budget_nodes=10_000_000)
     assert report.hypothesis_count == 0 and report.timeouts == 0
 
 
@@ -179,7 +176,7 @@ def test_shared_cache_keeps_no_timeout(same_instance):
 @pytest.mark.parametrize("theorem_id", ["lemma3", "lemma5", "theorem1",
                                         "corollary", "theorem3"])
 def test_embedded_n4_runs_clean(theorem_id):
-    report = verify_theorem(theorem_id, corpus=Corpus.embedded(4), cache={})
+    report = verify_theorem(theorem_id, corpus=Corpus.embedded(4))
     report.check_arithmetic()
     assert report.corpus_size == 44
     assert report.violations == [] and report.timeouts == 0
@@ -280,7 +277,7 @@ def test_replay_per_graph_check():
 def test_replay_violation_on_long_form_graph6(monkeypatch):
     checked = []
 
-    def flags_every_graph(g, budget=None, cache=None):
+    def flags_every_graph(g, budget=None):
         checked.append(g)
         return "violation", f"flagged n={g.n}"
 
