@@ -38,7 +38,7 @@ from .families import theorem2_family
 from .invariants import independence_number, vertex_connectivity
 from .search import DEFAULT_NODE_BUDGET, Budget, _fresh_budget
 from .trees import branch_profile, classify_tree, decide_sgc, min_branch_spanning_tree
-from .verify import PER_GRAPH_CHECKS, THEOREM_IDS, Corpus, verify_theorem
+from .verify import THEOREM_IDS, Corpus, verify_theorem
 
 
 class _Parser(argparse.ArgumentParser):
@@ -235,7 +235,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     m_values = _parse_m_values(args)
     claims = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
     corpus = None
-    if any(claim in PER_GRAPH_CHECKS for claim in claims):
+    if args.theorem not in ("lemma4", "theorem2"):
         # one Corpus object for every claim, so they share the memoized invariants
         if args.corpus == "embedded":
             corpus = Corpus.embedded(args.max_n)
