@@ -13,6 +13,14 @@ Exit codes: 0 success, 1 bad input, failed construction or a claim violation
 (lemma4's violations are its refutation and do not count), 2 construction
 hypothesis rejected, 3 construction budget exhausted or a verify check timed
 out.
+
+Under a ``--budget-nodes`` that binds, a claim's report from ``verify all``
+can differ from a run of that claim alone: an α or s that an earlier claim
+settled on the same graph is reused without charging nodes, which leaves
+more of the budget to the later claim.  ``verify lemma5 --max-n 5
+--budget-nodes 20`` reports 498 verified and 273 timeouts, while lemma5 in
+``verify all --max-n 5 --budget-nodes 20 --m 1`` reports 608 and 163.  Under
+the default budget the reports agree.
 """
 from __future__ import annotations
 

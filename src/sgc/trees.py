@@ -23,6 +23,17 @@ off Q, three when Q is one vertex.  Every component of T - Q holds no branch
 vertex, so it is a path, joined to Q by one edge of T at a vertex of degree
 at most two in T: one of the path's own ends.  So Q with those legs is found.
 While the Hamiltonian path is unknown, every simple path stays a candidate.
+
+Before that enumeration, ``decide_sgc`` tries one extra spine, the greedy
+walk by Warnsdorff's rule from a vertex of least degree (the Hamiltonian-path
+search's first moves, followed until the walk is stuck).  It often settles a
+graph without a Hamiltonian path at once.  Its cover, like every other,
+yields a validated certificate, and the enumeration after it is unchanged, so
+a "yes" still carries a checked tree and a "no" is still a proof.
+
+``hamiltonian_path`` searches first and falls back on the Held-Karp DP.  Its
+"no" is returned only where the DP's 2**n states fit the budget, so every
+answer it gives is the one the DP would give (see its docstring).
 """
 from __future__ import annotations
 
@@ -30,11 +41,21 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterator
 
 from .covers import anchored_path_cover, ham_path_in_mask
 from .errors import CertificateError, GraphError
-from .graphs import Edge, Graph, is_bipartite, is_connected, norm_edge, once_per_instance
+from .graphs import (
+    Edge,
+    Graph,
+    bits,
+    is_bipartite,
+    is_connected,
+    mask_components,
+    norm_edge,
+    once_per_instance,
+)
 from .search import Budget, Decision, OutOfBudget, as_budget
 
 TREE_KINDS = ("path", "spider", "caterpillar", "generalized_caterpillar", "other")
@@ -191,32 +212,165 @@ def classify_tree(t: SpanningTree) -> tuple[str, CaterpillarCertificate | None]:
 # ---------------------------------------------------------------------------
 # hamiltonian paths and spanning-tree search
 
+# Search nodes the Hamiltonian-path search may spend before it hands over to
+# the DP.  A search node costs about 50 DP states of wall time, so 4,096 nodes
+# cost about what the DP does on 18 vertices.  Below 10 vertices the search
+# cannot run this long: it has fewer states than that.
+_SEARCH_ALLOWANCE = 1 << 12
+
+
+class _HandOver(Exception):
+    """The path search spent its allowance without settling the instance."""
+
+
+def _warnsdorff(adj: tuple[int, ...], tip: int, rest: int) -> list[tuple[int, int]]:
+    """The moves from ``tip`` into ``rest`` as (onward count, vertex), best
+    last: fewest neighbours left in ``rest`` first, ties by vertex index."""
+    return sorted((((adj[c] & rest).bit_count(), c) for c in bits(adj[tip] & rest)),
+                  reverse=True)
+
+
+def _path_search(g: Graph, budget: Budget, allowance: int) -> tuple[int, ...] | None:
+    """Exhaustive depth-first search for a Hamiltonian path of a connected
+    graph with at least two vertices; None proves there is none.
+
+    A state is the path's tip and the rest R of the vertices, still to be
+    covered by a path leaving the tip.  Moves go by Warnsdorff's rule
+    (``_warnsdorff``), from a leaf when there is one (a leaf must end the
+    path; more than two leaves rule a path out), else from every vertex in
+    turn, fewest neighbours first.  A state fails when R is disconnected or
+    the tip has no neighbour in R.  A move is cut when it would leave two
+    vertices of R with at most one neighbour in R and the new tip: each can
+    only be the path's last vertex.  Only the tip's neighbours lose one with
+    a move, so those vertices are tracked from state to state.  Failed
+    states are kept, as a mask of tips per R, across the starts: whether a
+    state can be finished does not depend on how it was reached.  Charges one
+    node per expanded state and raises ``_HandOver`` rather than pass
+    ``allowance`` nodes.
+    """
+    n = g.n
+    adj = g.adj_mask
+    full = (1 << n) - 1
+    leaves = [v for v in range(n) if adj[v].bit_count() == 1]
+    if len(leaves) > 2:
+        return None
+    starts = leaves[:1] or sorted(range(n), key=lambda v: (adj[v].bit_count(), v))
+    failed: dict[int, int] = {}
+    spent = 0
+
+    def expand(rest: int, tip: int, ends: int) -> list[tuple[int, int]] | None:
+        """The moves out of a state as (vertex, its ends set), best last, or
+        None when the state fails.  ``ends`` holds the vertices of R with at
+        most one neighbour in R and the tip."""
+        nonlocal spent
+        if spent == allowance:
+            raise _HandOver
+        spent += 1
+        budget.spend()
+        onward = adj[tip] & rest
+        # R was connected with the tip in it; a tip with at most one
+        # neighbour in R cannot have split it
+        if not onward & (onward - 1):
+            if not onward:
+                return None
+            c = onward.bit_length() - 1
+            moves = [((adj[c] & rest).bit_count(), c)]
+        else:
+            if len(mask_components(adj, rest)) > 1:
+                return None
+            moves = _warnsdorff(adj, tip, rest)
+        ends &= ~onward
+        for count, c in moves:
+            if count <= 1:
+                ends |= 1 << c
+        if ends.bit_count() > 2:
+            return None
+        out = []
+        for count, c in moves:
+            cbit = 1 << c
+            nxt = ends & ~cbit
+            if (count or rest == cbit) and not nxt & (nxt - 1):
+                out.append((c, nxt))
+        return out
+
+    for start in starts:
+        rest = full ^ 1 << start
+        moves = expand(rest, start, sum(1 << v for v in leaves if v != start))
+        if moves is None:
+            continue
+        path = [start]
+        stack = [moves]
+        while stack:
+            if not stack[-1]:
+                stack.pop()
+                tip = path.pop()
+                failed[rest] = failed.get(rest, 0) | 1 << tip
+                rest |= 1 << tip
+                continue
+            c, ends = stack[-1].pop()
+            left = rest ^ 1 << c
+            if not left:
+                path.append(c)
+                return tuple(path)
+            if failed.get(left, 0) >> c & 1:
+                continue
+            moves = expand(left, c, ends)
+            if moves is None:
+                failed[left] = failed.get(left, 0) | 1 << c
+                continue
+            path.append(c)
+            rest = left
+            stack.append(moves)
+    return None
+
+
 @once_per_instance(lambda dec: dec.status != "unknown")
 def hamiltonian_path(g: Graph, budget: Budget | int | None = None) -> Decision:
-    """Bitmask-DP Hamiltonian path decision; witness is the vertex order.
+    """Hamiltonian path decision, search first; witness is the vertex order.
 
-    A path alternates the sides of a bipartite graph, so sides that differ by
-    two or more answer "no" without the DP, but only where the DP's 2**n
-    states fit the budget, so that no answer differs from the DP's: a "no"
-    past the budget would send ``decide_sgc`` on to a spine search that cannot
-    settle ``theorem2_family(2)`` within it.
+    Counting comes first: a path alternates the sides of a bipartite graph,
+    so sides that differ by two or more rule one out.  Next a pruned
+    depth-first search (``_path_search``) runs for at most
+    ``_SEARCH_ALLOWANCE`` nodes, and no further than leaves room for the
+    bitmask DP where the DP's 2**n states fit the budget; past that the DP
+    decides, so no instance the DP settles is left unknown.
+
+    A "yes" is returned whether or not the DP would fit.  A "no", from
+    counting or the search, is returned only where the DP's 2**n states fit
+    the budget, so that no answer differs from the DP's: beyond that the call
+    spends the 2**n states and answers "unknown", as the DP does.  A "no"
+    past the budget would send ``decide_sgc`` on to a spine search that
+    cannot settle ``theorem2_family(2)`` within it.
 
     A yes or no is kept on the ``Graph`` instance, so s, the SGC decision and
-    the constructive pipelines share one DP per instance; an "unknown" is not
-    kept, and the next call runs the DP again under its own budget.
+    the constructive pipelines share one computation per instance; an
+    "unknown" is not kept, and the next call searches again under its own
+    budget.
     """
     budget = as_budget(budget)
-    if g.n == 0:
-        return Decision("yes", ())
-    if budget.spent + (1 << g.n) <= budget.max_nodes:
-        part = is_bipartite(g)
-        if part is not None and abs(len(part.side_a) - len(part.side_b)) >= 2:
-            return Decision("no")
+    n = g.n
+    if n <= 1:
+        return Decision("yes", tuple(range(n)))
+    room = budget.max_nodes - budget.spent - (1 << n)
     try:
-        hp = ham_path_in_mask(g, (1 << g.n) - 1, budget)
+        part = is_bipartite(g)
+        if part is not None and abs(len(part.side_a) - len(part.side_b)) >= 2 \
+                or not is_connected(g):
+            hp = None
+        else:
+            try:
+                # where the DP fits, the search leaves room for it
+                hp = _path_search(g, budget, _SEARCH_ALLOWANCE if room < 0
+                                  else min(_SEARCH_ALLOWANCE, room))
+            except _HandOver:
+                hp = ham_path_in_mask(g, (1 << n) - 1, budget)
+        if hp is not None:
+            return Decision("yes", hp)
+        if room < 0:
+            budget.spend(1 << n)
     except OutOfBudget:
         return Decision("unknown")
-    return Decision("yes", hp) if hp is not None else Decision("no")
+    return Decision("no")
 
 
 def _path_as_tree(g: Graph, order: tuple[int, ...]) -> SpanningTree:
@@ -441,6 +595,21 @@ def _spine_candidates(g: Graph, budget: Budget, minimal: bool
         yield from go([s], 1 << s)
 
 
+def _warnsdorff_walk(g: Graph) -> tuple[tuple[int, ...], int]:
+    """The greedy walk by Warnsdorff's rule from a vertex of least degree, as
+    (vertex sequence, vertex mask): the path search's first moves, followed
+    until no neighbour is left."""
+    adj = g.adj_mask
+    tip = min(range(g.n), key=lambda v: (adj[v].bit_count(), v))
+    path = [tip]
+    visited = 1 << tip
+    while adj[tip] & ~visited:
+        tip = _warnsdorff(adj, tip, ~visited)[-1][1]
+        path.append(tip)
+        visited |= 1 << tip
+    return tuple(path), visited
+
+
 def _tree_from_spine(g: Graph, spine: tuple[int, ...],
                      legs: list[tuple[int, ...]]) -> CaterpillarCertificate:
     qmask = 0
@@ -479,7 +648,8 @@ def decide_sgc(g: Graph, budget: Budget | int | None = None) -> Decision:
 
     full = (1 << n) - 1
     try:
-        for spine, qmask in _spine_candidates(g, budget, hp.status == "no"):
+        for spine, qmask in chain([_warnsdorff_walk(g)],
+                                  _spine_candidates(g, budget, hp.status == "no")):
             alive = full & ~qmask
             if alive == 0:
                 return Decision("yes", _tree_from_spine(g, spine, []))

@@ -1,5 +1,7 @@
-"""The Hamiltonian-path DP and the per-instance memo of s, alpha and HP."""
+"""The Hamiltonian-path search and DP, and the per-instance memo of s, alpha
+and HP."""
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from sgc.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    new_graph,
     path_graph,
     random_connected,
 )
@@ -23,7 +26,7 @@ from sgc.trees import branch_profile, hamiltonian_path, min_branch_spanning_tree
 
 
 @st.composite
-def graphs(draw, max_n=8):
+def graphs(draw, max_n=9):
     n = draw(st.integers(min_value=0, max_value=max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if not pairs:
@@ -66,13 +69,95 @@ def _reference_dp(g, alive):
         e = (prev & -prev).bit_length() - 1
 
 
-@settings(deadline=None, max_examples=150)
-@given(graphs())
-def test_hamiltonian_path_matches_brute(g):
-    dec = hamiltonian_path(g)
+def _check_search_against_dp(g, budget_nodes):
+    """The answer is the oracle's, a witness validates, a "yes" costs no more
+    than the DP's 2**n states, and a budget the DP fits in settles the graph."""
+    budget = Budget()
+    dec = hamiltonian_path(g, budget)
     assert dec.status == ("yes" if has_hamiltonian_path_brute(g) else "no")
-    if dec.status == "yes" and g.n:
+    if dec.status == "yes":
+        assert budget.spent <= 1 << g.n
+        if g.n:
+            validate_path_cover(g, PathCover((dec.witness,)))
+    assert budget_nodes >= 1 << g.n
+    tight = Budget(max_nodes=budget_nodes)
+    assert hamiltonian_path(Graph(g.n, g.edges), tight).status == dec.status
+    assert tight.spent <= budget_nodes
+
+
+def _validated(g, budget=None):
+    dec = hamiltonian_path(g, budget)
+    assert dec.status == "yes"
+    validate_path_cover(g, PathCover((dec.witness,)))
+    return dec
+
+
+def test_hamiltonian_path_search_on_every_small_graph():
+    """Every labelled graph with at most six vertices, connected or not; the
+    tight budget is the DP's own 2**n states."""
+    for n in range(7):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph(n, frozenset(p for i, p in enumerate(pairs) if mask >> i & 1))
+            _check_search_against_dp(g, 1 << n)
+
+
+@settings(deadline=None, max_examples=150)
+@given(graphs(), st.data())
+def test_hamiltonian_path_matches_brute(g, data):
+    """Past the exhaustive sizes, with a budget the DP fits in."""
+    _check_search_against_dp(g, data.draw(st.integers(1 << g.n, (1 << g.n) + 64)))
+
+
+def test_failed_states_are_kept_per_tip():
+    """With {0, 4, 5, 8} visited the search fails from tip 8 and then
+    finishes from tip 4; a memo keyed by the visited set alone answers "no"."""
+    g = new_graph(9, [(0, 2), (0, 4), (0, 5), (0, 6), (0, 8), (1, 6), (1, 7), (2, 4),
+                      (2, 6), (2, 7), (3, 6), (3, 7), (4, 8), (7, 8)])
+    _validated(g)
+
+
+def test_search_hands_over_to_the_dp(monkeypatch):
+    """Past its allowance the search leaves the answer to the DP, which fits
+    where the budget has room for it."""
+    g = complete_bipartite(4, 5)
+    tight = Budget(max_nodes=(1 << g.n) + 2)
+    assert hamiltonian_path(Graph(g.n, g.edges), tight).status == "yes"
+    assert tight.spent == tight.max_nodes
+    for allowance in (0, 3):
+        monkeypatch.setattr(trees, "_SEARCH_ALLOWANCE", allowance)
+        budget = Budget()
+        dec = hamiltonian_path(Graph(g.n, g.edges), budget)
+        assert dec.status == "yes"
+        assert budget.spent == allowance + (1 << g.n)
         validate_path_cover(g, PathCover((dec.witness,)))
+
+
+def test_search_settles_graphs_past_the_dp():
+    """The DP's 2**n states exceed the default budget from n = 24 on."""
+    budget = Budget()
+    _validated(path_graph(500), budget)
+    assert budget.spent == 499
+    _validated(complete_graph(30))
+    for seed in (1, 2, 3):
+        _validated(random_connected(30, 0.3, seed))
+
+
+def _three_k7():
+    """Three K_7 sharing one vertex: removing it leaves three parts."""
+    edges = set()
+    for c in range(3):
+        block = (0,) + tuple(range(1 + 6 * c, 7 + 6 * c))
+        edges |= set(combinations(block, 2))
+    return Graph(19, frozenset(edges))
+
+
+def test_search_proves_no_on_three_k7():
+    """The DP spends 2**19 = 524,288 nodes on it; the search cuts every
+    state whose tip, the shared vertex, splits the rest."""
+    budget = Budget()
+    assert hamiltonian_path(_three_k7(), budget).status == "no"
+    assert budget.spent == 766
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -122,20 +207,20 @@ def test_theorem2_family_2_hamiltonian_path_stays_unknown():
     assert hamiltonian_path(theorem2_family(2).graph).status == "unknown"
 
 
-def _count_dp_calls(monkeypatch):
+def _count_search_calls(monkeypatch):
     calls = []
-    real = trees.ham_path_in_mask
+    real = trees._path_search
 
     def counted(*args):
-        calls.append(args[1])
+        calls.append(args[0])
         return real(*args)
 
-    monkeypatch.setattr(trees, "ham_path_in_mask", counted)
+    monkeypatch.setattr(trees, "_path_search", counted)
     return calls
 
 
 def test_hamiltonian_path_is_kept_per_instance(monkeypatch):
-    calls = _count_dp_calls(monkeypatch)
+    calls = _count_search_calls(monkeypatch)
     g = random_connected(9, 0.4, 3)
     first = hamiltonian_path(g)
     assert first.status != "unknown" and len(calls) == 1

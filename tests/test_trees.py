@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sgc.covers import PathCover, validate_path_cover
 from sgc.errors import CertificateError, GraphError
 from sgc.graphs import (
     Graph,
@@ -259,10 +260,23 @@ def test_decide_sgc_smallest_no_instance():
 
 def test_decide_sgc_theorem2_family_1_nodes():
     """Counting settles the Hamiltonian path and only minimal spines are
-    tried; the full DP and every spine took 10,859 nodes."""
+    tried; the full DP and every spine took 10,859 nodes.  67 of the 384 go
+    to the failed cover of the first spine, the Warnsdorff walk."""
     budget = Budget()
     assert decide_sgc(theorem2_family(1).graph, budget).status == "no"
-    assert budget.spent == 317 < 10_859
+    assert budget.spent == 384 < 10_859
+
+
+def test_decide_sgc_first_spine_settles_random_14():
+    """The graph has no Hamiltonian path; the search proves it and the
+    Warnsdorff walk's spine takes a cover at once.  The DP and the spine
+    enumeration took 34,196 nodes."""
+    g = random_connected(14, 0.3, 100)
+    budget = Budget()
+    dec = decide_sgc(g, budget)
+    assert hamiltonian_path(g).status == "no"
+    assert dec.status == "yes" and budget.spent == 32
+    validate_caterpillar_certificate(dec.witness)
 
 
 def _off_path(g, path):
@@ -295,7 +309,11 @@ def test_decide_sgc_matches_brute(g):
 @given(connected_graphs(3, 8), st.data())
 def test_decide_sgc_never_no_under_a_budget_short_of_the_dp(g, data):
     """The minimal-spine rule needs a proven "no" for the Hamiltonian path;
-    a budget the DP does not fit in leaves it unknown."""
+    a budget the DP does not fit in never gives one, though the search may
+    still find a path."""
     limit = data.draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
-    assert hamiltonian_path(Graph(g.n, g.edges), Budget(max_nodes=limit)).status == "unknown"
+    hp = hamiltonian_path(Graph(g.n, g.edges), Budget(max_nodes=limit))
+    assert hp.status != "no"
+    if hp.status == "yes":
+        validate_path_cover(g, PathCover((hp.witness,)))
     assert decide_sgc(Graph(g.n, g.edges), Budget(max_nodes=limit)).status != "no"
