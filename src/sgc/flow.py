@@ -10,7 +10,8 @@ flow.  Every query is a fan: paths from a source to distinct targets, where a
 target takes one unit and has no exit.  An s-t query is the fan from s to the
 neighbours of t, with t appended to each path.  Given a ``limit``, the engine
 stops augmenting once the flow reaches it, so a caller that only asks whether
-a pair beats a bound pays for at most that many paths.
+a pair beats a bound pays for at most that many paths, and a pair with that
+many common neighbours pays for none.
 """
 from __future__ import annotations
 
@@ -129,9 +130,13 @@ def min_vertex_separator(g: Graph, s: int, t: int,
 
     With ``limit``, the search stops once ``limit`` disjoint paths are found
     and returns ``(limit, None)``: the pair's connectivity is at least that.
+    Distinct common neighbours are disjoint s-t paths, so a pair with at least
+    ``limit`` of them returns that answer without running a flow.
     """
     if s == t or g.has_edge(s, t):
         raise ValueError("separator queries need two distinct non-adjacent vertices")
+    if limit is not None and 0 <= limit <= (g.adj_mask[s] & g.adj_mask[t]).bit_count():
+        return limit, None
     fan = _fan(g, s, g.adj_mask[t], 1 << s | 1 << t, limit)
     return fan.value, None if fan.cut is None else frozenset(bits(fan.cut))
 

@@ -309,7 +309,7 @@ def parse_edgelist(text: str) -> Graph:
     n, m = header
     if len(rows) - 1 != m:
         raise FormatError(f"edge-list promises {m} edges, found {len(rows) - 1}")
-    edges = []
+    edges = set()
     for row in rows[1:]:
         if len(row) != 2:
             raise FormatError(f"bad edge line {' '.join(row)!r}")
@@ -317,7 +317,10 @@ def parse_edgelist(text: str) -> Graph:
             u, v = int(row[0]), int(row[1])
         except ValueError as exc:
             raise FormatError(f"bad edge line {' '.join(row)!r}") from exc
-        edges.append((u, v))
+        edge = norm_edge(u, v)
+        if edge in edges:
+            raise FormatError(f"edge line {' '.join(row)!r} repeats edge {edge}")
+        edges.add(edge)
     try:
         return new_graph(n, edges)
     except GraphError as exc:

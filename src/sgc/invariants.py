@@ -9,6 +9,14 @@ minimum-degree vertex v against each non-neighbour, and each non-adjacent pair
 of v's neighbours.  Each flow is capped at the best cut found so far, since a
 pair that reaches it cannot lower the answer.
 
+Only one flow runs per twin class of pairs, keyed by the unordered pair of
+the two ends' neighbourhood masks.  Vertices with equal neighbourhoods are
+non-adjacent twins, and swapping two of them is an automorphism, so two pairs
+with the same key have equal local connectivity.  A skipped pair therefore
+cannot go strictly below the cut its twin pair already left in the running
+best, and since only a strictly smaller cut replaces the best, kappa and the
+separator are those the full pair set gives.
+
 Both certificates are computed once per ``Graph`` instance and kept in its
 instance dict (``graphs.once_per_instance``), beside the cached ``adj`` and
 ``adj_mask``, so every caller holding the same instance shares them.  Alpha is
@@ -135,7 +143,13 @@ def independence_number(g: Graph, budget: Budget | int | None = None) -> Indepen
 
 @once_per_instance()
 def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
-    """kappa(g) with a separator of that size."""
+    """kappa(g) with a separator of that size.
+
+    The Esfahanian-Hakimi pairs run in order, one flow per key
+    ``{N(a), N(b)}``: a pair whose ends have the neighbourhoods of an earlier
+    pair's ends is that pair's image under a twin swap, so its flow could not
+    lower the best cut and the certificate is the one every pair gives.
+    """
     n = g.n
     if n <= 1:
         return ConnectivityCertificate(0, None, True)
@@ -150,7 +164,13 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     pairs = [(v, w) for w in range(n) if w != v and not g.has_edge(v, w)]
     pairs += [(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1:]
               if not g.has_edge(a, b)]
+    adj = g.adj_mask
+    done = set()
     for a, b in pairs:
+        key = frozenset((adj[a], adj[b]))
+        if key in done:
+            continue  # a twin swap maps this pair onto one already run
+        done.add(key)
         value, sep = flow.min_vertex_separator(g, a, b, limit=best)
         if value < best:
             best, best_sep = value, sep

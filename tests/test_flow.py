@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,6 +26,27 @@ def graphs(draw, max_n=9):
     n = draw(st.integers(min_value=2, max_value=max_n))
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     return Graph(n, frozenset(draw(st.lists(st.sampled_from(pairs), unique=True))))
+
+
+@st.composite
+def twin_rich_graphs(draw, max_n=9):
+    """Blow-ups of a random base graph: each base vertex becomes 1-3 false
+    twins (pairwise non-adjacent, one shared neighbourhood), then up to two
+    extra edges may break some twin classes apart."""
+    classes = []
+    n = 0
+    for size in draw(st.lists(st.integers(1, 3), min_size=2, max_size=max_n)):
+        size = min(size, max_n - n)
+        if size == 0:
+            break
+        classes.append(range(n, n + size))
+        n += size
+    base = [(i, j) for i in range(len(classes)) for j in range(i + 1, len(classes))]
+    edges = {(u, v) for i, j in draw(st.lists(st.sampled_from(base), unique=True))
+             for u in classes[i] for v in classes[j]}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2, unique=True)))
+    return Graph(n, frozenset(edges))
 
 
 def _local_connectivity(g, s, t):
@@ -56,8 +79,8 @@ def _check_paths(g, paths, origin, ends):
         inner |= set(p[1:-1])
 
 
-@settings(deadline=None)
-@given(graphs())
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(graphs(), twin_rich_graphs()))
 def test_min_vertex_separator_matches_brute(g):
     for s in range(g.n):
         for t in range(g.n):
@@ -102,14 +125,38 @@ def test_max_fan_matches_brute(g, data):
         assert len(flow.max_fan(g, origin, targets, limit)) == limit
 
 
-@settings(deadline=None)
-@given(graphs())
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(graphs(), twin_rich_graphs()))
 def test_vertex_connectivity_matches_brute(g):
     cert = vertex_connectivity(g)
     assert cert.kappa == vertex_connectivity_brute(g)
     if cert.separator:
         assert len(cert.separator) == cert.kappa
         check_separator(g, cert.separator)
+
+
+def _two_cliques_behind_vertex_1():
+    """K5s on {2,3,6,7,8} and {4,5,9,10,11}, joined only through vertices 0
+    and 1.  Vertex 0 has minimum degree and meets 1-5; vertex 1 meets the
+    first K5 and 9-11.  Every 2-cut contains 0, so only a pair of 0's
+    neighbours from opposite K5s finds kappa = 2; the pairs (1, 4) and (1, 5),
+    which come first for 4 and 5, are 4-connected."""
+    edges = {(0, u) for u in range(1, 6)} | {(1, u) for u in (2, 3, 6, 7, 8, 9, 10, 11)}
+    for clique in ((2, 3, 6, 7, 8), (4, 5, 9, 10, 11)):
+        edges |= set(combinations(clique, 2))
+    return Graph(12, frozenset(edges))
+
+
+@pytest.mark.parametrize("g, kappa", [
+    # keying the pairs (0, w) by the shared end 0 alone runs only (0, 2)
+    (Graph(6, frozenset([(0, 1), (0, 3), (1, 2), (2, 3), (2, 4), (2, 5), (4, 5)])), 1),
+    # keying by the second end alone runs (1, 4) and (1, 5) only
+    (_two_cliques_behind_vertex_1(), 2),
+], ids=["shared-end", "second-end"])
+def test_pair_key_takes_both_ends(g, kappa):
+    cert = vertex_connectivity(g)
+    assert cert.kappa == kappa == vertex_connectivity_brute(g)
+    check_separator(g, cert.separator)
 
 
 @pytest.mark.parametrize("edges, origin, targets", [
@@ -143,18 +190,41 @@ def test_flow_argument_validation():
     assert flow.max_fan(g, 0, frozenset()) == []
 
 
+@pytest.fixture
+def counted_flows(monkeypatch):
+    """Counts of ``min_vertex_separator`` calls and of the ``_fan`` runs
+    (flows) behind all queries."""
+    counts = {"separator": 0, "fan": 0}
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(flow, "_fan", counting("fan", flow._fan))
+    monkeypatch.setattr(flow, "min_vertex_separator",
+                        counting("separator", flow.min_vertex_separator))
+    return counts
+
+
 @pytest.mark.parametrize("m", range(1, 21))
-def test_kappa_of_k_m_2m(m):
+def test_kappa_of_k_m_2m(m, counted_flows):
     g = counterexample_bipartite(m)
     cert = vertex_connectivity(g)
     assert cert.kappa == m
     check_separator(g, cert.separator)
+    # one twin class of pairs per side, each with m common neighbours
+    assert counted_flows["separator"] <= 2
+    assert counted_flows["fan"] == 0
 
 
-@pytest.mark.parametrize("m", range(1, 6))
-def test_kappa_of_theorem2_family(m):
+@pytest.mark.parametrize("m", range(1, 7))
+def test_kappa_of_theorem2_family(m, counted_flows):
     assert vertex_connectivity(theorem2_family(m).graph).kappa == \
         expected_theorem2_invariants(m)["kappa"]
+    # one flow per twin class of pairs; a flow per pair made 11, 28, 52, ... 166
+    assert counted_flows["fan"] == 3 * m + 4
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 40])

@@ -176,3 +176,7 @@ def test_edgelist_rejects_malformed():
         parse_edgelist("3 1\n0 x\n")
     with pytest.raises(FormatError):
         parse_edgelist("3 1\n0 3\n")  # endpoint out of range
+    with pytest.raises(FormatError, match="'1 0' repeats edge"):
+        parse_edgelist("3 3\n0 1\n1 0\n1 2\n")
+    with pytest.raises(FormatError, match="'0 1' repeats edge"):
+        parse_edgelist("3 2\n0 1\n0 1\n")
