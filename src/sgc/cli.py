@@ -18,8 +18,8 @@ Under a ``--budget-nodes`` that binds, a claim's report from ``verify all``
 can differ from a run of that claim alone: an α or s that an earlier claim
 settled on the same graph is reused without charging nodes, which leaves
 more of the budget to the later claim.  ``verify lemma5 --max-n 5
---budget-nodes 20`` reports 498 verified and 273 timeouts, while lemma5 in
-``verify all --max-n 5 --budget-nodes 20 --m 1`` reports 608 and 163.  Under
+--budget-nodes 3`` reports 379 verified and 392 timeouts, while lemma5 in
+``verify all --max-n 5 --budget-nodes 3 --m 1`` reports 632 and 139.  Under
 the default budget the reports agree.
 """
 from __future__ import annotations

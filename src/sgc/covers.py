@@ -8,7 +8,18 @@ Both solvers branch on the entry that covers the smallest uncovered vertex.
 Failed (uncovered-set, remaining-count) states are memoized, which keeps the
 searches exhaustive while avoiding order-duplicated work.
 
-The cycle cover branches only on the inclusion-maximal entries through v:
+The cycle cover first builds Posa's greedy cover ("On the circuits of
+finite graphs", 1963).  While a set A of vertices is left uncovered, grow a
+path in G[A] by Warnsdorff's rule until its tip t is stuck: every neighbour
+of t in A then lies on the path.  The entry C runs along the path from t's
+farthest neighbour to t, so it holds every neighbour of t in A.  An
+independent set of G[A - C] plus t is independent in G[A], so
+alpha(G[A - C]) <= alpha(G[A]) - 1, and the greedy cover has at most
+alpha(G) entries.  That settles every k >= alpha, which is lemma5's bound
+ceil(alpha/kappa) whenever kappa = 1.  Where it needs more than k entries,
+the exhaustive search below decides, so every "no" is that search's proof.
+
+The search branches only on the inclusion-maximal entries through v:
 the vertex sets of cycles through v, the edges {v, u} and {v}, each dropped
 when another of them contains it.  This keeps the search exhaustive.  Say r
 entries cover the uncovered set U, and e is the one through v.  Swap e for a
@@ -42,7 +53,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import CertificateError
-from .graphs import Graph, bits, is_bipartite, mask_components
+from .graphs import Graph, _warnsdorff_walk, bits, is_bipartite, mask_components
 from .search import Budget, Decision, OutOfBudget, as_budget
 
 
@@ -418,9 +429,37 @@ def _entries_through(g: Graph, v: int, budget: Budget) -> list[tuple[tuple[int, 
     return entries
 
 
+def _posa_cover(g: Graph, budget: Budget) -> list[tuple[int, ...]]:
+    """Posa's greedy cover of g by at most alpha(g) entries (see the module
+    docstring), charging one node per entry.  Each entry is the stuck walk's
+    tail from its tip's farthest neighbour, written from its lowest vertex
+    with the second vertex below the last."""
+    adj = g.adj_mask
+    alive = (1 << g.n) - 1
+    cover = []
+    while alive:
+        budget.spend()
+        path, _ = _warnsdorff_walk(adj, alive)
+        near = adj[path[-1]] & alive
+        start = next((i for i, u in enumerate(path) if near >> u & 1), len(path) - 1)
+        entry = path[start:]
+        low = entry.index(min(entry))
+        entry = entry[low:] + entry[:low]
+        if len(entry) > 2 and entry[1] > entry[-1]:
+            entry = entry[:1] + entry[:0:-1]
+        for u in entry:
+            alive ^= 1 << u
+        cover.append(entry)
+    return cover
+
+
 def min_cycle_cover(g: Graph, k: int, budget: Budget | int | None = None) -> Decision:
     """Can at most k cycles (degenerate entries allowed, sharing allowed)
-    touch every vertex of g?"""
+    touch every vertex of g?
+
+    Posa's greedy cover (``_posa_cover``) comes first and settles every
+    k >= alpha(g); where it needs more than k entries, the exhaustive search
+    decides, so a "no" is always that search's proof."""
     if k < 0:
         raise ValueError("k must be non-negative")
     budget = as_budget(budget)
@@ -452,7 +491,9 @@ def min_cycle_cover(g: Graph, k: int, budget: Budget | int | None = None) -> Dec
         return None
 
     try:
-        chosen = rec((1 << g.n) - 1, k)
+        chosen = _posa_cover(g, budget)
+        if len(chosen) > k:
+            chosen = rec((1 << g.n) - 1, k)
     except OutOfBudget:
         return Decision("unknown")
     if chosen is None:

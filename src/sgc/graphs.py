@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, wraps
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .errors import FormatError, GraphError
 
@@ -174,23 +174,61 @@ def random_connected(n: int, p: float, seed: int, max_attempts: int = 10_000) ->
 # ---------------------------------------------------------------------------
 # elementary predicates
 
-def mask_components(adj: tuple[int, ...], alive: int) -> list[int]:
+def _mask_reach(adj: Sequence[int], alive: int, source: int, until: int = 0) -> int:
+    """The vertices of ``alive`` that the vertex set ``source`` (inside
+    ``alive``) reaches in the induced subgraph on ``alive``, found breadth
+    first.  With ``until``, the search stops at the first level that meets
+    it."""
+    seen = frontier = source
+    while frontier and not seen & until:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            grow |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grow & alive & ~seen
+        seen |= frontier
+    return seen
+
+
+def mask_components(adj: Sequence[int], alive: int) -> list[int]:
     """Connected components of the induced subgraph on ``alive``, as masks,
     lowest vertex first; ``adj`` holds the neighbourhood mask of each vertex."""
     comps = []
     while alive:
-        seen = frontier = alive & -alive
-        while frontier:
-            grow = 0
-            while frontier:
-                low = frontier & -frontier
-                grow |= adj[low.bit_length() - 1]
-                frontier ^= low
-            frontier = grow & alive & ~seen
-            seen |= frontier
+        seen = _mask_reach(adj, alive, alive & -alive)
         comps.append(seen)
         alive ^= seen
     return comps
+
+
+def _fewest(adj: Sequence[int], cands: int, within: int) -> int:
+    """The vertex of ``cands`` (nonempty) with the fewest neighbours in
+    ``within``, the lowest such vertex on ties."""
+    best = count = -1
+    while cands:
+        low = cands & -cands
+        v = low.bit_length() - 1
+        c = (adj[v] & within).bit_count()
+        if best < 0 or c < count:
+            best, count = v, c
+        cands ^= low
+    return best
+
+
+def _warnsdorff_walk(adj: Sequence[int], alive: int) -> tuple[tuple[int, ...], int]:
+    """The greedy path in the induced subgraph on ``alive`` (nonempty) by
+    Warnsdorff's rule: from a vertex of least degree there, always on to the
+    neighbour with the fewest neighbours left (ties by index), until the tip
+    has no neighbour left off the path; as (vertex sequence, vertex mask)."""
+    tip = _fewest(adj, alive, alive)
+    path = [tip]
+    rest = alive ^ 1 << tip
+    while adj[tip] & rest:
+        tip = _fewest(adj, adj[tip] & rest, rest)
+        path.append(tip)
+        rest ^= 1 << tip
+    return tuple(path), alive ^ rest
 
 
 def is_connected(g: Graph) -> bool:

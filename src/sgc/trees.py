@@ -49,6 +49,8 @@ from .errors import CertificateError, GraphError
 from .graphs import (
     Edge,
     Graph,
+    _mask_reach,
+    _warnsdorff_walk,
     bits,
     is_bipartite,
     is_connected,
@@ -391,46 +393,28 @@ def _dfs_tree(g: Graph) -> SpanningTree:
     return SpanningTree(g, frozenset(edges))
 
 
-def _connectable(n: int, fixed: list[Edge], rest: list[Edge]) -> bool:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    comps = n
-    for a, b in fixed:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    for a, b in rest:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-            if comps == 1:
-                return True
-    return comps == 1
-
-
 def _tree_search(g: Graph, budget: Budget,
                  stop: Callable[[frozenset[Edge]], bool] | None,
                  branch_limit: int | None = None,
                  degree_cap: int | None = None) -> frozenset[Edge] | None:
-    """Include/exclude search over the sorted edges for spanning trees with at
-    most ``branch_limit`` branch vertices and maximum degree at most
-    ``degree_cap`` (None: no limit); an edge is left out only while the rest
-    can still connect.  Each tree goes to ``stop`` as its edge set, and the
-    search ends at the first tree ``stop`` returns True for (with no ``stop``:
-    the first tree), which it returns; None when the search ran out.  Charges
-    one node per search step."""
+    """Include/exclude search over the sorted edges of a connected graph for
+    spanning trees with at most ``branch_limit`` branch vertices and maximum
+    degree at most ``degree_cap`` (None: no limit).  Each tree goes to
+    ``stop`` as its edge set, and the search ends at the first tree ``stop``
+    returns True for (with no ``stop``: the first tree), which it returns;
+    None when the search ran out.  Charges one node per search step.
+
+    An edge is left out only while the chosen edges and the edges not yet
+    decided still connect the graph.  They do at the root, and leaving out
+    one edge keeps them connected exactly when it is no bridge of them: when
+    its ends still reach each other without it.  ``avail`` holds their
+    adjacency masks, and a breadth-first search over it decides that."""
     n = g.n
     edges = g.sorted_edges()
     m = len(edges)
     limit = n if branch_limit is None else branch_limit
+    full = (1 << n) - 1
+    avail = list(g.adj_mask)
     parent = list(range(n))
     size = [1] * n
     deg = [0] * n
@@ -472,9 +456,16 @@ def _tree_search(g: Graph, budget: Budget,
                 parent[rv] = rv
                 if got is not None:
                     return got
-        if _connectable(n, chosen, edges[i + 1:]):
+        if ru == rv:  # the chosen edges join u and v
             return rec(i + 1)
-        return None
+        avail[u] ^= 1 << v
+        avail[v] ^= 1 << u
+        got = None
+        if _mask_reach(avail, full, 1 << u, 1 << v) >> v & 1:
+            got = rec(i + 1)
+        avail[u] |= 1 << v
+        avail[v] |= 1 << u
+        return got
 
     return rec(0)
 
@@ -513,11 +504,12 @@ def constrained_spanning_tree(g: Graph, branch_limit: int, budget: Budget,
                               degree_cap: int | None = None) -> Decision:
     """Is there a spanning tree with at most ``branch_limit`` branch vertices
     (and, when given, maximum degree at most ``degree_cap``)?  Witness is the
-    tree's edge set."""
+    tree's edge set.  A disconnected graph has none, and the search assumes
+    a connected one."""
+    if not is_connected(g):
+        return Decision("no")
     if g.n <= 2:
-        if g.m < g.n - 1:  # two vertices without an edge
-            return Decision("no")
-        return Decision("yes", frozenset(g.sorted_edges()))
+        return Decision("yes", g.edges)
     try:
         tree = _tree_search(g, budget, None, branch_limit, degree_cap)
     except OutOfBudget:
@@ -595,21 +587,6 @@ def _spine_candidates(g: Graph, budget: Budget, minimal: bool
         yield from go([s], 1 << s)
 
 
-def _warnsdorff_walk(g: Graph) -> tuple[tuple[int, ...], int]:
-    """The greedy walk by Warnsdorff's rule from a vertex of least degree, as
-    (vertex sequence, vertex mask): the path search's first moves, followed
-    until no neighbour is left."""
-    adj = g.adj_mask
-    tip = min(range(g.n), key=lambda v: (adj[v].bit_count(), v))
-    path = [tip]
-    visited = 1 << tip
-    while adj[tip] & ~visited:
-        tip = _warnsdorff(adj, tip, ~visited)[-1][1]
-        path.append(tip)
-        visited |= 1 << tip
-    return tuple(path), visited
-
-
 def _tree_from_spine(g: Graph, spine: tuple[int, ...],
                      legs: list[tuple[int, ...]]) -> CaterpillarCertificate:
     qmask = 0
@@ -648,7 +625,7 @@ def decide_sgc(g: Graph, budget: Budget | int | None = None) -> Decision:
 
     full = (1 << n) - 1
     try:
-        for spine, qmask in chain([_warnsdorff_walk(g)],
+        for spine, qmask in chain([_warnsdorff_walk(g.adj_mask, full)],
                                   _spine_candidates(g, budget, hp.status == "no")):
             alive = full & ~qmask
             if alive == 0:

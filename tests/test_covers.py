@@ -4,10 +4,12 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sgc import covers
 from sgc.covers import (
     CycleCover,
     PathCover,
     _entries_through,
+    _posa_cover,
     anchored_path_cover,
     cycle_cover_number,
     cycles_through,
@@ -23,10 +25,16 @@ from sgc.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    parse_graph6,
     path_graph,
     random_connected,
 )
-from oracles import _has_hamiltonian_cycle_on, cycle_cover_number_brute, path_cover_number_brute
+from oracles import (
+    _has_hamiltonian_cycle_on,
+    cycle_cover_number_brute,
+    independence_number_brute,
+    path_cover_number_brute,
+)
 from sgc.search import Budget
 
 
@@ -272,14 +280,79 @@ def test_entries_through_are_the_maximal_entries(corpus_n4, corpus_n5):
 
 def test_min_cycle_cover_node_counts():
     """The nodes charged on fixed graphs; ``listed`` is what the search
-    charged when it listed every cycle through a vertex as an entry."""
-    for g, k, status, spent, listed in ((complete_bipartite(3, 5), 1, "no", 57, 217),
-                                        (complete_bipartite(3, 5), 2, "yes", 114, 546),
-                                        (complete_bipartite(3, 5), 3, "yes", 171, 875),
-                                        (random_connected(9, 0.4, 1), 1, "yes", 129, 733)):
+    charged when it listed every cycle through a vertex as an entry.  Posa's
+    greedy cover charges one node per entry first: 3 on each graph here,
+    which settles K_{3,5} at k = 3 and leaves the others to the search."""
+    for g, k, status, spent, listed in ((complete_bipartite(3, 5), 1, "no", 60, 217),
+                                        (complete_bipartite(3, 5), 2, "yes", 117, 546),
+                                        (complete_bipartite(3, 5), 3, "yes", 3, 875),
+                                        (random_connected(9, 0.4, 1), 1, "yes", 132, 733)):
         budget = Budget()
         assert min_cycle_cover(g, k, budget).status == status
         assert budget.spent == spent <= listed
+
+
+@pytest.fixture
+def counted_entries(monkeypatch):
+    """The number of ``_entries_through`` calls, that is of the exhaustive
+    search's entry lists."""
+    calls = [0]
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return _entries_through(*args, **kwargs)
+
+    monkeypatch.setattr(covers, "_entries_through", counting)
+    return calls
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=10))
+def test_posa_cover_has_at_most_alpha_entries(g):
+    """Disconnected graphs included: each entry holds every neighbour its
+    last walk's tip has left, so alpha falls by one per entry."""
+    budget = Budget()
+    cover = _posa_cover(g, budget)
+    validate_cycle_cover(g, CycleCover(tuple(cover)))
+    assert len(cover) <= independence_number_brute(g)
+    assert budget.spent == len(cover)
+    for entry in cover:
+        assert entry[0] == min(entry)
+        if len(entry) >= 3:
+            assert entry[1] < entry[-1]
+
+
+def test_posa_cover_settles_k_alpha_without_search(corpus_n4, corpus_n5, counted_entries):
+    named = [complete_bipartite(3, 5), complete_bipartite(4, 8), random_connected(9, 0.4, 1),
+             path_graph(9), Graph(5, frozenset({(0, 1), (2, 3)}))]
+    for g in corpus_n4 + corpus_n5 + named:
+        dec = min_cycle_cover(g, independence_number_brute(g))
+        assert dec.status == "yes"
+        validate_cycle_cover(g, dec.witness)
+    assert counted_entries[0] == 0
+
+
+def test_search_runs_where_the_greedy_needs_more_entries(counted_entries):
+    """The diamond: the greedy walk 2-0-1-3 is stuck at 3, whose farthest
+    neighbour is 0, so it takes the triangle 0-1-3 and leaves 2 alone.  The
+    Hamiltonian cycle 0-2-1-3 is found by the search."""
+    g = parse_graph6("C}")
+    assert len(_posa_cover(g, Budget())) == 2
+    dec = min_cycle_cover(g, 1)
+    assert dec.status == "yes" and len(dec.witness.cycles) == 1
+    validate_cycle_cover(g, dec.witness)
+    assert counted_entries[0] > 0
+
+
+def test_cycle_cover_no_comes_from_the_search(counted_entries):
+    assert min_cycle_cover(complete_bipartite(3, 5), 1).status == "no"
+    assert counted_entries[0] > 0
+
+
+def test_cycle_cover_one_node_budget_is_unknown():
+    """The greedy's second entry passes the budget, inside the guard."""
+    assert min_cycle_cover(complete_bipartite(3, 5), 1, Budget(max_nodes=1)).status == "unknown"
+    assert min_cycle_cover(path_graph(4), 2, Budget(max_nodes=1)).status == "unknown"
 
 
 def test_validate_cycle_cover_rules():

@@ -205,6 +205,15 @@ def test_constrained_spanning_tree_small_graphs():
         assert (dec.status, dec.witness) == ("yes", frozenset())
 
 
+def test_constrained_spanning_tree_disconnected_is_no():
+    """Answered before the search, whose bridge test assumes a connected graph."""
+    two_triangles = Graph(6, frozenset({(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)}))
+    for g in (two_triangles, Graph(4, frozenset({(0, 1), (1, 2)}))):
+        budget = Budget()
+        assert constrained_spanning_tree(g, 2, budget).status == "no"
+        assert budget.spent == 0
+
+
 def test_min_branch_examples():
     assert min_branch_spanning_tree(cycle_graph(6)).value == 0
     assert min_branch_spanning_tree(new_graph(4, [(0, 1), (0, 2), (0, 3)])).value == 1
