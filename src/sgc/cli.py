@@ -44,7 +44,7 @@ from .graphs import (
 )
 from .families import theorem2_family
 from .invariants import independence_number, vertex_connectivity
-from .search import DEFAULT_NODE_BUDGET, Budget, _fresh_budget
+from .search import DEFAULT_NODE_BUDGET, Budget
 from .trees import branch_profile, classify_tree, decide_sgc, min_branch_spanning_tree
 from .verify import THEOREM_IDS, Corpus, verify_theorem
 
@@ -148,7 +148,7 @@ def _print_analysis_text(record: dict) -> None:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     graphs = _load_graphs(_read_input(args.input), args.format)
     for i, g in enumerate(graphs):
-        record = _analyze_one(g, _fresh_budget(args.budget_nodes, args.budget_ms))
+        record = _analyze_one(g, Budget(args.budget_nodes, args.budget_ms))
         if args.text:
             if i:
                 print()
@@ -192,7 +192,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         raise FormatError("construct expects exactly one input graph")
     g = graphs[0]
     build = construct_sgc_theorem1 if args.theorem == "theorem1" else construct_sgc_theorem3
-    result = build(g, _fresh_budget(args.budget_nodes, args.budget_ms))
+    result = build(g, Budget(args.budget_nodes, args.budget_ms))
     record: dict = {"status": result.status, "theorem": args.theorem}
     if result.reason:
         record["reason"] = result.reason

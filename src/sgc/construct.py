@@ -10,12 +10,13 @@ guarantee, ``budget`` means an exact subproblem timed out first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Literal
 
 from . import flow
-from .covers import cycles_through
+from .covers import _entries_through
 from .errors import CertificateError, GraphError
-from .graphs import Edge, Graph, is_connected, norm_edge
+from .graphs import Edge, Graph, _mask_reach, is_connected, norm_edge
 from .invariants import independence_number, vertex_connectivity
 from .search import Budget, Decision, OutOfBudget, as_budget
 from .trees import (
@@ -172,13 +173,14 @@ def _absorb_all(g: Graph, cycle: list[int], wset: list[int],
 
 
 def _exhaustive_cycle(g: Graph, wset: list[int], budget: Budget) -> list[int] | None:
-    """The first cycle through wset[0] that covers all of ``wset``.  Exact, so
-    only sensible on small graphs."""
+    """The witness cycle of the first maximal cycle set through wset[0] that
+    covers all of ``wset``.  A cycle through ``wset`` lies inside such a set,
+    so None means there is none.  Exact, so only sensible on small graphs."""
     want = 0
     for x in wset:
         want |= 1 << x
-    for cycle, mask in cycles_through(g, wset[0], budget):
-        if not want & ~mask:
+    for cycle, mask in _entries_through(g, wset[0], budget):
+        if len(cycle) >= 3 and not want & ~mask:
             return list(cycle)
     return None
 
@@ -193,7 +195,10 @@ def cycle_through(g: Graph, w: list[int] | frozenset[int],
     The constructive route (two disjoint paths, then fan absorption) succeeds
     whenever ``2 <= |w| <= kappa(g)``.  If it trips on an input outside that
     guarantee, graphs with at most EXHAUSTIVE_CYCLE_LIMIT vertices fall back to
-    full search; past that, CertificateError.
+    the cycle cover's subset DP over the paths from min(w)
+    (``covers._entries_through``): at most 2**(n-1) vertex sets, one node each,
+    and the witness of the first maximal cycle set holding ``w``.  Past that
+    limit, or when no such set exists, CertificateError.
     """
     wset = sorted(set(w))
     if len(wset) < 2:
@@ -216,46 +221,6 @@ def cycle_through(g: Graph, w: list[int] | frozenset[int],
     return witness
 
 
-def _find_cycle_edges(n: int, edges: set[Edge]) -> frozenset[Edge] | None:
-    """Edge set of some cycle in (V, edges), or None if the graph is a forest.
-
-    Deterministic: roots and neighbours are scanned in ascending order, so the
-    same input always yields the same cycle.
-    """
-    nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u, v in sorted(edges):
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    visited = [False] * n
-    parent = [-1] * n
-    for root in range(n):
-        if visited[root]:
-            continue
-        visited[root] = True
-        stack = [(root, iter(nbrs[root]))]
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for u in it:
-                if u == parent[v]:
-                    continue
-                if visited[u]:
-                    cyc = [norm_edge(v, u)]
-                    x = v
-                    while x != u:
-                        cyc.append(norm_edge(x, parent[x]))
-                        x = parent[x]
-                    return frozenset(cyc)
-                visited[u] = True
-                parent[u] = v
-                stack.append((u, iter(nbrs[u])))
-                advanced = True
-                break
-            if not advanced:
-                stack.pop()
-    return None
-
-
 def _rotate_behind(cycle: list[int], gap: Edge) -> list[int]:
     """Relist the cycle so that ``gap`` is the wrap-around (absent) edge."""
     length = len(cycle)
@@ -267,8 +232,19 @@ def _rotate_behind(cycle: list[int], gap: Edge) -> list[int]:
 
 
 def merge_and_prune(g: Graph, t: SpanningTree, c: CycleWitness) -> CaterpillarCertificate:
-    """Overlay the cycle on the tree, open the cycle at its smallest edge, and
-    break every remaining cycle by deleting its smallest deletable edge.
+    """Overlay the cycle on the tree, open the cycle at its smallest edge (the
+    gap), and keep the greedy maximum spanning tree of the union: the spine
+    edges first, then the other tree edges from the largest down, each kept
+    only when its ends are not joined yet.
+
+    This is the tree that breaking every remaining cycle at its smallest
+    non-spine edge, until none is left, ends at.  Weight the spine edges
+    highest and the other edges by their order, so all weights differ and the
+    maximum spanning tree of the union is unique.  Each deletion drops the
+    lightest edge of a cycle, which by the cycle property (Kruskal, 1956) lies
+    in no maximum spanning tree, so the deletions end at that tree, and
+    Kruskal's greedy builds the same one.  The spine is a path, so no cycle is
+    made of spine edges only.
 
     Needs every branch vertex of ``t`` on ``c``; the opened cycle then becomes
     the spine of the resulting spanning tree and off-cycle vertices never gain
@@ -284,18 +260,17 @@ def merge_and_prune(g: Graph, t: SpanningTree, c: CycleWitness) -> CaterpillarCe
         raise CertificateError(f"cycle misses branch vertices {missing}")
     cycle_edges = c.edges()
     gap = min(cycle_edges)
-    spine_edges = cycle_edges - {gap}
-    edges = (set(t.tree_edges) | cycle_edges) - {gap}
-    while True:
-        cyc = _find_cycle_edges(g.n, edges)
-        if cyc is None:
-            break
-        deletable = cyc - spine_edges
-        if not deletable:
-            raise CertificateError("found a cycle made entirely of spine edges")
-        edges.discard(min(deletable))
+    spine = _rotate_behind(list(c.cycle), gap)
+    full = (1 << g.n) - 1
+    adj = [0] * g.n
+    edges = set()
+    for u, v in chain(zip(spine, spine[1:]), sorted(t.tree_edges - cycle_edges, reverse=True)):
+        if not _mask_reach(adj, full, 1 << u, 1 << v) >> v & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            edges.add(norm_edge(u, v))
     tree = SpanningTree(g, frozenset(edges))
-    cert = CaterpillarCertificate(tree, tuple(_rotate_behind(list(c.cycle), gap)))
+    cert = CaterpillarCertificate(tree, tuple(spine))
     validate_caterpillar_certificate(cert)
     return cert
 

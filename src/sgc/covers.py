@@ -26,8 +26,9 @@ entries cover the uncovered set U, and e is the one through v.  Swap e for a
 maximal entry e' through v with e a subset of e'.  Then U - e' lies inside
 U - e, which the other r - 1 entries cover, and entries may overlap, so the
 swap never breaks a cover.  The entries come from a subset DP over the vertex
-sets of paths that start at v; ``cycles_through``, the one walk over the
-cycles through a vertex, is what ``construct.cycle_through`` falls back on.
+sets of paths that start at v.  ``construct.cycle_through`` falls back on the
+same entries: a cycle through a vertex set W lies inside a maximal cycle set
+through min(W), and that set holds W too.
 
 One function, ``_ends_table``, runs the Bellman-Held-Karp subset DP: for
 every vertex subset, the set of vertices a path through exactly that subset
@@ -307,7 +308,7 @@ def min_disjoint_path_cover(g: Graph, k: int, budget: Budget | int | None = None
 def path_cover_number(g: Graph, budget: Budget | int | None = None) -> int | None:
     """Least k admitting a disjoint path cover, or None on budget exhaustion."""
     budget = as_budget(budget)
-    lower = 1
+    lower = min(1, g.n)
     part = is_bipartite(g)
     if part is not None:
         lower = max(lower, abs(len(part.side_a) - len(part.side_b)))
@@ -333,34 +334,6 @@ def anchored_path_cover(g: Graph, alive: int, anchors: int,
 # ---------------------------------------------------------------------------
 # cycle covers (entries may share vertices)
 
-def cycles_through(g: Graph, v: int, budget: Budget
-                   ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every simple cycle through v once, with its vertex mask, in depth-first
-    order from v.  A cycle is listed from v in the orientation whose second
-    vertex is below its last.  Charges one node per DFS step."""
-    adj = g.adj
-    closes = g.adj_mask[v]
-    path = [v]
-    used = 1 << v
-    todo = [iter(adj[v])]
-    budget.spend()
-    while todo:
-        for u in todo[-1]:
-            ub = 1 << u
-            if ub & used:
-                continue
-            path.append(u)
-            used |= ub
-            if ub & closes and len(path) >= 3 and path[1] < u:
-                yield tuple(path), used
-            budget.spend()
-            todo.append(iter(adj[u]))
-            break
-        else:
-            todo.pop()
-            used ^= 1 << path.pop()
-
-
 def _entries_through(g: Graph, v: int, budget: Budget) -> list[tuple[tuple[int, ...], int]]:
     """The inclusion-maximal cover entries containing v, with their masks,
     largest first: vertex sets of simple cycles through v (one witness cycle
@@ -371,7 +344,7 @@ def _entries_through(g: Graph, v: int, budget: Budget) -> list[tuple[tuple[int, 
     the set of ends of such paths through exactly S, and S carries a cycle
     through v when it has at least three vertices and an end next to v.
     Only reachable sets are visited, one node each, so the DP makes no more
-    states than ``cycles_through`` takes DFS steps from v."""
+    states than a walk over the simple paths from v takes steps."""
     adj = g.adj_mask
     closes = adj[v]
     vbit = 1 << v
@@ -507,7 +480,7 @@ def cycle_cover_number(g: Graph, budget: Budget | int | None = None) -> int | No
     """Least k admitting a cycle cover, or None on budget exhaustion.
     Never exceeds n: singleton entries always suffice."""
     budget = as_budget(budget)
-    for k in range(1, g.n + 1):
+    for k in range(min(1, g.n), g.n + 1):
         dec = min_cycle_cover(g, k, budget)
         if dec.status == "yes":
             return k

@@ -48,15 +48,6 @@ class Budget:
         return self._deadline is not None and time.monotonic() > self._deadline
 
 
-def _fresh_budget(budget_nodes: int | None, budget_ms: float | None) -> Budget:
-    """A new per-graph Budget; None takes the default node allowance, or no
-    wall-clock limit, so that an answer does not depend on machine load."""
-    return Budget(
-        max_nodes=DEFAULT_NODE_BUDGET if budget_nodes is None else budget_nodes,
-        max_ms=budget_ms,
-    )
-
-
 def as_budget(budget: Budget | int | None) -> Budget:
     """Coerce ``None`` (defaults) or a bare node count into a fresh Budget."""
     if budget is None:

@@ -76,9 +76,6 @@ class SpanningTree:
             nbrs[v].append(u)
         return tuple(tuple(sorted(ns)) for ns in nbrs)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
 
 @dataclass(frozen=True)
 class BranchProfile:
@@ -110,15 +107,12 @@ def validate_spanning_tree(t: SpanningTree) -> None:
             f"spanning tree of n={g.n} needs {max(g.n - 1, 0)} edges, got {len(t.tree_edges)}")
     if g.n == 0:
         return
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for u in t.adj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    if len(seen) != g.n:
+    adj = [0] * g.n
+    for u, v in t.tree_edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    full = (1 << g.n) - 1
+    if _mask_reach(adj, full, 1) != full:
         raise CertificateError("tree edge set does not span the graph")
 
 

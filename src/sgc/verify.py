@@ -38,7 +38,7 @@ from .graphs import (
     random_connected,
 )
 from .invariants import independence_number, vertex_connectivity
-from .search import Budget, OutOfBudget, _fresh_budget
+from .search import DEFAULT_NODE_BUDGET, Budget, OutOfBudget, as_budget
 from .trees import branch_profile, decide_sgc, min_branch_spanning_tree
 
 THEOREM_IDS = ("lemma3", "lemma4", "lemma5", "theorem1", "corollary",
@@ -166,7 +166,7 @@ def _graph_ref(g: Graph, fallback: str) -> str:
 
 def check_lemma3_bound(g: Graph, budget: Budget | None = None) -> tuple[str, str]:
     """Conjectured bound: s(G) <= 2*ceil(alpha/kappa) - 2 whenever kappa >= 1."""
-    budget = budget or Budget()
+    budget = as_budget(budget)
     kappa = vertex_connectivity(g).kappa
     if kappa < 1:
         return "skipped", "hypothesis needs kappa >= 1"
@@ -186,7 +186,7 @@ def check_lemma3_bound(g: Graph, budget: Budget | None = None) -> tuple[str, str
 
 def check_lemma5_cycles(g: Graph, budget: Budget | None = None) -> tuple[str, str]:
     """At most ceil(alpha/kappa) cycles (degenerate allowed) cover V."""
-    budget = budget or Budget()
+    budget = as_budget(budget)
     kappa = vertex_connectivity(g).kappa
     if kappa < 1:
         return "skipped", "hypothesis needs kappa >= 1"
@@ -205,7 +205,7 @@ def check_lemma5_cycles(g: Graph, budget: Budget | None = None) -> tuple[str, st
 
 def check_theorem1(g: Graph, budget: Budget | None = None) -> tuple[str, str]:
     """s(G) <= kappa(G) implies a constructible spanning generalized caterpillar."""
-    budget = budget or Budget()
+    budget = as_budget(budget)
     kappa = vertex_connectivity(g).kappa
     mb = min_branch_spanning_tree(g, budget)
     if mb.value > kappa:
@@ -222,7 +222,7 @@ def check_theorem1(g: Graph, budget: Budget | None = None) -> tuple[str, str]:
 
 def check_corollary(g: Graph, budget: Budget | None = None) -> tuple[str, str]:
     """alpha <= (kappa^2 + kappa) / 2 implies a spanning generalized caterpillar."""
-    budget = budget or Budget()
+    budget = as_budget(budget)
     kappa = vertex_connectivity(g).kappa
     alpha_cert = independence_number(g, budget)
     if not alpha_cert.exhaustive:
@@ -243,7 +243,7 @@ def check_corollary(g: Graph, budget: Budget | None = None) -> tuple[str, str]:
 
 def check_theorem3(g: Graph, budget: Budget | None = None) -> tuple[str, str]:
     """alpha <= 2*kappa + 1 implies a caterpillar certificate of max degree <= 5."""
-    budget = budget or Budget()
+    budget = as_budget(budget)
     kappa = vertex_connectivity(g).kappa
     alpha_cert = independence_number(g, budget)
     if not alpha_cert.exhaustive:
@@ -378,7 +378,8 @@ DEFAULT_M_VALUES = {
 }
 
 
-def _run_family(theorem_id: str, m_values, budget_nodes, budget_ms) -> TheoremReport:
+def _run_family(theorem_id: str, m_values, budget_nodes: int = DEFAULT_NODE_BUDGET,
+                budget_ms: float | None = None) -> TheoremReport:
     check = FAMILY_CHECKS[theorem_id]
     m_values = tuple(m_values if m_values is not None
                      else DEFAULT_M_VALUES[theorem_id])
@@ -388,7 +389,7 @@ def _run_family(theorem_id: str, m_values, budget_nodes, budget_ms) -> TheoremRe
     report = TheoremReport(theorem_id, corpus_size=len(m_values),
                            hypothesis_count=len(m_values), verified=0)
     for m in m_values:
-        budget = _fresh_budget(budget_nodes, budget_ms)
+        budget = Budget(budget_nodes, budget_ms)
         try:
             outcome, detail, ref = check(m, budget)
         except OutOfBudget:
@@ -404,20 +405,20 @@ def _run_family(theorem_id: str, m_values, budget_nodes, budget_ms) -> TheoremRe
     return report
 
 
-def refute_lemma4(m_values=None, budget_nodes: int | None = None,
+def refute_lemma4(m_values=None, budget_nodes: int = DEFAULT_NODE_BUDGET,
                   budget_ms: float | None = None) -> TheoremReport:
     """Run the K_{m,2m} refutation; the returned report's violations carry the
     per-m evidence (exhaustive search where feasible, counting bound beyond)."""
     return _run_family("lemma4", m_values, budget_nodes, budget_ms)
 
 
-def check_theorem2(m_values=None, budget_nodes: int | None = None,
+def check_theorem2(m_values=None, budget_nodes: int = DEFAULT_NODE_BUDGET,
                    budget_ms: float | None = None) -> TheoremReport:
     return _run_family("theorem2", m_values, budget_nodes, budget_ms)
 
 
 def verify_theorem(theorem_id: str, corpus: Corpus | None = None,
-                   m_values=None, budget_nodes: int | None = None,
+                   m_values=None, budget_nodes: int = DEFAULT_NODE_BUDGET,
                    budget_ms: float | None = None,
                    cache: dict | None = None) -> TheoremReport:
     """Aggregate one theorem's checker over a corpus (or family parameters).
@@ -438,7 +439,7 @@ def verify_theorem(theorem_id: str, corpus: Corpus | None = None,
     report = TheoremReport(theorem_id, corpus_size=len(corpus),
                            hypothesis_count=0, verified=0)
     for g in corpus:
-        budget = _fresh_budget(budget_nodes, budget_ms)
+        budget = Budget(budget_nodes, budget_ms)
         try:
             outcome, detail = check(g, budget)
         except OutOfBudget:
@@ -458,10 +459,10 @@ def verify_theorem(theorem_id: str, corpus: Corpus | None = None,
 
 
 def replay_violation(theorem_id: str, violation: Violation,
-                     budget_nodes: int | None = None,
+                     budget_nodes: int = DEFAULT_NODE_BUDGET,
                      budget_ms: float | None = None) -> tuple[str, str]:
     """Re-run the responsible check on a violation's graph, from scratch."""
-    budget = _fresh_budget(budget_nodes, budget_ms)
+    budget = Budget(budget_nodes, budget_ms)
     token = violation.graph6
     if token.startswith("family:"):
         _, fam_id, m_part = token.split(":", 2)

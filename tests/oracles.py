@@ -9,8 +9,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
+from typing import Iterator
 
 from sgc.graphs import Edge, Graph, bits, norm_edge
+from sgc.search import Budget
 
 
 def independence_number_brute(g: Graph) -> int:
@@ -157,6 +159,34 @@ def cycle_cover_number_brute(g: Graph) -> int:
             raise AssertionError("set cover ran dry before covering V")
 
 
+def cycles_through(g: Graph, v: int, budget: Budget
+                   ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every simple cycle through v once, with its vertex mask, in depth-first
+    order from v.  A cycle is listed from v in the orientation whose second
+    vertex is below its last.  Charges one node per DFS step."""
+    adj = g.adj
+    closes = g.adj_mask[v]
+    path = [v]
+    used = 1 << v
+    todo = [iter(adj[v])]
+    budget.spend()
+    while todo:
+        for u in todo[-1]:
+            ub = 1 << u
+            if ub & used:
+                continue
+            path.append(u)
+            used |= ub
+            if ub & closes and len(path) >= 3 and path[1] < u:
+                yield tuple(path), used
+            budget.spend()
+            todo.append(iter(adj[u]))
+            break
+        else:
+            todo.pop()
+            used ^= 1 << path.pop()
+
+
 def _is_spanning_tree(n: int, chosen: tuple[Edge, ...]) -> bool:
     parent = list(range(n))
 
@@ -184,6 +214,23 @@ def spanning_trees_brute(g: Graph):
     for chosen in combinations(g.sorted_edges(), g.n - 1):
         if _is_spanning_tree(g.n, chosen):
             yield frozenset(chosen)
+
+
+def merged_tree_brute(n: int, tree_edges: frozenset[Edge],
+                      cycle: tuple[int, ...]) -> frozenset[Edge]:
+    """Of the spanning trees of tree + cycle - gap (the cycle's smallest edge)
+    that hold the rest of the cycle, the one whose edges, listed from the
+    largest down, are lexicographically largest.  Tries every edge set."""
+    ring = {norm_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1])}
+    spine = tuple(sorted(ring - {min(ring)}))
+    best = None
+    for extra in combinations(sorted(tree_edges - ring), n - 1 - len(spine)):
+        chosen = spine + extra
+        if _is_spanning_tree(n, chosen):
+            key = sorted(chosen, reverse=True)
+            if best is None or key > best:
+                best = key
+    return frozenset(best)
 
 
 def _tree_adjacency(n: int, edges: frozenset[Edge]) -> list[list[int]]:

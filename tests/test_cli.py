@@ -16,7 +16,7 @@ from sgc.graphs import (
     parse_graph6,
     path_graph,
 )
-from sgc.search import _fresh_budget
+from sgc.search import Budget
 from sgc.verify import PER_GRAPH_CHECKS, THEOREM_IDS, Corpus, verify_theorem
 
 
@@ -295,8 +295,8 @@ def test_module_entry_point(tmp_path):
 def test_default_budget_has_no_deadline():
     """Only the node budget limits a search by default, so an answer does not
     depend on machine load; the wall clock is opt-in."""
-    budget = _fresh_budget(None, None)
+    budget = Budget()
     assert budget.max_ms is None and budget.exhausted is False
     args = build_parser().parse_args(["verify", "lemma4"])
     assert args.budget_ms is None
-    assert _fresh_budget(None, 5.0).max_ms == 5.0
+    assert Budget(args.budget_nodes, 5.0).max_ms == 5.0

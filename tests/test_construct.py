@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sgc.construct import (
     CycleWitness,
@@ -27,7 +28,7 @@ from sgc.graphs import (
     random_connected,
 )
 from sgc.invariants import vertex_connectivity
-from oracles import _has_hamiltonian_cycle_on, max_fan_brute
+from oracles import _has_hamiltonian_cycle_on, cycles_through, max_fan_brute, merged_tree_brute
 from sgc.search import Budget
 from sgc.trees import branch_profile, classify_tree, spanning_tree, validate_caterpillar_certificate
 
@@ -126,8 +127,8 @@ def _brute_cycle_exists(g, w):
 
 
 def test_cycle_through_exhaustive_fallback_node_counts(monkeypatch):
-    """Where the fan absorption fails, the fallback takes the first covering
-    cycle of the walk, at the node count it had before the walk was shared."""
+    """Where the fan absorption fails, the fallback takes the witness of the
+    first maximal cycle set through min(w) that holds w."""
     fallbacks = []
     exhaustive = construct._exhaustive_cycle
 
@@ -137,12 +138,22 @@ def test_cycle_through_exhaustive_fallback_node_counts(monkeypatch):
 
     monkeypatch.setattr(construct, "_exhaustive_cycle", counted)
     g = random_connected(7, 0.5, 16)
-    for w, cycle, spent in (((2, 4, 6), (2, 0, 4, 1, 6, 5), 25),
-                            ((1, 2, 4, 6), (1, 4, 0, 2, 3, 5, 6), 56)):
+    for w, cycle, spent in (((2, 4, 6), (2, 0, 4, 1, 6, 5, 3), 44),
+                            ((1, 2, 4, 6), (1, 4, 0, 2, 3, 5, 6), 39)):
         budget = Budget()
         assert cycle_through(g, list(w), budget).cycle == cycle
         assert budget.spent == spent
     assert fallbacks == [[2, 4, 6], [1, 2, 4, 6]]
+
+
+def test_cycle_through_fallback_visits_each_set_once():
+    """A "no" from the fallback charges one node per vertex set of the paths
+    from min(w), at most 2**(n-1), where a walk over every such path charged
+    12,453 on this graph."""
+    budget = Budget()
+    with pytest.raises(CertificateError):
+        cycle_through(random_connected(12, 0.5, 2), [3, 4, 6, 7], budget)
+    assert budget.spent <= 1 << 11
 
 
 def test_cycle_through_matches_existence_brute():
@@ -223,6 +234,36 @@ def test_merge_and_prune_is_deterministic():
     a = merge_and_prune(wheel, star, cyc)
     b = merge_and_prune(wheel, star, cyc)
     assert a == b
+
+
+@st.composite
+def _trees_and_cycles(draw):
+    """A spanning tree (random parents under a random labelling), a host of
+    the tree plus random edges, and a cycle of the host through every branch
+    vertex of the tree."""
+    n = draw(st.integers(3, 7))
+    label = draw(st.permutations(range(n)))
+    tree = [(label[i], label[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    extra = draw(st.sets(st.sampled_from(list(itertools.combinations(range(n), 2)))))
+    g = new_graph(n, set(map(tuple, map(sorted, tree))) | extra)
+    t = spanning_tree(g, tree)
+    branch = branch_profile(t).branch_vertices
+    v = min(branch) if branch else draw(st.integers(0, n - 1))
+    want = sum(1 << u for u in branch)
+    cycles = [c for c, mask in cycles_through(g, v, Budget()) if not want & ~mask]
+    assume(cycles)
+    return g, t, draw(st.sampled_from(cycles))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_trees_and_cycles())
+def test_merge_and_prune_keeps_the_largest_tree(case):
+    """The merged tree is, of the spanning trees of tree + cycle - gap that
+    hold the spine, the one whose edges from the largest down are
+    lexicographically largest."""
+    g, t, cycle = case
+    cert = merge_and_prune(g, t, CycleWitness(cycle))
+    assert cert.tree.tree_edges == merged_tree_brute(g.n, t.tree_edges, cycle)
 
 
 # --- full pipelines -----------------------------------------------------------

@@ -12,7 +12,6 @@ from sgc.covers import (
     _posa_cover,
     anchored_path_cover,
     cycle_cover_number,
-    cycles_through,
     min_cycle_cover,
     min_disjoint_path_cover,
     path_cover_number,
@@ -32,6 +31,7 @@ from sgc.graphs import (
 from oracles import (
     _has_hamiltonian_cycle_on,
     cycle_cover_number_brute,
+    cycles_through,
     independence_number_brute,
     path_cover_number_brute,
 )
@@ -149,6 +149,15 @@ def test_path_cover_budget_unknown():
     dec = min_disjoint_path_cover(complete_bipartite(3, 6), 3, Budget(max_nodes=0))
     assert dec.status == "unknown"
     assert path_cover_number(complete_bipartite(3, 6), Budget(max_nodes=0)) is None
+
+
+def test_cover_numbers_of_the_empty_graph():
+    """No vertex needs no entry: 0, not the None kept for a spent budget."""
+    g = Graph(0, frozenset())
+    assert min_disjoint_path_cover(g, 0).status == "yes"
+    assert min_cycle_cover(g, 0).status == "yes"
+    assert path_cover_number(g) == 0
+    assert cycle_cover_number(g) == 0
 
 
 def test_validate_path_cover_rejects_bad_covers():
