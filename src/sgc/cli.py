@@ -46,7 +46,7 @@ from .families import theorem2_family
 from .invariants import independence_number, vertex_connectivity
 from .search import DEFAULT_NODE_BUDGET, Budget
 from .trees import branch_profile, classify_tree, decide_sgc, min_branch_spanning_tree
-from .verify import THEOREM_IDS, Corpus, verify_theorem
+from .verify import EMBEDDED_CORPUS_MAX_N, THEOREM_IDS, Corpus, verify_theorem
 
 
 class _Parser(argparse.ArgumentParser):
@@ -246,9 +246,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.theorem not in ("lemma4", "theorem2"):
         # one Corpus object for every claim, so they share the memoized invariants
         if args.corpus == "embedded":
-            corpus = Corpus.embedded(args.max_n)
+            corpus = Corpus.embedded(EMBEDDED_CORPUS_MAX_N if args.max_n is None else args.max_n)
         else:
             corpus = Corpus.from_file(args.corpus)
+            if args.max_n is not None:
+                corpus.graphs = [g for g in corpus if g.n <= args.max_n]
     print(f"{'claim':<10} {'corpus':>7} {'checked':>8} {'verified':>9}"
           f" {'violations':>11} {'timeouts':>9} {'seconds':>8}", file=sys.stderr)
     reports = {}
@@ -310,8 +312,9 @@ def build_parser() -> _Parser:
     verify.add_argument("theorem", choices=THEOREM_IDS + ("all",))
     verify.add_argument("--corpus", default="embedded", metavar="embedded|FILE",
                         help="graph source for per-graph claims")
-    verify.add_argument("--max-n", type=int, default=6,
-                        help="size cap for the embedded corpus")
+    verify.add_argument("--max-n", type=int,
+                        help="keep the graphs with at most this many vertices"
+                             " (embedded corpus: default 6; a file: all by default)")
     verify.add_argument("--m", type=int, help="single family parameter")
     verify.add_argument("--m-range", metavar="LOW..HIGH",
                         help="inclusive family parameter range")

@@ -16,7 +16,7 @@ from typing import Literal
 from . import flow
 from .covers import _entries_through
 from .errors import CertificateError, GraphError
-from .graphs import Edge, Graph, _mask_reach, is_connected, norm_edge
+from .graphs import Graph, _mask_reach, is_connected, norm_edge
 from .invariants import independence_number, vertex_connectivity
 from .search import Budget, Decision, OutOfBudget, as_budget
 from .trees import (
@@ -43,10 +43,6 @@ class Fan:
 @dataclass(frozen=True)
 class CycleWitness:
     cycle: tuple[int, ...]
-
-    def edges(self) -> frozenset[Edge]:
-        c = self.cycle
-        return frozenset(norm_edge(a, b) for a, b in zip(c, c[1:] + c[:1]))
 
 
 def validate_fan(g: Graph, fan: Fan, targets: frozenset[int]) -> None:
@@ -126,50 +122,36 @@ def _absorb_all(g: Graph, cycle: list[int], wset: list[int],
     One uncovered target is absorbed per round.  With f fan paths there are f
     arcs between consecutive attachment points, and f exceeds the number of
     covered targets whenever the connectivity precondition holds, so some arc
-    has no target in its interior and can be replaced by the detour.
+    has no target in its interior and can be replaced by the detour.  The
+    cycle is relisted from its first attachment point and walked once; the
+    first clear arc met is spliced.
     """
-    targets_all = set(wset)
+    targets = set(wset)
     while True:
         budget.spend()
-        on_cycle = set(cycle)
-        missing = [x for x in wset if x not in on_cycle]
-        if not missing:
+        x = next((x for x in wset if x not in cycle), None)
+        if x is None:
             return cycle
-        x = missing[0]
-        fan_paths = flow.max_fan(g, x, frozenset(on_cycle))
+        fan_paths = flow.max_fan(g, x, frozenset(cycle))
         if len(fan_paths) < 2:
             return None
-        pos = {c: i for i, c in enumerate(cycle)}
-        length = len(cycle)
-        ends = sorted(pos[p[-1]] for p in fan_paths)
         by_end = {p[-1]: p for p in fan_paths}
-        wpos = {pos[c] for c in on_cycle & targets_all}
-        chosen = None
-        for idx, a in enumerate(ends):
-            b = ends[(idx + 1) % len(ends)]
-            i = (a + 1) % length
-            clear = True
-            while i != b:
-                if i in wpos:
-                    clear = False
+        first = next(i for i, c in enumerate(cycle) if c in by_end)
+        cycle = cycle[first:] + cycle[:first]
+        # the arc from attachment point a to b; the last one wraps to b = 0,
+        # listed as len(cycle)
+        a, clear = 0, True
+        for b, c in enumerate(cycle[1:] + cycle[:1], start=1):
+            if c in by_end:
+                if clear:
                     break
-                i = (i + 1) % length
-            if clear:
-                chosen = (a, b)
-                break
-        if chosen is None:
+                a, clear = b, True
+            elif c in targets:
+                clear = False
+        else:
             return None
-        a, b = chosen
-        into = by_end[cycle[a]]
-        out = by_end[cycle[b]]
-        seg = []
-        i = b
-        while True:
-            seg.append(cycle[i])
-            if i == a:
-                break
-            i = (i + 1) % length
-        cycle = seg + list(into[-2:0:-1]) + [x] + list(out[1:-1])
+        into, out = by_end[cycle[a]], by_end[c]
+        cycle = cycle[b:] + cycle[:a + 1] + list(into[-2:0:-1]) + [x] + list(out[1:-1])
 
 
 def _exhaustive_cycle(g: Graph, wset: list[int], budget: Budget) -> list[int] | None:
@@ -221,16 +203,6 @@ def cycle_through(g: Graph, w: list[int] | frozenset[int],
     return witness
 
 
-def _rotate_behind(cycle: list[int], gap: Edge) -> list[int]:
-    """Relist the cycle so that ``gap`` is the wrap-around (absent) edge."""
-    length = len(cycle)
-    for i in range(length):
-        j = (i + 1) % length
-        if norm_edge(cycle[i], cycle[j]) == gap:
-            return cycle[j:] + cycle[: j]
-    raise CertificateError("gap edge does not lie on the cycle")
-
-
 def merge_and_prune(g: Graph, t: SpanningTree, c: CycleWitness) -> CaterpillarCertificate:
     """Overlay the cycle on the tree, open the cycle at its smallest edge (the
     gap), and keep the greedy maximum spanning tree of the union: the spine
@@ -258,13 +230,13 @@ def merge_and_prune(g: Graph, t: SpanningTree, c: CycleWitness) -> CaterpillarCe
     if not branch <= set(c.cycle):
         missing = sorted(branch - set(c.cycle))
         raise CertificateError(f"cycle misses branch vertices {missing}")
-    cycle_edges = c.edges()
-    gap = min(cycle_edges)
-    spine = _rotate_behind(list(c.cycle), gap)
+    steps = [norm_edge(a, b) for a, b in zip(c.cycle, c.cycle[1:] + c.cycle[:1])]
+    past_gap = steps.index(min(steps)) + 1
+    spine = c.cycle[past_gap:] + c.cycle[:past_gap]
     full = (1 << g.n) - 1
     adj = [0] * g.n
     edges = set()
-    for u, v in chain(zip(spine, spine[1:]), sorted(t.tree_edges - cycle_edges, reverse=True)):
+    for u, v in chain(zip(spine, spine[1:]), sorted(t.tree_edges.difference(steps), reverse=True)):
         if not _mask_reach(adj, full, 1 << u, 1 << v) >> v & 1:
             adj[u] |= 1 << v
             adj[v] |= 1 << u

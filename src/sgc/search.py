@@ -41,12 +41,6 @@ class Budget:
             if time.monotonic() > self._deadline:
                 raise OutOfBudget(f"time budget of {self.max_ms} ms exhausted")
 
-    @property
-    def exhausted(self) -> bool:
-        if self.spent > self.max_nodes:
-            return True
-        return self._deadline is not None and time.monotonic() > self._deadline
-
 
 def as_budget(budget: Budget | int | None) -> Budget:
     """Coerce ``None`` (defaults) or a bare node count into a fresh Budget."""

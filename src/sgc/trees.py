@@ -69,18 +69,17 @@ class SpanningTree:
     tree_edges: frozenset[Edge]
 
     @cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.host.n)]
-        for u, v in sorted(self.tree_edges):
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in nbrs)
+    def adj_mask(self) -> tuple[int, ...]:
+        masks = [0] * self.host.n
+        for u, v in self.tree_edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
 
 @dataclass(frozen=True)
 class BranchProfile:
     branch_vertices: frozenset[int]
-    degree3_vertices: frozenset[int]
     max_degree: int
 
 
@@ -107,22 +106,17 @@ def validate_spanning_tree(t: SpanningTree) -> None:
             f"spanning tree of n={g.n} needs {max(g.n - 1, 0)} edges, got {len(t.tree_edges)}")
     if g.n == 0:
         return
-    adj = [0] * g.n
-    for u, v in t.tree_edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
     full = (1 << g.n) - 1
-    if _mask_reach(adj, full, 1) != full:
+    if _mask_reach(t.adj_mask, full, 1) != full:
         raise CertificateError("tree edge set does not span the graph")
 
 
 @once_per_instance()
 def branch_profile(t: SpanningTree) -> BranchProfile:
-    """Branch vertices, degree-3 vertices and maximum degree, once per tree."""
-    degs = [len(t.adj[v]) for v in range(t.host.n)]
+    """Branch vertices and maximum degree, once per tree."""
+    degs = [m.bit_count() for m in t.adj_mask]
     return BranchProfile(
         branch_vertices=frozenset(v for v, d in enumerate(degs) if d > 2),
-        degree3_vertices=frozenset(v for v, d in enumerate(degs) if d == 3),
         max_degree=max(degs, default=0),
     )
 
@@ -143,65 +137,44 @@ def validate_caterpillar_certificate(cert: CaterpillarCertificate) -> None:
 # ---------------------------------------------------------------------------
 # classification
 
-def _walk_path(adj_of: Callable[[int], list[int]], vertices: list[int]) -> list[int] | None:
-    """Order ``vertices`` along a path using the given adjacency, else None."""
-    if not vertices:
-        return []
-    members = set(vertices)
-    nbrs = {v: [u for u in adj_of(v) if u in members] for v in vertices}
-    if any(len(ns) > 2 for ns in nbrs.values()):
-        return None
-    tips = sorted(v for v in vertices if len(nbrs[v]) <= 1)
-    start = tips[0] if tips else None
-    if start is None:  # a cycle, not a path
-        return None
-    order = [start]
-    prev = None
-    while True:
-        nxt = [u for u in nbrs[order[-1]] if u != prev]
-        if not nxt:
-            break
-        prev = order[-1]
-        order.append(nxt[0])
-    return order if len(order) == len(vertices) else None
+def _along(adj: tuple[int, ...], alive: int) -> tuple[int, ...] | None:
+    """The vertices of ``alive``, a subtree of the tree with adjacency masks
+    ``adj``, in order along it when it is a path, else None (some vertex has
+    more than two neighbours in ``alive``).
 
-
-def _steiner_path(t: SpanningTree, terminals: list[int]) -> list[int] | None:
-    """Order of the minimal subtree spanning ``terminals`` when it is a path."""
-    keep = set(terminals)
-    nbrs = {v: set(t.adj[v]) for v in range(t.host.n)}
-    alive = set(range(t.host.n))
-    queue = [v for v in alive if len(nbrs[v]) <= 1 and v not in keep]
-    while queue:
-        v = queue.pop()
-        if v not in alive:
-            continue
-        alive.discard(v)
-        for u in nbrs[v]:
-            nbrs[u].discard(v)
-            if u in alive and len(nbrs[u]) <= 1 and u not in keep:
-                queue.append(u)
-        nbrs[v] = set()
-    return _walk_path(lambda v: sorted(nbrs[v]), sorted(alive))
+    The order is the Warnsdorff walk's: on a path it starts at the lowest
+    end (least degree, ties by index), and each step has exactly one move,
+    so it lists the whole path from that end.
+    """
+    if any((adj[v] & alive).bit_count() > 2 for v in bits(alive)):
+        return None
+    return _warnsdorff_walk(adj, alive)[0] if alive else ()
 
 
 def classify_tree(t: SpanningTree) -> tuple[str, CaterpillarCertificate | None]:
-    """Finest matching class plus a spine certificate (None only for "other")."""
-    n = t.host.n
-    deg = [len(t.adj[v]) for v in range(n)]
-    branch = [v for v in range(n) if deg[v] > 2]
+    """Finest matching class plus a spine certificate (None only for "other").
+
+    A caterpillar's spine is its core, the vertices with at least two tree
+    neighbours; a generalized caterpillar's is the subtree spanning its
+    branch vertices, left once the other leaves are stripped until none is.
+    """
+    adj = t.adj_mask
+    full = (1 << t.host.n) - 1
+    branch = branch_profile(t).branch_vertices
     if not branch:
-        order = _walk_path(lambda v: list(t.adj[v]), list(range(n)))
-        return "path", CaterpillarCertificate(t, tuple(order or ()))
+        return "path", CaterpillarCertificate(t, _along(adj, full))
     if len(branch) == 1:
-        return "spider", CaterpillarCertificate(t, (branch[0],))
-    core = [v for v in range(n) if deg[v] >= 2]
-    core_order = _walk_path(lambda v: list(t.adj[v]), core)
-    if core_order is not None:
-        return "caterpillar", CaterpillarCertificate(t, tuple(core_order))
-    spine = _steiner_path(t, branch)
+        return "spider", CaterpillarCertificate(t, tuple(branch))
+    core = _along(adj, sum(1 << v for v, m in enumerate(adj) if m.bit_count() >= 2))
+    if core is not None:
+        return "caterpillar", CaterpillarCertificate(t, core)
+    keep = sum(1 << v for v in branch)
+    alive = full
+    while strip := sum(1 << v for v in bits(alive & ~keep) if (adj[v] & alive).bit_count() <= 1):
+        alive ^= strip
+    spine = _along(adj, alive)
     if spine is not None:
-        return "generalized_caterpillar", CaterpillarCertificate(t, tuple(spine))
+        return "generalized_caterpillar", CaterpillarCertificate(t, spine)
     return "other", None
 
 

@@ -15,6 +15,7 @@ from sgc.graphs import (
     parse_edgelist,
     parse_graph6,
     path_graph,
+    random_connected,
 )
 from sgc.search import Budget
 from sgc.verify import PER_GRAPH_CHECKS, THEOREM_IDS, Corpus, verify_theorem
@@ -220,6 +221,15 @@ def test_verify_corpus_report(capsys):
     assert report["violations"] == [] and report["timeouts"] == 0
 
 
+def test_verify_max_n_caps_a_file_corpus(tmp_path, capsys):
+    graphs = [random_connected(12, 0.45, seed) for seed in (1, 2, 3)] + [cycle_graph(4)]
+    path = write_graph6(tmp_path, *graphs)
+    for cap, size in ((["--max-n", "5"], 1), ([], 4)):
+        code, out, _ = run(capsys, "verify", "lemma5", "--corpus", path, *cap)
+        assert code == 0
+        assert json.loads(out)["corpus_size"] == size
+
+
 def test_verify_is_deterministic_modulo_elapsed(capsys):
     _, first, _ = run(capsys, "verify", "lemma4", "--m", "3")
     _, second, _ = run(capsys, "verify", "lemma4", "--m", "3")
@@ -296,7 +306,7 @@ def test_default_budget_has_no_deadline():
     """Only the node budget limits a search by default, so an answer does not
     depend on machine load; the wall clock is opt-in."""
     budget = Budget()
-    assert budget.max_ms is None and budget.exhausted is False
+    assert budget.max_ms is None
     args = build_parser().parse_args(["verify", "lemma4"])
     assert args.budget_ms is None
     assert Budget(args.budget_nodes, 5.0).max_ms == 5.0

@@ -24,6 +24,7 @@ from sgc.graphs import (
     cycle_graph,
     is_connected,
     new_graph,
+    parse_graph6,
     path_graph,
     random_connected,
 )
@@ -154,6 +155,18 @@ def test_cycle_through_fallback_visits_each_set_once():
     with pytest.raises(CertificateError):
         cycle_through(random_connected(12, 0.5, 2), [3, 4, 6, 7], budget)
     assert budget.spent <= 1 << 11
+
+
+def test_cycle_through_splices_the_first_clear_arc():
+    """Each absorb round splices the first arc, from the cycle's first
+    attachment point on, with no target inside; the last clear arc would
+    give other cycles on all three."""
+    for code, w, cycle in (("EryW", [0, 1, 5], (1, 4, 0, 5, 3)),
+                           ("E~Ug", [0, 3, 5], (3, 1, 0, 5, 4)),
+                           ("Ev~W", [0, 3, 5], (3, 1, 0, 5))):
+        budget = Budget()
+        assert cycle_through(parse_graph6(code), w, budget).cycle == cycle
+        assert budget.spent == 2
 
 
 def test_cycle_through_matches_existence_brute():
@@ -302,7 +315,7 @@ def test_spanning_3tree_bounded():
     assert dec.status == "yes"
     prof = branch_profile(dec.witness)
     assert prof.max_degree <= 3
-    assert len(prof.degree3_vertices) <= 3
+    assert len(prof.branch_vertices) <= 3  # all of degree 3 at most
     with pytest.raises(ValueError):
         spanning_3tree_bounded(cycle_graph(4), -1)
 

@@ -88,7 +88,6 @@ def test_branch_profile():
     _, star = _tree_graph(4, [(0, 1), (0, 2), (0, 3)])
     prof = branch_profile(star)
     assert prof.branch_vertices == frozenset({0})
-    assert prof.degree3_vertices == frozenset({0})
     assert prof.max_degree == 3
 
 
@@ -134,6 +133,28 @@ def test_classification_matches_brute(corpus_n5):
         for edges in spanning_trees_brute(g):
             t = SpanningTree(g, edges)
             assert classify_tree(t)[0] == classify_tree_brute(g.n, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(connected_graphs(1, 30, max_extra=0), st.data())
+def test_classification_spines_on_relabelled_trees(tree, data):
+    """The kind is the brute force's, and a spine of two or more vertices
+    runs from its lower end: a path's holds every vertex, a caterpillar's
+    exactly the vertices with at least two tree neighbours."""
+    perm = data.draw(st.permutations(range(tree.n)))
+    g = Graph(tree.n, frozenset(norm_edge(perm[u], perm[v]) for u, v in tree.edges))
+    kind, cert = classify_tree(SpanningTree(g, g.edges))
+    assert kind == classify_tree_brute(g.n, g.edges)
+    if cert is None:
+        return
+    validate_caterpillar_certificate(cert)
+    spine = cert.spine
+    if len(spine) >= 2:
+        assert spine[0] < spine[-1]
+    if kind == "path":
+        assert sorted(spine) == list(range(g.n))
+    if kind == "caterpillar":
+        assert set(spine) == {v for v in range(g.n) if g.degree(v) >= 2}
 
 
 def test_certificate_validation_rejects_off_spine_branches():
