@@ -39,19 +39,29 @@ and ``_walk`` reads one path through any subset back out of the table; it
 also reads the witness cycles out of the cycle cover's table.
 
 Two readers share it.  ``ham_path_in_mask`` (Hamiltonian paths of induced
-subgraphs, also the path cover's one-path case) walks the full subset.  The
-path cover settles a two-path state from one table over its vertex set: two
-paths cover it exactly when the whole set, or both sides of some split T |
-rest with T holding the lowest vertex v, have a path.  It does so only when
-the set is connected, v is no cut vertex and the table fits the node budget:
-there the state's first branch (the path (v,)) would pay for a DP on all but
-v anyway.  Every other state branches on the paths through v.  No counting
-bound is involved, so the search without ``counting_prune`` stays bound-free.
+subgraphs, also the path cover's one-path case) walks the full subset.
+``_table_cover`` reads a whole path cover off one table: in a state S, the
+part T holding S's lowest vertex is one path exactly when ``ends[T]`` is
+nonzero (for an anchored cover, when ``ends[T]`` meets the anchors, and the
+walk back then ends the path at an anchor), and the rest of S recurses over
+the submasks of the same table, from S itself down.
+
+The path cover branches on the paths through the lowest vertex v, one node
+per path, and hands over to the table reader in two places.  A two-path state
+that is connected, with v no cut vertex, is read off its own table where the
+table and its 2**(|S| - 1) splits fit the node budget: there the state's
+first branch (the path (v,)) would pay for a DP on all but v anyway.  And
+where the table over the whole instance and as many nodes again fit the
+budget, the branching stops once it has spent the table's price and one
+table decides, keeping the states the branching already proved uncoverable.
+Easy instances settle before that; hard ones cost about twice the table
+plus its reads.  No counting bound is involved, so the search without
+``counting_prune`` stays bound-free.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CertificateError
 from .graphs import Graph, _warnsdorff_walk, bits, is_bipartite, mask_components
@@ -177,34 +187,24 @@ def ham_path_in_mask(g: Graph, alive: int, budget: Budget) -> tuple[int, ...] | 
     return _walk(verts, cadj, ends, full) if ends[full] else None
 
 
-def _two_path_cover(g: Graph, alive: int, budget: Budget
-                    ) -> list[tuple[int, ...]] | None:
-    """At most two disjoint paths covering ``alive``, read off one table: one
-    Hamiltonian path, or a split T | alive - T with a path through each side,
-    where T holds the lowest vertex (position 0, so T is odd)."""
-    verts, cadj, ends = _ends_table(g, alive, budget)
-    full = len(ends) - 1
-    if ends[full]:
-        return [_walk(verts, cadj, ends, full)]
-    for t in range(1, full, 2):
-        if ends[t] and ends[full ^ t]:
-            return [_walk(verts, cadj, ends, t), _walk(verts, cadj, ends, full ^ t)]
-    return None
-
-
 def _iter_paths_through(g: Graph, v: int, alive: int, budget: Budget
                         ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """All simple paths of the induced subgraph on ``alive`` that contain v.
+    """All simple paths of the induced subgraph on ``alive`` that contain v,
+    one node each.
 
     Each undirected path is produced exactly once: v splits the path into a
     left and a right arm, and a nonempty left arm is only allowed when its
-    first vertex is smaller than the right arm's first vertex.
+    first vertex is smaller than the right arm's first vertex.  ``g.adj`` is
+    sorted, so the left arm's first step stops there.
     """
     adj = g.adj
     vbit = 1 << v
 
-    def arms(tip: int, used: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    def arms(tip: int, used: int, below: int = g.n
+             ) -> Iterator[tuple[tuple[int, ...], int]]:
         for u in adj[tip]:
+            if u >= below:
+                break
             ub = 1 << u
             if ub & alive and not ub & used:
                 budget.spend()
@@ -215,20 +215,86 @@ def _iter_paths_through(g: Graph, v: int, alive: int, budget: Budget
     yield (v,), vbit
     for right, rmask in arms(v, vbit):
         yield (v,) + right, vbit | rmask
-        for left, lmask in arms(v, vbit | rmask):
-            if left[0] < right[0]:
-                yield tuple(reversed(left)) + (v,) + right, vbit | rmask | lmask
+        for left, lmask in arms(v, vbit | rmask, right[0]):
+            yield left[::-1] + (v,) + right, vbit | rmask | lmask
 
 
 # ---------------------------------------------------------------------------
 # disjoint path covers
 
+class _HandOver(Exception):
+    """The branching spent its allowance without settling the instance."""
+
+
+def _table_cover(g: Graph, alive: int, r: int | None, budget: Budget,
+                 anchors: int | None, failed: Iterable[tuple[int, int | None]]
+                 ) -> list[tuple[int, ...]] | None:
+    """Cover ``alive`` by at most r disjoint paths (r=None: unbounded), each
+    with an end in ``anchors`` when given, read off one table over ``alive``.
+
+    A state is a set S of table positions.  The part T of S that holds S's
+    lowest position is one path exactly when ``ends[T]`` meets the anchors;
+    the parts are tried from S itself down, in decreasing mask order, and the
+    rest of S recurses.  ``failed`` holds (vertex set, r) states already
+    proven uncoverable; they carry over.  Charges one node per state that
+    tries more than one part and one per part tried, in batches, so the
+    charge keeps pace with the time spent (up to 3**|alive| reads)."""
+    verts, cadj, ends = _ends_table(g, alive, budget)
+
+    def pos(mask: int) -> int:
+        out = 0
+        for i, v in enumerate(verts):
+            if mask >> v & 1:
+                out |= 1 << i
+        return out
+
+    aim = -1 if anchors is None else pos(anchors)
+    dead = {(pos(a), rr) for a, rr in failed if not a & ~alive}
+
+    def read(s: int, r: int | None) -> list[tuple[int, ...]] | None:
+        if ends[s] & aim:
+            return [_walk(verts, cadj, ends, s, aim)]
+        key = (s, r)
+        if r == 1 or key in dead:
+            return None
+        budget.spend()
+        low = s & -s
+        rest = s ^ low
+        nxt = None if r is None else r - 1
+        sub = rest
+        tried = 0
+        while sub:
+            sub = (sub - 1) & rest
+            part = sub | low
+            tried += 1
+            if ends[part] & aim:
+                budget.spend(tried)
+                tried = 0
+                tail = read(s ^ part, nxt)
+                if tail is not None:
+                    return [_walk(verts, cadj, ends, part, aim)] + tail
+        budget.spend(tried)
+        dead.add(key)
+        return None
+
+    return read((1 << len(verts)) - 1, r)
+
+
 def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
                        anchors: int | None = None) -> list[tuple[int, ...]] | None:
     """Cover ``alive0`` by disjoint paths: at most k of them (k=None: unbounded),
-    each with an anchored endpoint when ``anchors`` is given.  Exhaustive."""
+    each with an anchored endpoint when ``anchors`` is given.  Exhaustive.
+
+    Where the table over ``alive0`` and as many nodes again fit the budget,
+    the branching hands over to ``_table_cover`` once it has spent the
+    table's price."""
     adj = g.adj_mask
     failed: set[tuple[int, int | None]] = set()
+    price = 1 << alive0.bit_count()
+    # where the table does not fit, the limit is never passed: the budget
+    # runs out first
+    limit = (budget.spent + price if budget.spent + 2 * price <= budget.max_nodes
+             else budget.max_nodes)
 
     def rec(alive: int, r: int | None) -> list[tuple[int, ...]] | None:
         if alive == 0:
@@ -255,16 +321,20 @@ def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
         v = (alive & -alive).bit_length() - 1
         if (r == 2 and anchors is None and len(comps) == 1
                 and len(mask_components(adj, alive & ~(1 << v))) <= 1
-                and budget.spent + (1 << alive.bit_count()) <= budget.max_nodes):
+                and budget.spent + (3 << alive.bit_count() - 1) <= budget.max_nodes):
             # v is no cut vertex, so the first branch below, the path (v,),
-            # would run the DP on alive - v: one table on alive costs about
-            # twice that and settles the whole state.  A table past the node
-            # budget is left to that branch, whose DP may still fit.
-            paths = _two_path_cover(g, alive, budget)
+            # would run the DP on alive - v: one table on alive and its
+            # 2**(|alive| - 1) splits cost three times that and settle the
+            # whole state.  A table past the node budget is left to that
+            # branch, whose DP may still fit.  The reader looks up no state
+            # but this one, so no failed state carries over.
+            paths = _table_cover(g, alive, 2, budget, None, ())
             if paths is None:
                 failed.add(key)
             return paths
         for path, pmask in _iter_paths_through(g, v, alive, budget):
+            if budget.spent > limit:
+                raise _HandOver
             if anchors is not None:
                 if not ((1 << path[0]) | (1 << path[-1])) & anchors:
                     continue
@@ -274,7 +344,10 @@ def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
         failed.add(key)
         return None
 
-    return rec(alive0, k)
+    try:
+        return rec(alive0, k)
+    except _HandOver:
+        return _table_cover(g, alive0, k, budget, anchors, failed)
 
 
 def min_disjoint_path_cover(g: Graph, k: int, budget: Budget | int | None = None,

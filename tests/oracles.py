@@ -76,11 +76,14 @@ def has_hamiltonian_path_brute(g: Graph) -> bool:
     return any(extend(s, 1 << s) for s in range(n))
 
 
-def _has_hamiltonian_path_on(g: Graph, block: tuple[int, ...]) -> bool:
+def _has_hamiltonian_path_on(g: Graph, block: tuple[int, ...], ends: int = -1) -> bool:
+    """Does G[block] have a Hamiltonian path with an end in the mask ``ends``?"""
     if len(block) <= 1:
-        return True
+        return not block or bool(ends >> block[0] & 1)
     for perm in permutations(block):
         if perm[0] > perm[-1]:
+            continue
+        if not (ends >> perm[0] | ends >> perm[-1]) & 1:
             continue
         if all(g.has_edge(a, b) for a, b in zip(perm, perm[1:])):
             return True
@@ -112,15 +115,22 @@ def _set_partitions(items: tuple[int, ...]):
             yield part[:i] + [[head] + part[i]] + part[i + 1:]
 
 
-def path_cover_number_brute(g: Graph) -> int:
-    """Fewest vertex-disjoint paths covering V, by trying every set partition."""
-    best = g.n
-    for part in _set_partitions(tuple(range(g.n))):
-        if len(part) >= best:
+def anchored_path_cover_brute(g: Graph, alive: int, anchors: int) -> int | None:
+    """Fewest vertex-disjoint paths covering ``alive``, each with an end in
+    ``anchors``, by trying every set partition; None when there is no cover."""
+    best = None
+    for part in _set_partitions(tuple(bits(alive))):
+        if best is not None and len(part) >= best:
             continue
-        if all(_has_hamiltonian_path_on(g, tuple(block)) for block in part):
+        if all(_has_hamiltonian_path_on(g, tuple(block), anchors) for block in part):
             best = len(part)
     return best
+
+
+def path_cover_number_brute(g: Graph) -> int:
+    """Fewest vertex-disjoint paths covering V, by trying every set partition."""
+    full = (1 << g.n) - 1
+    return anchored_path_cover_brute(g, full, full)
 
 
 def cycle_cover_number_brute(g: Graph) -> int:

@@ -21,6 +21,7 @@ from sgc.covers import (
 from sgc.errors import CertificateError
 from sgc.graphs import (
     Graph,
+    bits,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -30,6 +31,7 @@ from sgc.graphs import (
 )
 from oracles import (
     _has_hamiltonian_cycle_on,
+    anchored_path_cover_brute,
     cycle_cover_number_brute,
     cycles_through,
     independence_number_brute,
@@ -79,23 +81,35 @@ def graphs(draw, max_n=8):
 
 
 @settings(max_examples=60, deadline=None)
-@given(graphs())
-def test_bounded_path_cover_matches_brute(g):
-    """The exhaustive search (two-path table included) against set partitions."""
+@given(graphs(), st.data())
+def test_bounded_path_cover_matches_brute(g, data):
+    """The exhaustive searches (table reader included) against set
+    partitions: covers by at most k = 1..4 paths, and anchored covers of a
+    random vertex set."""
     number = path_cover_number_brute(g)
-    for k in (1, 2, 3):
+    for k in (1, 2, 3, 4):
         dec = min_disjoint_path_cover(g, k, counting_prune=False)
         assert dec.status == ("yes" if number <= k else "no"), k
         if dec.status == "yes":
             validate_path_cover(g, dec.witness)
             assert len(dec.witness.paths) <= k
+    full = (1 << g.n) - 1
+    alive = data.draw(st.integers(0, full), label="alive")
+    anchors = data.draw(st.integers(0, full), label="anchors") & alive
+    cover = anchored_path_cover(g, alive, anchors, Budget())
+    assert (cover is not None) == (anchored_path_cover_brute(g, alive, anchors) is not None)
+    if cover is not None:
+        assert sorted(v for path in cover for v in path) == list(bits(alive))
+        for path in cover:
+            assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
+            assert (anchors >> path[0] | anchors >> path[-1]) & 1
 
 
 @pytest.mark.parametrize("m", [3, 4])
 def test_two_path_table_settles_lemma4_instance(m):
     """K_{m,2m} with k = 2 and no counting bound: the top state is settled by
-    one subset table (2**3m nodes and the state itself) instead of branching
-    on every path."""
+    one subset table (2**3m nodes, its 2**(3m - 1) splits and the state
+    itself) instead of branching on every path."""
     budget = Budget()
     dec = min_disjoint_path_cover(complete_bipartite(m, 2 * m), 2, budget,
                                   counting_prune=False)
@@ -110,6 +124,43 @@ def test_two_path_table_left_out_past_the_budget():
     dec = min_disjoint_path_cover(path_graph(12), 2, budget)
     assert dec.status == "yes"
     validate_path_cover(path_graph(12), dec.witness)
+
+
+@pytest.mark.parametrize("g, k, anchors, spent", [
+    (complete_bipartite(7, 3), 3, None, 5_885),
+    (complete_bipartite(3, 8), None, 0b111, 10_433),
+    (complete_bipartite(4, 9), None, 0b11, 93_985),
+])
+def test_branching_hands_over_to_the_table(g, k, anchors, spent):
+    """No cover exists: at most k paths with no counting bound, or paths
+    each with an end in ``anchors``.  The branching stops at the table's
+    price (2**n nodes) and one table over the whole graph decides; branching
+    alone took 10,317, 24,192 and 803,310 nodes."""
+    budget = Budget()
+    if anchors is None:
+        assert min_disjoint_path_cover(g, k, budget, counting_prune=False).status == "no"
+    else:
+        assert anchored_path_cover(g, (1 << g.n) - 1, anchors, budget) is None
+    assert budget.spent == spent
+
+
+def test_handed_over_anchored_cover_ends_at_an_anchor():
+    """The anchored search on this six-vertex graph passes the table's price
+    (64 nodes) and hands over.  The table's one path must end at an anchor,
+    1 or 4, not at its lowest end, 0."""
+    g = Graph(6, frozenset({(0, 1), (0, 4), (0, 5), (1, 2), (1, 3), (2, 4),
+                            (3, 4), (3, 5)}))
+    budget = Budget()
+    assert anchored_path_cover(g, 0b111111, 0b10010, budget) == [(2, 4, 3, 5, 0, 1)]
+    assert budget.spent == 129
+
+
+def test_table_settles_what_branching_left_unknown():
+    """K_{5,10} with k = 4 and no counting bound: branching alone ran past
+    the default 10,000,000 nodes; the table over all 15 vertices proves
+    there is no cover."""
+    g = complete_bipartite(5, 10)
+    assert min_disjoint_path_cover(g, 4, counting_prune=False).status == "no"
 
 
 def _spider(legs, length):
@@ -129,10 +180,10 @@ _TREE = Graph(11, frozenset({(0, 8), (0, 9), (1, 3), (2, 4), (2, 5), (2, 6),
 
 
 @pytest.mark.parametrize("g, k, status, spent", [
-    (_spider(4, 3), 2, "no", 188),
-    (_spider(4, 3), 3, "yes", 84),
-    (_TREE, 3, "no", 378),
-    (_TREE, 4, "yes", 504),
+    (_spider(4, 3), 2, "no", 134),
+    (_spider(4, 3), 3, "yes", 45),
+    (_TREE, 3, "no", 334),
+    (_TREE, 4, "yes", 371),
 ])
 def test_two_path_states_without_table_keep_branching(g, k, status, spent):
     """Sparse graphs whose two-path states are disconnected or have a cut

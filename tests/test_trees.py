@@ -290,11 +290,11 @@ def test_decide_sgc_smallest_no_instance():
 
 def test_decide_sgc_theorem2_family_1_nodes():
     """Counting settles the Hamiltonian path and only minimal spines are
-    tried; the full DP and every spine took 10,859 nodes.  67 of the 384 go
+    tried; the full DP and every spine took 10,859 nodes.  43 of the 288 go
     to the failed cover of the first spine, the Warnsdorff walk."""
     budget = Budget()
     assert decide_sgc(theorem2_family(1).graph, budget).status == "no"
-    assert budget.spent == 384 < 10_859
+    assert budget.spent == 288 < 10_859
 
 
 def test_decide_sgc_first_spine_settles_random_14():
