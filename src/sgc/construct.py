@@ -22,9 +22,9 @@ from .search import Budget, Decision, OutOfBudget, as_budget
 from .trees import (
     CaterpillarCertificate,
     SpanningTree,
+    _constrained_tree,
     branch_profile,
     classify_tree,
-    constrained_spanning_tree,
     min_branch_spanning_tree,
     validate_caterpillar_certificate,
     validate_spanning_tree,
@@ -312,7 +312,7 @@ def spanning_3tree_bounded(g: Graph, n_param: int,
     if n_param < 0:
         raise ValueError("n_param must be non-negative")
     budget = as_budget(budget)
-    dec = constrained_spanning_tree(g, n_param, budget, degree_cap=3)
+    dec = _constrained_tree(g, n_param, budget, degree_cap=3)
     if dec.status != "yes":
         return dec
     return Decision("yes", SpanningTree(g, dec.witness))

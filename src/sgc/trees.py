@@ -24,10 +24,17 @@ vertex, so it is a path, joined to Q by one edge of T at a vertex of degree
 at most two in T: one of the path's own ends.  So Q with those legs is found.
 While the Hamiltonian path is unknown, every simple path stays a candidate.
 
-Before that enumeration, ``decide_sgc`` tries one extra spine, the greedy
-walk by Warnsdorff's rule from a vertex of least degree (the Hamiltonian-path
-search's first moves, followed until the walk is stuck).  It often settles a
-graph without a Hamiltonian path at once.  Its cover, like every other,
+Before any spine, ``decide_sgc`` classifies one greedy spanning tree with few
+branch vertices (``_few_branch_tree``), which ``min_branch_spanning_tree``
+also takes as its upper bound on s.  A tree with at most two branch vertices
+is always a generalized caterpillar, and a tree of any class but "other"
+answers "yes" with its validated spine certificate.  The greedy tree runs once
+the Hamiltonian path is not "yes", and first of all where the DP's 2**n
+states do not fit the budget, since the path is never "no" there.
+
+Then ``decide_sgc`` tries one extra spine, the greedy walk by Warnsdorff's
+rule from a vertex of least degree (the Hamiltonian-path search's first
+moves, followed until the walk is stuck).  Its cover, like every other,
 yields a validated certificate, and the enumeration after it is unchanged, so
 a "yes" still carries a checked tree and a "no" is still a proof.
 
@@ -49,6 +56,7 @@ from .errors import CertificateError, GraphError
 from .graphs import (
     Edge,
     Graph,
+    _fewest,
     _mask_reach,
     _warnsdorff_walk,
     bits,
@@ -360,6 +368,55 @@ def _dfs_tree(g: Graph) -> SpanningTree:
     return SpanningTree(g, frozenset(edges))
 
 
+@once_per_instance()
+def _few_branch_tree(g: Graph, budget: Budget) -> SpanningTree:
+    """A spanning tree of a connected graph with few branch vertices, built
+    greedily; kept on the ``Graph`` instance.
+
+    From a start the Warnsdorff walk runs until its tip is stuck.  Then a new
+    leg is walked the same way into the vertices left, from a tree vertex that
+    gains no branch vertex where there is one: a tree vertex of degree at most
+    one (the leg extends a path end), else one of degree three or more, and
+    only then one of degree two (lowest index on ties).  The three vertices of
+    least degree are tried as starts, and the tree with the fewest branch
+    vertices is kept; a start is dropped once it has as many as the best so
+    far, and a tree with at most one ends the search.  Charges one node per
+    vertex placed, a leg at a time.
+    """
+    n = g.n
+    adj = g.adj_mask
+    full = (1 << n) - 1
+    best_count, best_edges = n, []
+    for start in sorted(range(n), key=lambda v: (adj[v].bit_count(), v))[:3]:
+        deg = [0] * n
+        edges = []
+        rest = full ^ 1 << start
+        tip = start
+        branches = 0
+        while True:
+            placed = 0
+            while adj[tip] & rest:
+                nxt = _fewest(adj, adj[tip] & rest, rest)
+                edges.append(norm_edge(tip, nxt))
+                deg[tip] += 1
+                deg[nxt] = 1
+                rest ^= 1 << nxt
+                tip = nxt
+                placed += 1
+            budget.spend(placed)
+            if not rest:
+                best_count, best_edges = branches, edges
+                break
+            tip = min((v for v in bits(full ^ rest) if adj[v] & rest),
+                      key=lambda v: (deg[v] == 2, deg[v] > 2))
+            branches += deg[tip] == 2
+            if branches >= best_count:
+                break
+        if best_count <= 1:
+            break
+    return SpanningTree(g, frozenset(best_edges))
+
+
 def _tree_search(g: Graph, budget: Budget,
                  stop: Callable[[frozenset[Edge]], bool] | None,
                  branch_limit: int | None = None,
@@ -475,6 +532,12 @@ def constrained_spanning_tree(g: Graph, branch_limit: int, budget: Budget,
     a connected one."""
     if not is_connected(g):
         return Decision("no")
+    return _constrained_tree(g, branch_limit, budget, degree_cap)
+
+
+def _constrained_tree(g: Graph, branch_limit: int, budget: Budget,
+                      degree_cap: int | None = None) -> Decision:
+    """``constrained_spanning_tree`` for callers that have found g connected."""
     if g.n <= 2:
         return Decision("yes", g.edges)
     try:
@@ -497,24 +560,39 @@ class MinBranchResult:
 @once_per_instance(lambda result: result.exact)
 def min_branch_spanning_tree(g: Graph, budget: Budget | int | None = None) -> MinBranchResult:
     """s(g) with a spanning tree attaining it; exact results are kept on the
-    ``Graph`` instance, inexact ones are searched again by the next call."""
+    ``Graph`` instance, inexact ones are searched again by the next call.
+
+    The DFS tree bounds s from above.  Once the Hamiltonian path is "no",
+    a DFS tree with two or more branch vertices gives way to the greedy
+    few-branch tree where that has fewer, and only the limits below the
+    better count are searched."""
     if not is_connected(g):
         raise GraphError("min-branch spanning tree needs a connected graph")
     budget = as_budget(budget)
-    base = _dfs_tree(g)
-    best = len(branch_profile(base).branch_vertices)
-    for limit in range(best):
-        if limit == 0:
-            dec = hamiltonian_path(g, budget)
-            if dec.status == "yes":
-                return MinBranchResult(0, _path_as_tree(g, dec.witness), True)
-        else:
-            dec = constrained_spanning_tree(g, limit, budget)
-            if dec.status == "yes":
-                return MinBranchResult(limit, SpanningTree(g, dec.witness), True)
+    tree = _dfs_tree(g)
+    best = len(branch_profile(tree).branch_vertices)
+    if best == 0:
+        return MinBranchResult(0, tree, True)
+    dec = hamiltonian_path(g, budget)
+    if dec.status == "yes":
+        return MinBranchResult(0, _path_as_tree(g, dec.witness), True)
+    if dec.status == "unknown":
+        return MinBranchResult(best, tree, False)
+    if best >= 2:
+        try:
+            greedy = _few_branch_tree(g, budget)
+        except OutOfBudget:
+            return MinBranchResult(best, tree, False)
+        count = len(branch_profile(greedy).branch_vertices)
+        if count < best:
+            best, tree = count, greedy
+    for limit in range(1, best):
+        dec = _constrained_tree(g, limit, budget)
+        if dec.status == "yes":
+            return MinBranchResult(limit, SpanningTree(g, dec.witness), True)
         if dec.status == "unknown":
-            return MinBranchResult(best, base, False)
-    return MinBranchResult(best, base, True)
+            return MinBranchResult(best, tree, False)
+    return MinBranchResult(best, tree, True)
 
 
 # ---------------------------------------------------------------------------
@@ -571,6 +649,15 @@ def _tree_from_spine(g: Graph, spine: tuple[int, ...],
     return cert
 
 
+def _greedy_certificate(g: Graph, budget: Budget) -> CaterpillarCertificate | None:
+    """The greedy few-branch tree's spine certificate, validated; None when
+    that tree is no generalized caterpillar."""
+    cert = classify_tree(_few_branch_tree(g, budget))[1]
+    if cert is not None:
+        validate_caterpillar_certificate(cert)
+    return cert
+
+
 def decide_sgc(g: Graph, budget: Budget | int | None = None) -> Decision:
     """Does g admit a spanning tree whose branch vertices all lie on one path?
 
@@ -585,13 +672,19 @@ def decide_sgc(g: Graph, budget: Budget | int | None = None) -> Decision:
         order = tuple(range(n))
         return Decision("yes", CaterpillarCertificate(_path_as_tree(g, order), order))
 
-    hp = hamiltonian_path(g, budget)
-    if hp.status == "yes":
-        order = hp.witness
-        return Decision("yes", CaterpillarCertificate(_path_as_tree(g, order), order))
-
     full = (1 << n) - 1
     try:
+        # past the DP the Hamiltonian path is never "no", so the greedy tree
+        # goes first there
+        if budget.spent + (1 << n) > budget.max_nodes \
+                and (cert := _greedy_certificate(g, budget)) is not None:
+            return Decision("yes", cert)
+        hp = hamiltonian_path(g, budget)
+        if hp.status == "yes":
+            order = hp.witness
+            return Decision("yes", CaterpillarCertificate(_path_as_tree(g, order), order))
+        if (cert := _greedy_certificate(g, budget)) is not None:
+            return Decision("yes", cert)
         for spine, qmask in chain([_warnsdorff_walk(g.adj_mask, full)],
                                   _spine_candidates(g, budget, hp.status == "no")):
             alive = full & ~qmask

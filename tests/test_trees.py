@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,10 +22,12 @@ from oracles import (
     spanning_tree_count,
     spanning_trees_brute,
 )
-from sgc.search import Budget
+from sgc import trees
+from sgc.search import Budget, OutOfBudget
 from sgc.trees import (
     CaterpillarCertificate,
     SpanningTree,
+    _few_branch_tree,
     _spine_candidates,
     branch_profile,
     classify_tree,
@@ -55,15 +59,16 @@ Y_OF_CHERRIES = new_graph(10, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5),
 
 
 @st.composite
-def near_trees(draw):
-    """A relabelled tree plus at most two extra edges, so that the graph has
-    few spanning trees; the tree is a random one or one without an SGC."""
+def near_trees(draw, max_extra=2):
+    """A relabelled tree plus at most ``max_extra`` extra edges, so that the
+    graph has few spanning trees; the tree is a random one or one without an
+    SGC."""
     tree = draw(st.one_of(connected_graphs(8, 12, max_extra=0),
                           st.sampled_from((Y_OF_CHERRIES, theorem2_family(1).graph))))
     perm = draw(st.permutations(range(tree.n)))
     edges = {norm_edge(perm[u], perm[v]) for u, v in tree.edges}
     pairs = [(i, j) for i in range(tree.n) for j in range(i + 1, tree.n) if (i, j) not in edges]
-    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2))
+    extra = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=max_extra))
     return Graph(tree.n, frozenset(edges) | frozenset(extra))
 
 
@@ -290,22 +295,25 @@ def test_decide_sgc_smallest_no_instance():
 
 def test_decide_sgc_theorem2_family_1_nodes():
     """Counting settles the Hamiltonian path and only minimal spines are
-    tried; the full DP and every spine took 10,859 nodes.  43 of the 288 go
-    to the failed cover of the first spine, the Warnsdorff walk."""
+    tried; the full DP and every spine took 10,859 nodes.  34 of the 322 go
+    to the greedy few-branch tree, which is the graph itself (a tree with
+    four branch vertices off any one path), and 43 to the failed cover of
+    the first spine, the Warnsdorff walk."""
     budget = Budget()
     assert decide_sgc(theorem2_family(1).graph, budget).status == "no"
-    assert budget.spent == 288 < 10_859
+    assert budget.spent == 322 < 10_859
 
 
 def test_decide_sgc_first_spine_settles_random_14():
-    """The graph has no Hamiltonian path; the search proves it and the
-    Warnsdorff walk's spine takes a cover at once.  The DP and the spine
-    enumeration took 34,196 nodes."""
+    """The graph has no Hamiltonian path; the search proves it in 21 nodes,
+    and the greedy few-branch tree, a generalized caterpillar, settles it in
+    33 more before any spine is tried.  The DP and the spine enumeration
+    took 34,196 nodes."""
     g = random_connected(14, 0.3, 100)
     budget = Budget()
     dec = decide_sgc(g, budget)
     assert hamiltonian_path(g).status == "no"
-    assert dec.status == "yes" and budget.spent == 32
+    assert dec.status == "yes" and budget.spent == 54
     validate_caterpillar_certificate(dec.witness)
 
 
@@ -347,3 +355,87 @@ def test_decide_sgc_never_no_under_a_budget_short_of_the_dp(g, data):
     if hp.status == "yes":
         validate_path_cover(g, PathCover((hp.witness,)))
     assert decide_sgc(Graph(g.n, g.edges), Budget(max_nodes=limit)).status != "no"
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_trees(max_extra=3))
+def test_greedy_tree_routes_match_brute(g):
+    """Near-trees mostly have no Hamiltonian path, so s and the SGC decision
+    take the greedy few-branch tree's route; some have no SGC at all."""
+    s = min_branch_brute(g)
+    greedy = _few_branch_tree(Graph(g.n, g.edges), Budget())
+    validate_spanning_tree(greedy)
+    assert len(branch_profile(greedy).branch_vertices) >= s
+    res = min_branch_spanning_tree(Graph(g.n, g.edges))
+    assert res.exact and res.value == s
+    dec = decide_sgc(Graph(g.n, g.edges))
+    assert (dec.status == "yes") == sgc_brute(g)
+    if dec.status == "yes":
+        validate_caterpillar_certificate(dec.witness)
+
+
+def _shared_cliques(k, copies):
+    """``copies`` complete graphs on k vertices sharing vertex 0."""
+    edges, first = [], 1
+    for _ in range(copies):
+        block = [0] + list(range(first, first + k - 1))
+        edges += [(u, v) for i, u in enumerate(block) for v in block[i + 1:]]
+        first += k - 1
+    return new_graph(first, edges)
+
+
+def test_greedy_tree_settles_sgc_past_the_dp():
+    """Three K_9 sharing a vertex (n = 25) have no Hamiltonian path, and
+    2**25 exceeds the default budget, so the path is never "no" there; the
+    greedy tree, a spider at the shared vertex, settles the decision first.
+    Before it the call charged the DP's 2**25 and answered unknown.
+    theorem2_family(2) has no SGC, and its greedy tree is none: it stays
+    unknown."""
+    budget = Budget()
+    dec = decide_sgc(_shared_cliques(9, 3), budget)
+    assert dec.status == "yes" and budget.spent == 24
+    validate_caterpillar_certificate(dec.witness)
+    assert classify_tree(dec.witness.tree)[0] == "spider"
+    assert decide_sgc(theorem2_family(2).graph).status == "unknown"
+
+
+@pytest.mark.parametrize("n, seed", [(18, 501), (16, 302), (16, 303)])
+def test_decide_sgc_greedy_route_nodes(n, seed):
+    """Over 20 labellings of a sparse graph without a Hamiltonian path the
+    greedy tree answers within 128 nodes; the first spine and the spine
+    enumeration took up to 3,673."""
+    base = random_connected(n, 0.2, seed)
+    for r in range(20):
+        perm = list(range(n))
+        random.Random(r).shuffle(perm)
+        g = new_graph(n, [(perm[u], perm[v]) for u, v in base.edges])
+        budget = Budget()
+        dec = decide_sgc(g, budget)
+        assert dec.status == "yes" and budget.spent <= 128
+        validate_caterpillar_certificate(dec.witness)
+
+
+def test_greedy_tree_charges_every_vertex_it_places():
+    g = random_connected(14, 0.3, 100)
+    budget = Budget()
+    _few_branch_tree(Graph(g.n, g.edges), budget)
+    # 13 vertices from the first start, whose tree has two branch vertices;
+    # 10 from each of the other two, dropped at their second branch vertex
+    assert budget.spent == 33
+    with pytest.raises(OutOfBudget):
+        _few_branch_tree(Graph(g.n, g.edges), Budget(max_nodes=32))
+    # the greedy tree goes first past the DP, and one node short it runs out
+    assert decide_sgc(_shared_cliques(9, 3), Budget(max_nodes=23)).status == "unknown"
+
+
+def test_connectivity_is_checked_once_per_call(monkeypatch):
+    """s checks connectivity itself and the Hamiltonian path once; the
+    searches for each branch limit do not check it again."""
+    calls = []
+    real = trees.is_connected
+    monkeypatch.setattr(trees, "is_connected", lambda g: calls.append(g) or real(g))
+    res = min_branch_spanning_tree(random_connected(12, 0.25, 5))
+    assert res.value == 1 and len(calls) == 2
+    calls.clear()
+    assert min_branch_spanning_tree(theorem2_family(1).graph).value == 4
+    assert len(calls) == 1  # counting settles the Hamiltonian path
