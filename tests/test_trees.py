@@ -428,7 +428,7 @@ def test_greedy_tree_charges_every_vertex_it_places():
     assert decide_sgc(_shared_cliques(9, 3), Budget(max_nodes=23)).status == "unknown"
 
 
-def test_connectivity_is_checked_once_per_call(monkeypatch):
+def test_branch_limit_searches_skip_the_connectivity_check(monkeypatch):
     """s checks connectivity itself and the Hamiltonian path once; the
     searches for each branch limit do not check it again."""
     calls = []
