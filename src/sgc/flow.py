@@ -10,8 +10,17 @@ flow.  Every query is a fan: paths from a source to distinct targets, where a
 target takes one unit and has no exit.  An s-t query is the fan from s to the
 neighbours of t, with t appended to each path.  Given a ``limit``, the engine
 stops augmenting once the flow reaches it, so a caller that only asks whether
-a pair beats a bound pays for at most that many paths, and a pair with that
-many common neighbours pays for none.
+a pair beats a bound pays for at most that many paths.
+
+A pair query with a limit first packs vertex-disjoint shortest s-t paths
+(``_packed``): one breadth-first search from s to the first layer that meets
+N(t), then a walk back from each hit through the unused vertices of the
+earlier layers.  The walks mark what they use, so the packed paths are
+disjoint by construction and their count is a lower bound on the flow; when
+it reaches the limit, the answer is the one the flow would give, and no flow
+runs.  Common neighbours are the length-2 paths of the first layer.
+``disjoint_paths`` and ``max_fan`` return paths, not a count, and always run
+the flow.
 """
 from __future__ import annotations
 
@@ -124,18 +133,68 @@ def disjoint_paths(g: Graph, s: int, t: int, limit: int | None = None) -> list[l
     return (direct + [p + [t] for p in fan.paths()])[:limit]
 
 
+def _packed(g: Graph, s: int, t: int, limit: int) -> int:
+    """Vertex-disjoint shortest s-t paths packed greedily, at most ``limit``.
+
+    A breadth-first search from s, never entering t, stops at the first layer
+    that meets N(t).  From each hit, lowest first, the walk steps back to the
+    lowest unused neighbour in each earlier layer down to s, and the path
+    counts when every step finds one.  Its vertices are then marked used, so
+    the counted paths share only s and t, and their number is a lower bound
+    on the pair's local connectivity.
+    """
+    adj = g.adj_mask
+    frontier = 1 << s
+    seen = frontier | 1 << t
+    layers = []
+    while True:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reach |= adj[low.bit_length() - 1]
+        frontier = reach & ~seen
+        if not frontier:
+            return 0
+        hits = frontier & adj[t]
+        if hits:
+            break
+        seen |= frontier
+        layers.append(frontier)
+    layers.reverse()
+    used = count = 0
+    while hits:
+        w = hits & -hits  # one-bit masks from here on
+        hits ^= w
+        path = 0
+        for layer in layers:
+            free = adj[w.bit_length() - 1] & layer & ~used
+            if not free:
+                break
+            w = free & -free
+            path |= w
+        else:
+            used |= path
+            count += 1
+            if count == limit:
+                break
+    return count
+
+
 def min_vertex_separator(g: Graph, s: int, t: int,
                          limit: int | None = None) -> tuple[int, frozenset[int] | None]:
     """Menger for a non-adjacent pair: (local connectivity, witness separator).
 
     With ``limit``, the search stops once ``limit`` disjoint paths are found
     and returns ``(limit, None)``: the pair's connectivity is at least that.
-    Distinct common neighbours are disjoint s-t paths, so a pair with at least
-    ``limit`` of them returns that answer without running a flow.
+    Before the flow, ``_packed`` lays vertex-disjoint shortest s-t paths side
+    by side; they are disjoint by construction, so a pair where it reaches
+    ``limit`` returns that answer without running a flow.  Distinct common
+    neighbours are the paths its first layer yields.
     """
     if s == t or g.has_edge(s, t):
         raise ValueError("separator queries need two distinct non-adjacent vertices")
-    if limit is not None and 0 <= limit <= (g.adj_mask[s] & g.adj_mask[t]).bit_count():
+    if limit is not None and 0 <= limit <= _packed(g, s, t, limit):
         return limit, None
     fan = _fan(g, s, g.adj_mask[t], 1 << s | 1 << t, limit)
     return fan.value, None if fan.cut is None else frozenset(bits(fan.cut))

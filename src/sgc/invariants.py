@@ -2,15 +2,22 @@
 
 The independence number is computed by branch and bound with a greedy
 clique-cover upper bound, which closes quickly on the dense-ish instances this
-package cares about (a few dozen vertices).  Vertex connectivity runs Menger
-flows (``flow.min_vertex_separator``, bitmask augmenting paths over the
-implicit vertex-split graph) on the Esfahanian-Hakimi pair set: a
-minimum-degree vertex v against each non-neighbour, and each non-adjacent pair
-of v's neighbours.  Each flow is capped at the best cut found so far, since a
-pair that reaches it cannot lower the answer.
+package cares about (a few dozen vertices).  Its first lower bound is the
+min-degree greedy, which keeps the live vertices in bitmask buckets by
+residual degree and after each pick counts again only the neighbours of the
+vertices it removed.
 
-Only one flow runs per twin class of pairs, keyed by the unordered pair of
-the two ends' neighbourhood masks.  Vertices with equal neighbourhoods are
+Vertex connectivity runs Menger flows (``flow.min_vertex_separator``, bitmask
+augmenting paths over the implicit vertex-split graph) on the
+Esfahanian-Hakimi pair set: a minimum-degree vertex v against each
+non-neighbour, and each non-adjacent pair of v's neighbours.  The vertex, its
+neighbourhood and both pair lists are read off ``g.adj_mask`` alone.  Each
+query is capped at the best cut found so far, since a pair that reaches it
+cannot lower the answer; a pair whose packed disjoint shortest paths already
+reach it runs no flow.
+
+Only one separator query runs per twin class of pairs, keyed by the
+unordered pair of the two ends' neighbourhood masks.  Vertices with equal neighbourhoods are
 non-adjacent twins, and swapping two of them is an automorphism, so two pairs
 with the same key have equal local connectivity.  A skipped pair therefore
 cannot go strictly below the cut its twin pair already left in the running
@@ -72,20 +79,43 @@ def check_separator(g: Graph, separator: frozenset[int]) -> None:
 
 
 def _greedy_independent(g: Graph) -> int:
-    """Quick initial solution: repeatedly take a minimum-degree surviving vertex."""
-    alive = (1 << g.n) - 1
-    chosen = 0
+    """Quick initial solution: repeatedly take a minimum-degree surviving vertex,
+    the lowest on ties.  Vertices sit in bitmask buckets by residual degree,
+    and after each pick only the live neighbours of the removed vertices are
+    counted again.  The bit loops are inlined: run through ``bits``, the
+    greedy took about 1.7 times as long on graphs of 48-117 vertices."""
     adj = g.adj_mask
+    alive = (1 << g.n) - 1
+    deg = [a.bit_count() for a in adj]
+    buckets = [0] * (g.n + 1)
+    for v, d in enumerate(deg):
+        buckets[d] |= 1 << v
+    chosen = low = 0
     while alive:
-        best_v = -1
-        best_deg = g.n + 1
-        for v in bits(alive):
-            d = (adj[v] & alive).bit_count()
-            if d < best_deg:
-                best_deg = d
-                best_v = v
-        chosen |= 1 << best_v
-        alive &= ~(adj[best_v] | (1 << best_v))
+        while not buckets[low]:
+            low += 1
+        bit = buckets[low] & -buckets[low]
+        chosen |= bit
+        removed = adj[bit.bit_length() - 1] & alive | bit
+        alive ^= removed
+        touched = 0
+        while removed:
+            b = removed & -removed
+            removed ^= b
+            r = b.bit_length() - 1
+            buckets[deg[r]] ^= b
+            touched |= adj[r]
+        touched &= alive
+        while touched:
+            b = touched & -touched
+            touched ^= b
+            u = b.bit_length() - 1
+            d = (adj[u] & alive).bit_count()
+            buckets[deg[u]] ^= b
+            buckets[d] |= b
+            deg[u] = d
+            if d < low:
+                low = d
     return chosen
 
 
@@ -145,9 +175,9 @@ def independence_number(g: Graph, budget: Budget | int | None = None) -> Indepen
 def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     """kappa(g) with a separator of that size.
 
-    The Esfahanian-Hakimi pairs run in order, one flow per key
+    The Esfahanian-Hakimi pairs run in order, one separator query per key
     ``{N(a), N(b)}``: a pair whose ends have the neighbourhoods of an earlier
-    pair's ends is that pair's image under a twin swap, so its flow could not
+    pair's ends is that pair's image under a twin swap, so its query could not
     lower the best cut and the certificate is the one every pair gives.
     """
     n = g.n
@@ -157,14 +187,14 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
         return ConnectivityCertificate(n - 1, None, True)
     if not is_connected(g):
         return ConnectivityCertificate(0, frozenset(), False)
-    v = min(range(n), key=lambda u: (g.degree(u), u))
-    best = g.degree(v)
-    best_sep = frozenset(g.adj[v])
-    nbrs = g.adj[v]
-    pairs = [(v, w) for w in range(n) if w != v and not g.has_edge(v, w)]
-    pairs += [(a, b) for i, a in enumerate(nbrs) for b in nbrs[i + 1:]
-              if not g.has_edge(a, b)]
     adj = g.adj_mask
+    degs = [a.bit_count() for a in adj]
+    best = min(degs)
+    v = degs.index(best)
+    best_sep = frozenset(bits(adj[v]))
+    pairs = [(v, w) for w in bits(((1 << n) - 1) & ~adj[v] & ~(1 << v))]
+    # b runs over v's neighbours above a that miss a
+    pairs += [(a, b) for a in bits(adj[v]) for b in bits(adj[v] & ~adj[a] & -(2 << a))]
     done = set()
     for a, b in pairs:
         key = frozenset((adj[a], adj[b]))

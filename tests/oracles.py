@@ -26,6 +26,27 @@ def independence_number_brute(g: Graph) -> int:
     return best
 
 
+def greedy_independent_reference(g: Graph) -> int:
+    """Quick initial solution: repeatedly take a minimum-degree surviving vertex.
+
+    The min-degree greedy as a full rescan per pick: the bucketed
+    ``invariants._greedy_independent`` must return this very mask."""
+    alive = (1 << g.n) - 1
+    chosen = 0
+    adj = g.adj_mask
+    while alive:
+        best_v = -1
+        best_deg = g.n + 1
+        for v in bits(alive):
+            d = (adj[v] & alive).bit_count()
+            if d < best_deg:
+                best_deg = d
+                best_v = v
+        chosen |= 1 << best_v
+        alive &= ~(adj[best_v] | (1 << best_v))
+    return chosen
+
+
 def _connected_mask(g: Graph, alive: int) -> bool:
     if alive == 0:
         return True

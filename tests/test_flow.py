@@ -96,6 +96,26 @@ def test_min_vertex_separator_matches_brute(g):
                 assert got == ((value, sep) if value < limit else (limit, None))
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(graphs(), twin_rich_graphs()))
+def test_packed_paths_never_exceed_local_connectivity(g):
+    for s in range(g.n):
+        for t in range(g.n):
+            if s == t or g.has_edge(s, t):
+                continue
+            want = _local_connectivity(g, s, t)
+            for limit in range(1, want + 3):
+                assert flow._packed(g, s, t, limit) <= min(want, limit)
+
+
+def test_separator_limit_zero_or_below_answers_zero():
+    # 0 and 3 share the neighbours 1 and 2; 4 and 5 are cut off from 0
+    g = Graph(6, frozenset([(0, 1), (0, 2), (1, 3), (2, 3), (4, 5)]))
+    for s, t in ((0, 3), (0, 4)):
+        assert flow.min_vertex_separator(g, s, t, limit=0) == (0, None)
+        assert flow.min_vertex_separator(g, s, t, limit=-1) == (0, None)
+
+
 @settings(deadline=None)
 @given(graphs())
 def test_disjoint_paths_match_brute(g):
@@ -223,8 +243,11 @@ def test_kappa_of_k_m_2m(m, counted_flows):
 def test_kappa_of_theorem2_family(m, counted_flows):
     assert vertex_connectivity(theorem2_family(m).graph).kappa == \
         expected_theorem2_invariants(m)["kappa"]
-    # one flow per twin class of pairs; a flow per pair made 11, 28, 52, ... 166
-    assert counted_flows["fan"] == 3 * m + 4
+    # one query per twin class of pairs; a query per pair made 11, 28, 52, ... 166
+    assert counted_flows["separator"] == [9, 13, 16, 19, 22, 25][m - 1]
+    # every queried pair packs m disjoint shortest paths, the best cut, so no
+    # flow runs
+    assert counted_flows["fan"] == 0
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 40])

@@ -1,15 +1,21 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sgc.errors import CertificateError
 from sgc.graphs import Graph, bits, complete_bipartite, complete_graph, cycle_graph, path_graph
 from sgc.invariants import (
+    _greedy_independent,
     check_independent_set,
     check_separator,
     independence_number,
     vertex_connectivity,
 )
-from oracles import _connected_mask, independence_number_brute, vertex_connectivity_brute
+from oracles import (
+    _connected_mask,
+    greedy_independent_reference,
+    independence_number_brute,
+    vertex_connectivity_brute,
+)
 from sgc.search import Budget
 
 
@@ -35,6 +41,28 @@ def test_alpha_witness_always_validates(corpus_n5):
 def test_alpha_matches_brute(corpus_n4, corpus_n5):
     for g in corpus_n4 + corpus_n5[::5]:
         assert independence_number(g).alpha == independence_number_brute(g)
+
+
+@st.composite
+def graphs_up_to_40(draw):
+    """Graphs with n <= 40: a random edge list, which at this size leaves most
+    graphs disconnected with many equal degrees, or its complement."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = frozenset(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else frozenset()
+    if draw(st.booleans()):
+        edges = frozenset(pairs) - edges
+    return Graph(n, edges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_up_to_40())
+@example(Graph(0, frozenset()))
+@example(Graph(6, frozenset([(0, 1), (2, 3), (4, 5)])))  # every degree ties
+@example(cycle_graph(9))
+@example(complete_bipartite(4, 4))
+def test_greedy_independent_matches_reference(g):
+    assert _greedy_independent(g) == greedy_independent_reference(g)
 
 
 def test_alpha_budget_exhaustion_keeps_lower_bound():
