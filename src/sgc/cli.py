@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end, run as ``sgc`` or ``python3 -m sgc``.
 
 Four subcommands: ``analyze`` (invariants + caterpillar status for graphs on
 stdin or a file), ``generate`` (family and standard-graph emitters),
@@ -46,7 +46,7 @@ from .families import theorem2_family
 from .invariants import independence_number, vertex_connectivity
 from .search import DEFAULT_NODE_BUDGET, Budget
 from .trees import branch_profile, classify_tree, decide_sgc, min_branch_spanning_tree
-from .verify import EMBEDDED_CORPUS_MAX_N, THEOREM_IDS, Corpus, verify_theorem
+from .verify import EMBEDDED_CORPUS_MAX_N, FAMILY_CHECKS, THEOREM_IDS, Corpus, verify_theorem
 
 
 class _Parser(argparse.ArgumentParser):
@@ -243,7 +243,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     m_values = _parse_m_values(args)
     claims = THEOREM_IDS if args.theorem == "all" else (args.theorem,)
     corpus = None
-    if args.theorem not in ("lemma4", "theorem2"):
+    if args.theorem not in FAMILY_CHECKS:
         # one Corpus object for every claim, so they share the memoized invariants
         if args.corpus == "embedded":
             corpus = Corpus.embedded(EMBEDDED_CORPUS_MAX_N if args.max_n is None else args.max_n)

@@ -3,12 +3,13 @@
 Each claim gets a checker that classifies one input as ``verified`` (claim
 held, certificate validated), ``violation`` (claim demonstrably failed, with a
 replayable witness), ``timeout`` (the per-graph budget ran out first) or
-``skipped`` (hypothesis provably not met, so the claim says nothing).  A run
-over a corpus aggregates these into a ``TheoremReport`` whose JSON form is
-byte-stable except for ``elapsed_ms``.
+``skipped`` (hypothesis provably not met, so the claim says nothing).  One
+loop, ``verify_theorem``, tallies every claim into a ``TheoremReport`` whose
+JSON form is byte-stable except for ``elapsed_ms``.  The checks of theorems 1
+and 3 run the pipelines of ``construct``, whose hypothesis gates they share.
 
-Two claims are family-shaped rather than corpus-shaped: ``lemma4`` (where the
-violations ARE the point — the report documents the refutation) and
+Two claims run over family parameters m instead of a corpus: ``lemma4`` (where
+the violations ARE the point — the report documents the refutation) and
 ``theorem2`` (whose instances grow too fast for whole-graph decision beyond
 m = 1, so larger instances are verified through their proof's sub-claims).
 """
@@ -19,6 +20,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import ceil
+from typing import Callable
 
 from .construct import construct_sgc_theorem1, construct_sgc_theorem3
 from .covers import min_cycle_cover, min_disjoint_path_cover
@@ -39,7 +41,7 @@ from .graphs import (
 )
 from .invariants import independence_number, vertex_connectivity
 from .search import DEFAULT_NODE_BUDGET, Budget, OutOfBudget, as_budget
-from .trees import branch_profile, decide_sgc, min_branch_spanning_tree
+from .trees import CaterpillarCertificate, branch_profile, decide_sgc, min_branch_spanning_tree
 
 THEOREM_IDS = ("lemma3", "lemma4", "lemma5", "theorem1", "corollary",
                "theorem2", "theorem3")
@@ -153,16 +155,12 @@ class Corpus:
         return Corpus(graphs, label=f"random(n={n},p={p},seed={seed})")
 
 
-def _graph_ref(g: Graph, fallback: str) -> str:
-    """graph6 when it fits the short form, else a replayable family token."""
-    return emit_graph6(g) if g.n <= 62 else fallback
-
-
 # --- per-graph checks -------------------------------------------------------
 # Each returns (outcome, detail) with outcome in
-# {"verified", "violation", "timeout", "skipped"}.  Settled alpha, kappa and s
-# stay with the Graph instance (graphs.once_per_instance), so claims run over
-# one Corpus object share them and a kept value charges no budget.
+# {"verified", "violation", "timeout", "skipped"}, and skips a disconnected
+# graph.  Settled alpha, kappa and s stay with the Graph instance
+# (graphs.once_per_instance), so claims run over one Corpus object share them
+# and a kept value charges no budget.
 
 def check_lemma3_bound(g: Graph, budget: Budget | None = None) -> tuple[str, str]:
     """Conjectured bound: s(G) <= 2*ceil(alpha/kappa) - 2 whenever kappa >= 1."""
@@ -203,21 +201,24 @@ def check_lemma5_cycles(g: Graph, budget: Budget | None = None) -> tuple[str, st
     return "timeout", f"cycle cover search at k={k} not settled"
 
 
+def _pipeline_check(construct, g: Graph, budget: Budget | None,
+                    verified: Callable[[CaterpillarCertificate], str]) -> tuple[str, str]:
+    """A constructive claim holds on g when its pipeline, which owns the
+    claim's hypothesis gate, builds a validated certificate."""
+    if not is_connected(g):
+        return "skipped", "hypothesis fails: the graph is disconnected"
+    res = construct(g, budget)
+    if res.status == "ok":
+        return "verified", verified(res.certificate)
+    if res.status == "hypothesis_unmet":
+        return "skipped", f"hypothesis fails: {res.reason}"
+    return "timeout" if res.status == "budget" else "violation", res.reason
+
+
 def check_theorem1(g: Graph, budget: Budget | None = None) -> tuple[str, str]:
     """s(G) <= kappa(G) implies a constructible spanning generalized caterpillar."""
-    budget = as_budget(budget)
-    kappa = vertex_connectivity(g).kappa
-    mb = min_branch_spanning_tree(g, budget)
-    if mb.value > kappa:
-        if not mb.exact:
-            return "timeout", "hypothesis s <= kappa not settled"
-        return "skipped", f"hypothesis fails: s = {mb.value} > kappa = {kappa}"
-    res = construct_sgc_theorem1(g, budget)
-    if res.status == "ok":
-        return "verified", "construction produced a validated certificate"
-    if res.status == "budget":
-        return "timeout", res.reason or "construction ran out of budget"
-    return "violation", res.reason or f"construction failed ({res.status})"
+    return _pipeline_check(construct_sgc_theorem1, g, budget,
+                           lambda cert: "construction produced a validated certificate")
 
 
 def check_corollary(g: Graph, budget: Budget | None = None) -> tuple[str, str]:
@@ -242,24 +243,12 @@ def check_corollary(g: Graph, budget: Budget | None = None) -> tuple[str, str]:
 
 
 def check_theorem3(g: Graph, budget: Budget | None = None) -> tuple[str, str]:
-    """alpha <= 2*kappa + 1 implies a caterpillar certificate of max degree <= 5."""
-    budget = as_budget(budget)
-    kappa = vertex_connectivity(g).kappa
-    alpha_cert = independence_number(g, budget)
-    if not alpha_cert.exhaustive:
-        return "timeout", "independence number not settled"
-    if alpha_cert.alpha > 2 * kappa + 1:
-        return "skipped", (f"hypothesis fails: alpha = {alpha_cert.alpha}"
-                           f" > 2*kappa + 1 = {2 * kappa + 1}")
-    res = construct_sgc_theorem3(g, budget)
-    if res.status == "ok":
-        top = branch_profile(res.certificate.tree).max_degree
-        if top > 5:
-            return "violation", f"certificate has maximum degree {top} > 5"
-        return "verified", f"validated certificate with maximum degree {top} <= 5"
-    if res.status == "budget":
-        return "timeout", res.reason or "construction ran out of budget"
-    return "violation", res.reason or f"construction failed ({res.status})"
+    """alpha <= 2*kappa + 1 implies a caterpillar certificate of max degree <= 5
+    (the pipeline raises CertificateError on one above)."""
+    return _pipeline_check(
+        construct_sgc_theorem3, g, budget,
+        lambda cert: "validated certificate with maximum degree "
+                     f"{branch_profile(cert.tree).max_degree} <= 5")
 
 
 PER_GRAPH_CHECKS = {
@@ -270,31 +259,31 @@ PER_GRAPH_CHECKS = {
     "theorem3": check_theorem3,
 }
 
-EXHAUSTIVE_COVER_LIMIT = 12  # vertex count up to which cover claims are re-searched
+EXHAUSTIVE_COVER_LIMIT = 12  # vertex count up to which cover claims are searched unpruned
 
 
 # --- family checks ----------------------------------------------------------
+# Each takes the family parameter m and never skips.
 
-def _check_lemma4_instance(m: int, budget: Budget) -> tuple[str, str, str]:
+def _check_lemma4_instance(m: int, budget: Budget) -> tuple[str, str]:
     """One K_{m,2m} instance.  Lemma 4 claims two disjoint paths cover any
     graph with alpha = 2*kappa; here alpha = 2m = 2*kappa, yet for m >= 3 the
     cover does not exist.  Violations therefore document the refutation."""
     g = counterexample_bipartite(m)
-    ref = _graph_ref(g, f"family:lemma4:m={m}")
     alpha_cert = independence_number(g, budget)
     kappa = vertex_connectivity(g).kappa
     if not alpha_cert.exhaustive:
-        return "timeout", "independence number not settled", ref
+        return "timeout", "independence number not settled"
     if alpha_cert.alpha != 2 * m or kappa != m:
         return "violation", (f"instance invariants off: alpha={alpha_cert.alpha}"
-                             f" (want {2 * m}), kappa={kappa} (want {m})"), ref
+                             f" (want {2 * m}), kappa={kappa} (want {m})")
     if m <= 2:
         dec = min_disjoint_path_cover(g, 2, budget)
         if dec.status == "yes":
-            return "verified", "two disjoint paths cover K_{%d,%d}" % (m, 2 * m), ref
+            return "verified", "two disjoint paths cover K_{%d,%d}" % (m, 2 * m)
         if dec.status == "no":
-            return "violation", "claim fails already at m = %d" % m, ref
-        return "timeout", "cover search not settled", ref
+            return "violation", "claim fails already at m = %d" % m
+        return "timeout", "cover search not settled"
     # Counting route: a path alternates sides, so each path covers at most one
     # more big-side than small-side vertex; 2 paths reach at most m + 2 < 2m
     # big-side vertices for m >= 3.  The claim is refuted by arithmetic alone.
@@ -303,125 +292,106 @@ def _check_lemma4_instance(m: int, budget: Budget) -> tuple[str, str, str]:
     if g.n <= EXHAUSTIVE_COVER_LIMIT:
         dec = min_disjoint_path_cover(g, 2, budget, counting_prune=False)
         if dec.status == "unknown":
-            return "timeout", "exhaustive cover search not settled", ref
+            return "timeout", "exhaustive cover search not settled"
         if dec.status == "yes":
-            raise AssertionError("solver found a 2-path cover that the counting "
-                                 "bound rules out")
-        return "violation", f"exhaustive search (pruning disabled) confirms no 2-path cover; {counting}", ref
-    return "violation", counting, ref
+            raise AssertionError("solver found a 2-path cover the counting bound rules out")
+        return "violation", f"exhaustive search (pruning disabled) confirms no 2-path cover; {counting}"
+    return "violation", counting
 
 
-def _check_theorem2_instance(m: int, budget: Budget) -> tuple[str, str, str]:
+def _check_theorem2_instance(m: int, budget: Budget) -> tuple[str, str]:
     """One hub-and-copies instance: verify its invariants and that it has no
     spanning generalized caterpillar (whole-graph decision for m = 1, the
     proof's sub-claims beyond)."""
     inst = theorem2_family(m)
     validate_theorem2_instance(inst)
     g = inst.graph
-    ref = _graph_ref(g, f"family:theorem2:m={m}")
     want = expected_theorem2_invariants(m)
     kappa = vertex_connectivity(g).kappa
     if kappa != want["kappa"]:
-        return "violation", f"kappa = {kappa}, want {want['kappa']}", ref
+        return "violation", f"kappa = {kappa}, want {want['kappa']}"
     alpha_cert = independence_number(g, budget)
     if not alpha_cert.exhaustive:
-        return "timeout", "independence number not settled", ref
+        return "timeout", "independence number not settled"
     if alpha_cert.alpha != want["alpha"]:
-        return "violation", f"alpha = {alpha_cert.alpha}, want {want['alpha']}", ref
+        return "violation", f"alpha = {alpha_cert.alpha}, want {want['alpha']}"
     if g.n <= 16:
         dec = decide_sgc(g, budget)
         if dec.status == "no":
-            return ("verified",
-                    "no spanning generalized caterpillar (exhaustive spine search); "
-                    f"alpha = {alpha_cert.alpha}, kappa = {kappa}", ref)
+            return "verified", ("no spanning generalized caterpillar (exhaustive spine "
+                                f"search); alpha = {alpha_cert.alpha}, kappa = {kappa}")
         if dec.status == "yes":
-            return "violation", "instance admits a spanning generalized caterpillar", ref
-        return "timeout", "whole-graph decision not settled", ref
+            return "violation", "instance admits a spanning generalized caterpillar"
+        return "timeout", "whole-graph decision not settled"
     # Sub-claim route.  (a) each copy K_{2m+1,m} needs at least m+1 disjoint
     # paths; (b) a single spine path visiting the m hub vertices offers at most
     # 2m attachment slots, too few for the m+2 copies' 2m+2 required spine
     # visits (pigeonhole: some copy is missed entirely).
     copy = complete_bipartite(2 * m + 1, m)
-    dec = min_disjoint_path_cover(copy, m, budget)
-    if dec.status == "unknown":
-        return "timeout", "copy cover search not settled", ref
-    if dec.status == "yes":
-        return "violation", f"copy K_{{{2 * m + 1},{m}}} covered by {m} paths", ref
-    method = ("exhaustive + counting" if copy.n <= EXHAUSTIVE_COVER_LIMIT
-              else "counting bound")
     if copy.n <= EXHAUSTIVE_COVER_LIMIT:
-        deep = min_disjoint_path_cover(copy, m, budget, counting_prune=False)
-        if deep.status == "yes":
-            raise AssertionError("pruned and exhaustive cover searches disagree")
-        if deep.status == "unknown":
-            return "timeout", "exhaustive copy cover search not settled", ref
+        method = "exhaustive + counting"
+        dec = min_disjoint_path_cover(copy, m, budget, counting_prune=False)
+        if dec.status == "unknown":
+            return "timeout", "exhaustive copy cover search not settled"
+        if dec.status == "yes":
+            return "violation", f"copy K_{{{2 * m + 1},{m}}} covered by {m} paths"
+    else:
+        # a path alternates sides, and the sides differ by m + 1 > m
+        method = "counting bound"
     upper = min_disjoint_path_cover(copy, m + 1, budget)
     if upper.status == "unknown":
-        return "timeout", "copy cover search not settled", ref
+        return "timeout", "copy cover search not settled"
     if upper.status == "no":
-        return "violation", f"copy K_{{{2 * m + 1},{m}}} not covered by {m + 1} paths", ref
-    detail = (f"sub-claims hold: path cover of each copy K_{{{2 * m + 1},{m}}} "
-              f"needs exactly m+1 = {m + 1} disjoint paths ({method}); "
-              f"m+2 = {m + 2} copies need 2m+2 = {2 * m + 2} spine visits, but the "
-              f"m hub vertices admit at most 2m = {2 * m} on one path")
-    return "verified", detail, ref
+        return "violation", f"copy K_{{{2 * m + 1},{m}}} not covered by {m + 1} paths"
+    return "verified", (f"sub-claims hold: path cover of each copy K_{{{2 * m + 1},{m}}} "
+                        f"needs exactly m+1 = {m + 1} disjoint paths ({method}); "
+                        f"m+2 = {m + 2} copies need 2m+2 = {2 * m + 2} spine visits, but the "
+                        f"m hub vertices admit at most 2m = {2 * m} on one path")
 
 
-FAMILY_CHECKS = {
-    "lemma4": _check_lemma4_instance,
-    "theorem2": _check_theorem2_instance,
-}
-
-DEFAULT_M_VALUES = {
-    "lemma4": (1, 2, 3, 4),
-    "theorem2": (1, 2),
-}
+FAMILY_CHECKS = {"lemma4": _check_lemma4_instance, "theorem2": _check_theorem2_instance}
+# the instance each family check examines; instances grow with m
+FAMILY_GRAPHS = {"lemma4": counterexample_bipartite,
+                 "theorem2": lambda m: theorem2_family(m).graph}
+DEFAULT_M_VALUES = {"lemma4": (1, 2, 3, 4), "theorem2": (1, 2)}
 
 
-def _run_family(theorem_id: str, m_values, budget_nodes: int = DEFAULT_NODE_BUDGET,
-                budget_ms: float | None = None) -> TheoremReport:
-    check = FAMILY_CHECKS[theorem_id]
-    m_values = tuple(m_values if m_values is not None
-                     else DEFAULT_M_VALUES[theorem_id])
-    if any(m < 1 for m in m_values):
-        raise ValueError("family parameters must be >= 1")
-    started = time.perf_counter()
-    report = TheoremReport(theorem_id, corpus_size=len(m_values),
-                           hypothesis_count=len(m_values), verified=0)
-    for m in m_values:
-        budget = Budget(budget_nodes, budget_ms)
-        try:
-            outcome, detail, ref = check(m, budget)
-        except OutOfBudget:
-            outcome, detail, ref = "timeout", "budget exhausted", f"family:{theorem_id}:m={m}"
-        if outcome == "verified":
-            report.verified += 1
-        elif outcome == "violation":
-            report.violations.append(Violation(ref, detail))
-        else:
-            report.timeouts += 1
-    report.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    report.check_arithmetic()
-    return report
+def _violation_ref(theorem_id: str, x) -> str:
+    """graph6 of the graph checked; a family token past graph6's short form."""
+    if theorem_id not in FAMILY_GRAPHS:
+        return emit_graph6(x)
+    g = FAMILY_GRAPHS[theorem_id](x)
+    return emit_graph6(g) if g.n <= 62 else f"family:{theorem_id}:m={x}"
+
+
+def _run_check(theorem_id: str, x, budget: Budget) -> tuple[str, str]:
+    """The claim's check on one graph, or one family parameter."""
+    check = PER_GRAPH_CHECKS.get(theorem_id) or FAMILY_CHECKS[theorem_id]
+    try:
+        return check(x, budget)
+    except OutOfBudget:
+        return "timeout", "budget exhausted"
 
 
 def refute_lemma4(m_values=None, budget_nodes: int = DEFAULT_NODE_BUDGET,
                   budget_ms: float | None = None) -> TheoremReport:
     """Run the K_{m,2m} refutation; the returned report's violations carry the
     per-m evidence (exhaustive search where feasible, counting bound beyond)."""
-    return _run_family("lemma4", m_values, budget_nodes, budget_ms)
+    return verify_theorem("lemma4", None, m_values, budget_nodes, budget_ms)
 
 
 def check_theorem2(m_values=None, budget_nodes: int = DEFAULT_NODE_BUDGET,
                    budget_ms: float | None = None) -> TheoremReport:
-    return _run_family("theorem2", m_values, budget_nodes, budget_ms)
+    return verify_theorem("theorem2", None, m_values, budget_nodes, budget_ms)
 
 
 def verify_theorem(theorem_id: str, corpus: Corpus | None = None,
                    m_values=None, budget_nodes: int = DEFAULT_NODE_BUDGET,
                    budget_ms: float | None = None,
                    cache: dict | None = None) -> TheoremReport:
-    """Aggregate one theorem's checker over a corpus (or family parameters).
+    """Tally one claim's outcomes: over the graphs of ``corpus`` (default the
+    embedded corpus) for a per-graph claim, over ``m_values`` (default
+    DEFAULT_M_VALUES) for a family claim.  Each input gets a fresh budget.
 
     ``cache`` is ignored: the per-instance memo took over its job.  It stays
     only because the benchmark harness (perfbench/workloads.py) still passes
@@ -431,26 +401,23 @@ def verify_theorem(theorem_id: str, corpus: Corpus | None = None,
         raise ValueError(f"unknown theorem id {theorem_id!r};"
                          f" expected one of {', '.join(THEOREM_IDS)}")
     if theorem_id in FAMILY_CHECKS:
-        return _run_family(theorem_id, m_values, budget_nodes, budget_ms)
-    if corpus is None:
-        corpus = Corpus.embedded()
-    check = PER_GRAPH_CHECKS[theorem_id]
+        inputs = tuple(DEFAULT_M_VALUES[theorem_id] if m_values is None else m_values)
+        if any(m < 1 for m in inputs):
+            raise ValueError("family parameters must be >= 1")
+    else:
+        inputs = Corpus.embedded() if corpus is None else corpus
     started = time.perf_counter()
-    report = TheoremReport(theorem_id, corpus_size=len(corpus),
+    report = TheoremReport(theorem_id, corpus_size=len(inputs),
                            hypothesis_count=0, verified=0)
-    for g in corpus:
-        budget = Budget(budget_nodes, budget_ms)
-        try:
-            outcome, detail = check(g, budget)
-        except OutOfBudget:
-            outcome, detail = "timeout", "budget exhausted"
+    for x in inputs:
+        outcome, detail = _run_check(theorem_id, x, Budget(budget_nodes, budget_ms))
         if outcome == "skipped":
             continue
         report.hypothesis_count += 1
         if outcome == "verified":
             report.verified += 1
         elif outcome == "violation":
-            report.violations.append(Violation(emit_graph6(g), detail))
+            report.violations.append(Violation(_violation_ref(theorem_id, x), detail))
         else:
             report.timeouts += 1
     report.elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -461,29 +428,23 @@ def verify_theorem(theorem_id: str, corpus: Corpus | None = None,
 def replay_violation(theorem_id: str, violation: Violation,
                      budget_nodes: int = DEFAULT_NODE_BUDGET,
                      budget_ms: float | None = None) -> tuple[str, str]:
-    """Re-run the responsible check on a violation's graph, from scratch."""
-    budget = Budget(budget_nodes, budget_ms)
+    """Re-run the responsible check on a violation's graph, from scratch.
+
+    A family claim's graph6 names the first instance with at least as many
+    vertices, and must be that instance."""
     token = violation.graph6
     if token.startswith("family:"):
         _, fam_id, m_part = token.split(":", 2)
-        if fam_id != theorem_id or not m_part.startswith("m="):
+        if fam_id != theorem_id or fam_id not in FAMILY_CHECKS or not m_part.startswith("m="):
             raise ValueError(f"cannot replay token {token!r} against {theorem_id}")
-        outcome, detail, _ = FAMILY_CHECKS[theorem_id](int(m_part[2:]), budget)
-        return outcome, detail
-    g = parse_graph6(token)
-    if theorem_id in FAMILY_CHECKS:
-        if theorem_id == "lemma4":
-            m = g.n // 3
-            if counterexample_bipartite(m) != g:
-                raise ValueError("graph does not match any K_{m,2m} instance")
-            outcome, detail, _ = _check_lemma4_instance(m, budget)
-            return outcome, detail
-        for m in range(1, 5):
-            inst = theorem2_family(m)
-            if inst.graph.n == g.n:
-                if inst.graph != g:
-                    raise ValueError("graph does not match the same-size family instance")
-                outcome, detail, _ = _check_theorem2_instance(m, budget)
-                return outcome, detail
-        raise ValueError("graph does not match any family instance")
-    return PER_GRAPH_CHECKS[theorem_id](g, budget)
+        x = int(m_part[2:])
+    elif theorem_id in FAMILY_GRAPHS:
+        g = parse_graph6(token)
+        x = 1
+        while (inst := FAMILY_GRAPHS[theorem_id](x)).n < g.n:
+            x += 1
+        if inst != g:
+            raise ValueError(f"graph is not the {theorem_id} instance of its size")
+    else:
+        x = parse_graph6(token)
+    return _run_check(theorem_id, x, Budget(budget_nodes, budget_ms))

@@ -302,6 +302,15 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["n"] == 2
 
 
+def test_package_entry_point():
+    proc = subprocess.run(
+        [sys.executable, "-m", "sgc", "verify", "lemma4", "--m", "1"],
+        capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["theorem_id"] == "lemma4" and report["verified"] == 1
+
+
 def test_default_budget_has_no_deadline():
     """Only the node budget limits a search by default, so an answer does not
     depend on machine load; the wall clock is opt-in."""

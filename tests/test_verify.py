@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from sgc import verify
+from sgc.covers import min_disjoint_path_cover
 from sgc.errors import FormatError
-from sgc.families import counterexample_bipartite
+from sgc.families import counterexample_bipartite, theorem2_family
 from sgc.graphs import (
     Graph,
     complete_bipartite,
@@ -14,7 +16,12 @@ from sgc.graphs import (
     path_graph,
     random_connected,
 )
-from oracles import connected_graph_count
+from oracles import (
+    connected_graph_count,
+    independence_number_brute,
+    min_branch_brute,
+    vertex_connectivity_brute,
+)
 from sgc.search import Budget
 from sgc.verify import (
     PER_GRAPH_CHECKS,
@@ -143,6 +150,24 @@ def test_theorem3_check_outcomes():
     assert outcome == "verified" and "maximum degree" in detail
 
 
+def test_pipeline_gates_match_the_oracles():
+    # theorem1 and theorem3 take their hypothesis gates from the pipelines
+    for g in Corpus.embedded(5):
+        kappa = vertex_connectivity_brute(g)
+        assert (check_theorem1(g)[0] == "skipped") == (min_branch_brute(g) > kappa)
+        assert (check_theorem3(g)[0] == "skipped") == \
+            (independence_number_brute(g) > 2 * kappa + 1)
+
+
+@pytest.mark.parametrize("theorem_id", sorted(PER_GRAPH_CHECKS))
+def test_disconnected_graph_is_skipped(theorem_id):
+    # a user-built Corpus is not filtered for connectivity
+    g = new_graph(4, [(0, 1), (2, 3)])
+    report = verify_theorem(theorem_id, Corpus([g]))
+    assert (report.corpus_size, report.hypothesis_count) == (1, 0)
+    assert replay_violation(theorem_id, Violation(emit_graph6(g), ""))[0] == "skipped"
+
+
 def test_checks_share_a_cache():
     # The per-instance memo keeps the alpha and s that lemma3 settled, so
     # theorem1 on the same instance charges no nodes for them; an equal graph
@@ -235,6 +260,23 @@ def test_lemma4_rejects_bad_parameters():
         refute_lemma4(m_values=(0,))
 
 
+@pytest.mark.parametrize("m, searches", [(2, 1), (3, 1), (4, 0)])
+def test_theorem2_searches_each_copy_once(monkeypatch, m, searches):
+    # one search without the counting bound up to EXHAUSTIVE_COVER_LIMIT
+    # vertices (K_{5,2} and K_{7,3}), the bound alone past it (K_{9,4})
+    pruning = []
+
+    def recording(g, k, budget=None, counting_prune=True):
+        if k == m:
+            pruning.append(counting_prune)
+        return min_disjoint_path_cover(g, k, budget, counting_prune)
+
+    monkeypatch.setattr(verify, "min_disjoint_path_cover", recording)
+    outcome, detail = verify._check_theorem2_instance(m, Budget())
+    assert outcome == "verified", detail
+    assert pruning == [False] * searches
+
+
 def test_theorem2_family_report():
     report = check_theorem2()  # m = 1, 2
     report.check_arithmetic()
@@ -267,6 +309,19 @@ def test_replay_rejects_mismatched_token():
 def test_replay_rejects_non_family_graph():
     with pytest.raises(ValueError):
         replay_violation("lemma4", Violation("Bw", ""))  # K_3 is no K_{1,2}
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_replay_theorem2_from_graph6(m):
+    token = emit_graph6(theorem2_family(m).graph)
+    assert replay_violation("theorem2", Violation(token, ""))[0] == "verified"
+
+
+def test_replay_theorem2_rejects_a_graph_of_instance_size():
+    g = random_connected(30, 0.2, 1)  # as many vertices as the m = 2 instance
+    assert g.n == theorem2_family(2).graph.n
+    with pytest.raises(ValueError):
+        replay_violation("theorem2", Violation(emit_graph6(g), ""))
 
 
 def test_replay_per_graph_check():
