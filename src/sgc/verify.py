@@ -157,8 +157,8 @@ class Corpus:
 
 # --- per-graph checks -------------------------------------------------------
 # Each returns (outcome, detail) with outcome in
-# {"verified", "violation", "timeout", "skipped"}, and skips a disconnected
-# graph.  Settled alpha, kappa and s stay with the Graph instance
+# {"verified", "violation", "timeout", "skipped"}; a disconnected graph fails
+# every hypothesis.  Settled alpha, kappa and s stay with the Graph instance
 # (graphs.once_per_instance), so claims run over one Corpus object share them
 # and a kept value charges no budget.
 
