@@ -57,6 +57,21 @@ table decides, keeping the states the branching already proved uncoverable.
 Easy instances settle before that; hard ones cost about twice the table
 plus its reads.  No counting bound is involved, so the search without
 ``counting_prune`` stays bound-free.
+
+The anchored cover (every path has an end in a set of anchors) adds two
+rules.  Call a vertex of the state S that is no anchor and has at most one
+neighbour in S a *forced end*.  In any cover of S it is an end of its path,
+and since it is no anchor, that path has a second vertex and its other end is
+an anchor.  So two forced ends never share a path, and their paths end at
+distinct anchors of their component.
+- Prune: a component of G[S] with more forced ends than anchors has no cover,
+  and neither has S.  This fails a forced end with no neighbour in S at once:
+  it is a component without an anchor.
+- Branch: where S has a forced end u, the state branches on the paths that
+  start at u and end at an anchor (the lowest such u), not on every path
+  through the lowest vertex.  Every cover of S holds one of them, so the
+  branching stays exhaustive.  The paths come from the same arm walk
+  (``_arms``) as the paths through a vertex, one node per path.
 """
 from __future__ import annotations
 
@@ -187,6 +202,23 @@ def ham_path_in_mask(g: Graph, alive: int, budget: Budget) -> tuple[int, ...] | 
     return _walk(verts, cadj, ends, full) if ends[full] else None
 
 
+def _arms(adj: Sequence[Sequence[int]], alive: int, budget: Budget, tip: int, used: int,
+          below: int | None = None) -> Iterator[tuple[tuple[int, ...], int]]:
+    """All simple paths of the induced subgraph on ``alive`` that leave
+    ``tip`` and avoid ``used``, as (vertices after the tip, their mask), one
+    node each; with ``below``, only those whose first step is below it
+    (``adj`` is sorted, so that step stops there)."""
+    for u in adj[tip]:
+        if below is not None and u >= below:
+            break
+        ub = 1 << u
+        if ub & alive and not ub & used:
+            budget.spend()
+            yield (u,), ub
+            for seq, m in _arms(adj, alive, budget, u, used | ub):
+                yield (u,) + seq, ub | m
+
+
 def _iter_paths_through(g: Graph, v: int, alive: int, budget: Budget
                         ) -> Iterator[tuple[tuple[int, ...], int]]:
     """All simple paths of the induced subgraph on ``alive`` that contain v,
@@ -194,28 +226,14 @@ def _iter_paths_through(g: Graph, v: int, alive: int, budget: Budget
 
     Each undirected path is produced exactly once: v splits the path into a
     left and a right arm, and a nonempty left arm is only allowed when its
-    first vertex is smaller than the right arm's first vertex.  ``g.adj`` is
-    sorted, so the left arm's first step stops there.
+    first vertex is smaller than the right arm's first vertex.
     """
     adj = g.adj
     vbit = 1 << v
-
-    def arms(tip: int, used: int, below: int = g.n
-             ) -> Iterator[tuple[tuple[int, ...], int]]:
-        for u in adj[tip]:
-            if u >= below:
-                break
-            ub = 1 << u
-            if ub & alive and not ub & used:
-                budget.spend()
-                yield (u,), ub
-                for seq, m in arms(u, used | ub):
-                    yield (u,) + seq, ub | m
-
     yield (v,), vbit
-    for right, rmask in arms(v, vbit):
+    for right, rmask in _arms(adj, alive, budget, v, vbit):
         yield (v,) + right, vbit | rmask
-        for left, lmask in arms(v, vbit | rmask, right[0]):
+        for left, lmask in _arms(adj, alive, budget, v, vbit | rmask, right[0]):
             yield left[::-1] + (v,) + right, vbit | rmask | lmask
 
 
@@ -285,7 +303,8 @@ def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
     """Cover ``alive0`` by disjoint paths: at most k of them (k=None: unbounded),
     each with an anchored endpoint when ``anchors`` is given.  Exhaustive.
 
-    Where the table over ``alive0`` and as many nodes again fit the budget,
+    Anchored states are pruned and branched on their forced ends (see the
+    module docstring).  Where the table over ``alive0`` and as many nodes again fit the budget,
     the branching hands over to ``_table_cover`` once it has spent the
     table's price."""
     adj = g.adj_mask
@@ -309,9 +328,18 @@ def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
         if r is not None and len(comps) > r:
             failed.add(key)
             return None
-        if anchors is not None and any(not c & anchors for c in comps):
-            failed.add(key)
-            return None
+        forced = 0
+        if anchors is not None:
+            # a vertex off the anchors with at most one neighbour left ends
+            # its own path, at whose other end lies an anchor
+            for u in bits(alive & ~anchors):
+                near = adj[u] & alive
+                if not near & (near - 1):
+                    forced |= 1 << u
+            if any(not c & anchors or (forced & c).bit_count() > (anchors & c).bit_count()
+                   for c in comps):
+                failed.add(key)
+                return None
         if r == 1 and anchors is None:
             hp = ham_path_in_mask(g, alive, budget)
             if hp is not None:
@@ -332,7 +360,14 @@ def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
             if paths is None:
                 failed.add(key)
             return paths
-        for path, pmask in _iter_paths_through(g, v, alive, budget):
+        if forced:
+            u = (forced & -forced).bit_length() - 1
+            paths = (((u,) + seq, 1 << u | m)
+                     for seq, m in _arms(g.adj, alive, budget, u, 1 << u)
+                     if anchors >> seq[-1] & 1)
+        else:
+            paths = _iter_paths_through(g, v, alive, budget)
+        for path, pmask in paths:
             if budget.spent > limit:
                 raise _HandOver
             if anchors is not None:

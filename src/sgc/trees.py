@@ -38,6 +38,19 @@ moves, followed until the walk is stuck).  Its cover, like every other,
 yields a validated certificate, and the enumeration after it is unchanged, so
 a "yes" still carries a checked tree and a "no" is still a proof.
 
+s decides branch limit 1 as a spanning spider.  The Hamiltonian path is
+"no" by then, so a spanning tree T with at most one branch vertex c is a
+spider: c has tree degree at least three, and T - c is a set of paths (its
+legs), since no other vertex branches.  Each leg joins c by one edge of T
+at a vertex of degree at most two in T: one of the leg's own ends.
+Conversely, disjoint paths covering V - c, each with an end next to c, give
+a tree whose only possible branch vertex is c.  So the limit holds exactly
+when some centre c has an anchored path cover of V - c with anchors N(c),
+the search ``decide_sgc`` runs for the one-vertex spine (c,).  Each leg
+ends in a leaf of T, and every vertex of degree one in G is a leaf, so a
+centre needs at least as many neighbours as G has such vertices.  Limits of
+two and more keep the include/exclude edge search.
+
 ``hamiltonian_path`` searches first and falls back on the Held-Karp DP.  Its
 "no" is returned only where the DP's 2**n states fit the budget, so every
 answer it gives is the one the DP would give (see its docstring).
@@ -547,6 +560,29 @@ def _constrained_tree(g: Graph, branch_limit: int, budget: Budget,
     return Decision("yes", tree) if tree is not None else Decision("no")
 
 
+def _spanning_spider(g: Graph, budget: Budget) -> Decision:
+    """Is there a spanning tree with at most one branch vertex, in a
+    connected graph with no Hamiltonian path?  Witness is the tree's edge set.
+
+    Such a tree is a spider, whose legs are an anchored path cover of V - c
+    with anchors N(c) for its centre c (see the module docstring).  Centres
+    are tried by degree, highest first, ties by index, down to three
+    neighbours and to as many as g has vertices of degree one."""
+    adj = g.adj_mask
+    full = (1 << g.n) - 1
+    least = max(3, sum(m.bit_count() == 1 for m in adj))
+    try:
+        for c in sorted(range(g.n), key=lambda v: (-adj[v].bit_count(), v)):
+            if adj[c].bit_count() < least:
+                break
+            legs = anchored_path_cover(g, full ^ 1 << c, adj[c], budget)
+            if legs is not None:
+                return Decision("yes", _tree_from_spine(g, (c,), legs).tree.tree_edges)
+    except OutOfBudget:
+        return Decision("unknown")
+    return Decision("no")
+
+
 @dataclass(frozen=True)
 class MinBranchResult:
     """Least branch-vertex count over spanning trees; inexact results carry
@@ -562,10 +598,13 @@ def min_branch_spanning_tree(g: Graph, budget: Budget | int | None = None) -> Mi
     """s(g) with a spanning tree attaining it; exact results are kept on the
     ``Graph`` instance, inexact ones are searched again by the next call.
 
-    The DFS tree bounds s from above.  Once the Hamiltonian path is "no",
-    a DFS tree with two or more branch vertices gives way to the greedy
-    few-branch tree where that has fewer, and only the limits below the
-    better count are searched."""
+    The DFS tree bounds s from above.  A DFS tree with two or more branch
+    vertices gives way to the greedy few-branch tree where that has fewer,
+    once the Hamiltonian path is "no", or first of all where the DP's 2**n
+    states do not fit the budget (the path is never "no" there).  Only the
+    limits below the better count are searched: limit 1 as a spanning
+    spider (``_spanning_spider``), the others by the include/exclude edge
+    search."""
     if not is_connected(g):
         raise GraphError("min-branch spanning tree needs a connected graph")
     budget = as_budget(budget)
@@ -573,21 +612,30 @@ def min_branch_spanning_tree(g: Graph, budget: Budget | int | None = None) -> Mi
     best = len(branch_profile(tree).branch_vertices)
     if best == 0:
         return MinBranchResult(0, tree, True)
-    dec = hamiltonian_path(g, budget)
-    if dec.status == "yes":
-        return MinBranchResult(0, _path_as_tree(g, dec.witness), True)
-    if dec.status == "unknown":
-        return MinBranchResult(best, tree, False)
-    if best >= 2:
-        try:
-            greedy = _few_branch_tree(g, budget)
-        except OutOfBudget:
-            return MinBranchResult(best, tree, False)
+
+    def fewer() -> tuple[int, SpanningTree]:
+        greedy = _few_branch_tree(g, budget)
         count = len(branch_profile(greedy).branch_vertices)
-        if count < best:
-            best, tree = count, greedy
+        return (count, greedy) if count < best else (best, tree)
+
+    try:
+        # past the DP the Hamiltonian path is never "no", so the greedy tree
+        # goes first there
+        if best >= 2 and budget.spent + (1 << g.n) > budget.max_nodes:
+            best, tree = fewer()
+            if best == 0:
+                return MinBranchResult(0, tree, True)
+        dec = hamiltonian_path(g, budget)
+        if dec.status == "yes":
+            return MinBranchResult(0, _path_as_tree(g, dec.witness), True)
+        if dec.status == "unknown":
+            return MinBranchResult(best, tree, False)
+        if best >= 2:
+            best, tree = fewer()  # kept on the instance: free when it ran above
+    except OutOfBudget:
+        return MinBranchResult(best, tree, False)
     for limit in range(1, best):
-        dec = _constrained_tree(g, limit, budget)
+        dec = _spanning_spider(g, budget) if limit == 1 else _constrained_tree(g, limit, budget)
         if dec.status == "yes":
             return MinBranchResult(limit, SpanningTree(g, dec.witness), True)
         if dec.status == "unknown":

@@ -225,6 +225,8 @@ def check_corollary(g: Graph, budget: Budget | None = None) -> tuple[str, str]:
     """alpha <= (kappa^2 + kappa) / 2 implies a spanning generalized caterpillar."""
     budget = as_budget(budget)
     kappa = vertex_connectivity(g).kappa
+    if kappa < 1:  # the bound is 0, below any alpha
+        return "skipped", "hypothesis needs kappa >= 1"
     alpha_cert = independence_number(g, budget)
     if not alpha_cert.exhaustive:
         return "timeout", "independence number not settled"

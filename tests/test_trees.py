@@ -27,7 +27,9 @@ from sgc.search import Budget, OutOfBudget
 from sgc.trees import (
     CaterpillarCertificate,
     SpanningTree,
+    _constrained_tree,
     _few_branch_tree,
+    _spanning_spider,
     _spine_candidates,
     branch_profile,
     classify_tree,
@@ -264,6 +266,75 @@ def test_min_branch_budget_gives_upper_bound():
     assert res.value == len(branch_profile(res.tree).branch_vertices)
 
 
+def _without_hamiltonian_path(sizes, p, seeds):
+    for n in sizes:
+        for seed in seeds:
+            g = random_connected(n, p, seed)
+            if hamiltonian_path(g).status == "no":
+                yield g
+
+
+def _check_spider(g, dec):
+    if dec.status == "yes":
+        tree = SpanningTree(g, dec.witness)
+        validate_spanning_tree(tree)
+        assert len(branch_profile(tree).branch_vertices) <= 1
+
+
+def test_spanning_spider_matches_brute():
+    """Without a Hamiltonian path, a spanning tree with at most one branch
+    vertex is a spider, so the spider search says yes exactly when s <= 1."""
+    graphs = [g for p in (0.25, 0.35) for g in _without_hamiltonian_path((7, 8, 9), p, range(40))]
+    assert len(graphs) == 94
+    for g in graphs:
+        dec = _spanning_spider(g, Budget())
+        assert (dec.status == "yes") == (min_branch_brute(g) <= 1)
+        _check_spider(g, dec)
+        res = min_branch_spanning_tree(g)
+        assert res.exact and res.value == min_branch_brute(g)
+
+
+def test_spanning_spider_matches_the_edge_search():
+    graphs = list(_without_hamiltonian_path(range(12, 17), 0.18, range(18)))
+    assert len(graphs) == 62
+    answers = []
+    for g in graphs:
+        dec = _spanning_spider(g, Budget())
+        assert dec.status == _constrained_tree(g, 1, Budget()).status
+        _check_spider(g, dec)
+        answers.append(dec.status)
+    assert answers.count("yes") == 46
+
+
+@pytest.mark.parametrize("n, seed, s, spent, before", [
+    (16, 302, 2, 310, 1_731),
+    (14, 3, 2, 163, 195),
+    (16, 303, 1, 56, 260),
+])
+def test_min_branch_spider_route_nodes(n, seed, s, spent, before):
+    """The graphs of the search-random benchmark where s reaches branch
+    limit 1; ``before`` is what the include/exclude edge search took."""
+    budget = Budget()
+    res = min_branch_spanning_tree(random_connected(n, 0.2, seed), budget)
+    assert res.exact and res.value == s
+    assert budget.spent == spent < before
+
+
+@pytest.mark.parametrize("n, p, seed, s, dfs", [
+    (24, 0.12, 3, 3, 3),
+    (30, 0.1, 1, 3, 8),
+    (40, 0.07, 3, 9, 12),
+])
+def test_min_branch_past_the_dp_takes_the_greedy_tree(n, p, seed, s, dfs):
+    """Past the DP the Hamiltonian path is never "no", so s stays an upper
+    bound: the smaller branch count of the DFS tree (``dfs``) and the greedy
+    few-branch tree."""
+    res = min_branch_spanning_tree(random_connected(n, p, seed))
+    assert not res.exact and res.value == s <= dfs
+    validate_spanning_tree(res.tree)
+    assert len(branch_profile(res.tree).branch_vertices) == s
+
+
 def test_decide_sgc_examples():
     assert decide_sgc(complete_bipartite(3, 6)).status == "yes"
     assert decide_sgc(path_graph(2)).status == "yes"
@@ -295,13 +366,16 @@ def test_decide_sgc_smallest_no_instance():
 
 def test_decide_sgc_theorem2_family_1_nodes():
     """Counting settles the Hamiltonian path and only minimal spines are
-    tried; the full DP and every spine took 10,859 nodes.  34 of the 322 go
+    tried; the full DP and every spine took 10,859 nodes.  34 of the 97 go
     to the greedy few-branch tree, which is the graph itself (a tree with
-    four branch vertices off any one path), and 43 to the failed cover of
-    the first spine, the Warnsdorff walk."""
+    four branch vertices off any one path), and one to each of the 11 failed
+    leg covers: the graph is a tree, so every spine leaves a non-anchor leaf
+    too many in some component, and the anchored cover's first state fails
+    (the failed cover of the first spine, the Warnsdorff walk, took 43
+    nodes before that rule, and the whole decision 322)."""
     budget = Budget()
     assert decide_sgc(theorem2_family(1).graph, budget).status == "no"
-    assert budget.spent == 322 < 10_859
+    assert budget.spent == 97 < 10_859
 
 
 def test_decide_sgc_first_spine_settles_random_14():

@@ -168,6 +168,13 @@ def test_disconnected_graph_is_skipped(theorem_id):
     assert replay_violation(theorem_id, Violation(emit_graph6(g), ""))[0] == "skipped"
 
 
+@pytest.mark.parametrize("theorem_id", sorted(PER_GRAPH_CHECKS))
+def test_disconnected_graph_is_skipped_before_any_search(theorem_id):
+    # no budget is needed to see that kappa = 0 fails every hypothesis
+    g = new_graph(4, [(0, 1), (2, 3)])
+    assert PER_GRAPH_CHECKS[theorem_id](g, Budget(max_nodes=0))[0] == "skipped"
+
+
 def test_checks_share_a_cache():
     # The per-instance memo keeps the alpha and s that lemma3 settled, so
     # theorem1 on the same instance charges no nodes for them; an equal graph
