@@ -71,7 +71,11 @@ distinct anchors of their component.
   start at u and end at an anchor (the lowest such u), not on every path
   through the lowest vertex.  Every cover of S holds one of them, so the
   branching stays exhaustive.  The paths come from the same arm walk
-  (``_arms``) as the paths through a vertex, one node per path.
+  (``_arms``) as the paths through a vertex, one node per path.  They grow
+  at one end only, so a step that leaves a vertex y off the anchors with no
+  neighbour outside the path, y not next to the new tip, is left out with
+  every path through it: no later tip is next to y, and y would be left
+  alone, a component without an anchor.
 """
 from __future__ import annotations
 
@@ -202,20 +206,30 @@ def ham_path_in_mask(g: Graph, alive: int, budget: Budget) -> tuple[int, ...] | 
     return _walk(verts, cadj, ends, full) if ends[full] else None
 
 
-def _arms(adj: Sequence[Sequence[int]], alive: int, budget: Budget, tip: int, used: int,
-          below: int | None = None) -> Iterator[tuple[tuple[int, ...], int]]:
+def _arms(g: Graph, alive: int, budget: Budget, tip: int, used: int,
+          below: int | None = None, anchors: int | None = None
+          ) -> Iterator[tuple[tuple[int, ...], int]]:
     """All simple paths of the induced subgraph on ``alive`` that leave
     ``tip`` and avoid ``used``, as (vertices after the tip, their mask), one
     node each; with ``below``, only those whose first step is below it
-    (``adj`` is sorted, so that step stops there)."""
-    for u in adj[tip]:
-        if below is not None and u >= below:
+    (``g.adj`` is sorted, so that step stops there).  With ``anchors``, a step
+    is left out, with every path through it, when it strands a vertex off the
+    anchors: one next to the old tip, not next to the new one, with no
+    neighbour left outside the path."""
+    adj = g.adj_mask
+    stop = g.n if below is None else below
+    for u in g.adj[tip]:
+        if u >= stop:
             break
         ub = 1 << u
         if ub & alive and not ub & used:
+            if anchors is not None:
+                rest = alive & ~used & ~ub
+                if any(not adj[y] & rest for y in bits(adj[tip] & rest & ~anchors & ~adj[u])):
+                    continue
             budget.spend()
             yield (u,), ub
-            for seq, m in _arms(adj, alive, budget, u, used | ub):
+            for seq, m in _arms(g, alive, budget, u, used | ub, None, anchors):
                 yield (u,) + seq, ub | m
 
 
@@ -228,12 +242,11 @@ def _iter_paths_through(g: Graph, v: int, alive: int, budget: Budget
     left and a right arm, and a nonempty left arm is only allowed when its
     first vertex is smaller than the right arm's first vertex.
     """
-    adj = g.adj
     vbit = 1 << v
     yield (v,), vbit
-    for right, rmask in _arms(adj, alive, budget, v, vbit):
+    for right, rmask in _arms(g, alive, budget, v, vbit):
         yield (v,) + right, vbit | rmask
-        for left, lmask in _arms(adj, alive, budget, v, vbit | rmask, right[0]):
+        for left, lmask in _arms(g, alive, budget, v, vbit | rmask, right[0]):
             yield left[::-1] + (v,) + right, vbit | rmask | lmask
 
 
@@ -304,9 +317,9 @@ def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
     each with an anchored endpoint when ``anchors`` is given.  Exhaustive.
 
     Anchored states are pruned and branched on their forced ends (see the
-    module docstring).  Where the table over ``alive0`` and as many nodes again fit the budget,
-    the branching hands over to ``_table_cover`` once it has spent the
-    table's price."""
+    module docstring).  Where the table over ``alive0`` and as many nodes
+    again fit the budget, the branching hands over to ``_table_cover`` once
+    it has spent the table's price."""
     adj = g.adj_mask
     failed: set[tuple[int, int | None]] = set()
     price = 1 << alive0.bit_count()
@@ -363,7 +376,7 @@ def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
         if forced:
             u = (forced & -forced).bit_length() - 1
             paths = (((u,) + seq, 1 << u | m)
-                     for seq, m in _arms(g.adj, alive, budget, u, 1 << u)
+                     for seq, m in _arms(g, alive, budget, u, 1 << u, None, anchors)
                      if anchors >> seq[-1] & 1)
         else:
             paths = _iter_paths_through(g, v, alive, budget)

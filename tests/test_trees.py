@@ -307,8 +307,8 @@ def test_spanning_spider_matches_the_edge_search():
 
 
 @pytest.mark.parametrize("n, seed, s, spent, before", [
-    (16, 302, 2, 310, 1_731),
-    (14, 3, 2, 163, 195),
+    (16, 302, 2, 155, 1_731),
+    (14, 3, 2, 80, 195),
     (16, 303, 1, 56, 260),
 ])
 def test_min_branch_spider_route_nodes(n, seed, s, spent, before):
