@@ -313,7 +313,8 @@ def test_spanning_spider_matches_the_edge_search():
 ])
 def test_min_branch_spider_route_nodes(n, seed, s, spent, before):
     """The graphs of the search-random benchmark where s reaches branch
-    limit 1; ``before`` is what the include/exclude edge search took."""
+    limit 1; ``before`` is what s took with the include/exclude edge search
+    at limit 1."""
     budget = Budget()
     res = min_branch_spanning_tree(random_connected(n, 0.2, seed), budget)
     assert res.exact and res.value == s
