@@ -10,6 +10,7 @@ from sgc.covers import (
     PathCover,
     _entries_through,
     _posa_cover,
+    _table_cover,
     anchored_path_cover,
     cycle_cover_number,
     min_cycle_cover,
@@ -95,7 +96,11 @@ def test_bounded_path_cover_matches_brute(g, data):
             assert len(dec.witness.paths) <= k
     full = (1 << g.n) - 1
     alive = data.draw(st.integers(0, full), label="alive")
-    anchors = data.draw(st.integers(0, full), label="anchors") & alive
+    _check_anchored_cover(g, alive, data.draw(st.integers(0, full), label="anchors") & alive)
+
+
+def _check_anchored_cover(g, alive, anchors):
+    """``anchored_path_cover`` against set partitions."""
     cover = anchored_path_cover(g, alive, anchors, Budget())
     assert (cover is not None) == (anchored_path_cover_brute(g, alive, anchors) is not None)
     if cover is not None:
@@ -103,6 +108,57 @@ def test_bounded_path_cover_matches_brute(g, data):
         for path in cover:
             assert all(g.has_edge(a, b) for a, b in zip(path, path[1:]))
             assert (anchors >> path[0] | anchors >> path[-1]) & 1
+
+
+@st.composite
+def twin_graphs(draw, max_n=9):
+    """A random graph on 2-4 vertices blown up into classes of twins (each
+    vertex becomes an independent set, each edge a complete bipartite join),
+    with at most 2 random edges added and the vertices relabelled."""
+    base = draw(st.integers(min_value=2, max_value=4))
+    joins = draw(st.lists(st.sampled_from([(i, j) for i in range(base)
+                                           for j in range(i + 1, base)]), unique=True))
+    sizes = []
+    for i in range(base):
+        room = max_n - sum(sizes) - (base - 1 - i)
+        sizes.append(draw(st.integers(min_value=1, max_value=min(4, room))))
+    cls = [c for c, size in enumerate(sizes) for _ in range(size)]
+    n = len(cls)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = {(i, j) for i, j in pairs if (cls[i], cls[j]) in joins}
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=2)))
+    label = draw(st.permutations(range(n)))
+    return Graph(n, frozenset((min(label[i], label[j]), max(label[i], label[j]))
+                              for i, j in edges))
+
+
+@settings(max_examples=60, deadline=None)
+@given(twin_graphs(), st.data())
+def test_twin_rules_match_brute(g, data):
+    """One path per twin orbit keeps the searches exhaustive: covers by k
+    paths for k around the path cover number, with and without the counting
+    bound, and anchored covers of a random vertex set, against set
+    partitions."""
+    number = path_cover_number_brute(g)
+    for k in (number - 1, number, number + 1):
+        for prune in (True, False):
+            dec = min_disjoint_path_cover(g, k, counting_prune=prune)
+            assert dec.status == ("yes" if number <= k else "no"), (k, prune)
+            if dec.status == "yes":
+                validate_path_cover(g, dec.witness)
+                assert len(dec.witness.paths) <= k
+    full = (1 << g.n) - 1
+    alive = data.draw(st.integers(1, full), label="alive")
+    _check_anchored_cover(g, alive, data.draw(st.integers(0, full), label="anchors") & alive)
+
+
+def test_anchored_twins_split_in_the_paths_through_a_vertex():
+    """K_{2,4} with sides {0, 5} and {1, 2, 3, 4} and anchors {0, 1, 2, 5}:
+    the cover 4-0-3-5-1 plus {2} exists.  The paths through 1 must tell the
+    anchored twins 1 and 2 from the others, 3 and 4."""
+    g = Graph(6, frozenset((min(a, b), max(a, b)) for a in (0, 5) for b in (1, 2, 3, 4)))
+    _check_anchored_cover(g, 0b111111, 0b100111)
+    assert anchored_path_cover(g, 0b111111, 0b100111, Budget()) is not None
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -127,24 +183,52 @@ def test_two_path_table_left_out_past_the_budget():
 
 
 @pytest.mark.parametrize("g, k, anchors, spent", [
-    (complete_bipartite(7, 3), 3, None, 5_885),
-    (complete_bipartite(3, 8), None, 0b111, 9_185),
-    (complete_bipartite(4, 9), None, 0b11, 93_985),
+    (complete_bipartite(7, 3), 3, None, 118),
+    (complete_bipartite(3, 8), None, 0b111, 43),
+    (complete_bipartite(4, 9), None, 0b11, 154),
 ])
-def test_branching_hands_over_to_the_table(g, k, anchors, spent):
+def test_twins_prune_the_complete_bipartite_covers(g, k, anchors, spent):
     """No cover exists: at most k paths with no counting bound, or paths
-    each with an end in ``anchors``.  The branching stops at the table's
-    price (2**n nodes) and one table over the whole graph decides; branching
-    alone took 10,317, 24,192 and 803,310 nodes.  On K_{3,8} the anchored
-    rules (a non-anchor vertex with one neighbour left ends its own path)
-    prune the branching before the table: it took 10,433 nodes without
-    them."""
+    each with an end in ``anchors``.  Each side is one twin class (split by
+    the anchors), so the branching takes one path per orbit and settles
+    below the table's price (2**n nodes).  The search that took every
+    labelling handed over to the table at 5,885, 9,185 and 93,985 nodes."""
     budget = Budget()
     if anchors is None:
         assert min_disjoint_path_cover(g, k, budget, counting_prune=False).status == "no"
     else:
         assert anchored_path_cover(g, (1 << g.n) - 1, anchors, budget) is None
-    assert budget.spent == spent
+    assert budget.spent == spent < 1 << g.n
+
+
+@pytest.mark.parametrize("g, k, anchors, status, spent", [
+    (random_connected(9, 0.5, 26), 3, None, "yes", 1_095),
+    (random_connected(9, 0.3, 28), None, 0b1, "no", 1_800),
+    (random_connected(10, 0.4, 31), None, 0b101, "no", 6_828),
+])
+def test_branching_hands_over_to_the_table(g, k, anchors, status, spent, monkeypatch):
+    """Twin-free graphs, where the branching runs past the table's price
+    (2**n nodes) and one table over the whole graph decides, keeping the
+    states the branching proved uncoverable."""
+    full = (1 << g.n) - 1
+    handed = []
+
+    def table(g_, alive, r, budget, anchors_, failed):
+        handed.append((alive, r, anchors_))
+        return _table_cover(g_, alive, r, budget, anchors_, failed)
+
+    monkeypatch.setattr(covers, "_table_cover", table)
+    assert len(set(g.adj_mask)) == g.n
+    budget = Budget()
+    if anchors is None:
+        dec = min_disjoint_path_cover(g, k, budget, counting_prune=False)
+        assert dec.status == status
+        if status == "yes":
+            validate_path_cover(g, dec.witness)
+    else:
+        assert (anchored_path_cover(g, full, anchors, budget) is not None) == (status == "yes")
+    assert handed[-1] == (full, k, anchors)
+    assert budget.spent == spent > 1 << g.n
 
 
 def test_handed_over_anchored_cover_ends_at_an_anchor():
@@ -158,11 +242,15 @@ def test_handed_over_anchored_cover_ends_at_an_anchor():
 
 
 def test_table_settles_what_branching_left_unknown():
-    """K_{5,10} with k = 4 and no counting bound: branching alone ran past
-    the default 10,000,000 nodes; the table over all 15 vertices proves
-    there is no cover."""
-    g = complete_bipartite(5, 10)
-    assert min_disjoint_path_cover(g, 4, counting_prune=False).status == "no"
+    """K_{5,10} and K_{6,12} with k = 4 and no counting bound: branching on
+    every labelling ran past the default 10,000,000 nodes on both, and the
+    table over all 15 vertices settled the first.  One path per twin orbit
+    settles both below the table's price."""
+    for a, spent in ((5, 497), (6, 970)):
+        budget = Budget()
+        g = complete_bipartite(a, 2 * a)
+        assert min_disjoint_path_cover(g, 4, budget, counting_prune=False).status == "no"
+        assert budget.spent == spent
 
 
 def _spider(legs, length):
@@ -184,13 +272,15 @@ _TREE = Graph(11, frozenset({(0, 8), (0, 9), (1, 3), (2, 4), (2, 5), (2, 6),
 @pytest.mark.parametrize("g, k, status, spent", [
     (_spider(4, 3), 2, "no", 134),
     (_spider(4, 3), 3, "yes", 45),
-    (_TREE, 3, "no", 334),
-    (_TREE, 4, "yes", 371),
+    (_TREE, 3, "no", 108),
+    (_TREE, 4, "yes", 203),
 ])
 def test_two_path_states_without_table_keep_branching(g, k, status, spent):
     """Sparse graphs whose two-path states are disconnected or have a cut
     vertex as lowest vertex: they branch on paths, with the node counts of
-    the search that branched in every state."""
+    the search that branched in every state.  The leaves 5, 6 and 10 of
+    ``_TREE`` are twins, so its branching takes one of them per orbit
+    (334 and 371 nodes when it took each)."""
     budget = Budget()
     dec = min_disjoint_path_cover(g, k, budget, counting_prune=False)
     assert (dec.status, budget.spent) == (status, spent)

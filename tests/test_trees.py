@@ -308,13 +308,14 @@ def test_spanning_spider_matches_the_edge_search():
 
 @pytest.mark.parametrize("n, seed, s, spent, before", [
     (16, 302, 2, 155, 1_731),
-    (14, 3, 2, 80, 195),
+    (14, 3, 2, 75, 195),
     (16, 303, 1, 56, 260),
 ])
 def test_min_branch_spider_route_nodes(n, seed, s, spent, before):
     """The graphs of the search-random benchmark where s reaches branch
     limit 1; ``before`` is what s took with the include/exclude edge search
-    at limit 1."""
+    at limit 1.  In (14, 3) the vertices 0 and 9 are twins, and the leg
+    covers take one of them per orbit (80 nodes when they took each)."""
     budget = Budget()
     res = min_branch_spanning_tree(random_connected(n, 0.2, seed), budget)
     assert res.exact and res.value == s
