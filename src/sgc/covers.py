@@ -250,7 +250,7 @@ def _arms(g: Graph, alive: int, budget: Budget, tip: int, used: int,
     to the new one, with no neighbour left outside the path.
 
     With ``twin`` (each vertex's twin class as a mask, see
-    ``_path_cover_search``), a step to u is left out when a lower twin of u
+    ``_twin_classes``), a step to u is left out when a lower twin of u
     is in ``alive`` and off the path: swapping the two fixes the state, so
     one path per orbit is enough."""
     adj = g.adj_mask
@@ -360,6 +360,28 @@ def _table_cover(g: Graph, alive: int, r: int | None, budget: Budget,
     return read((1 << len(verts)) - 1, r)
 
 
+def _twin_classes(g: Graph, alive: int, anchors: int | None
+                  ) -> tuple[list[int], list[int] | None]:
+    """The twin classes of ``alive`` with two or more vertices, as masks:
+    equal ``adj_mask``, and equal anchor membership when ``anchors`` is
+    given.  Also each vertex's class as a mask, or None without such
+    classes."""
+    adj = g.adj_mask
+    side = 0 if anchors is None else anchors
+    classes: dict[tuple[int, int], int] = {}
+    for u in bits(alive):
+        key = (adj[u], side >> u & 1)
+        classes[key] = classes.get(key, 0) | 1 << u
+    pairs = [c for c in classes.values() if c & (c - 1)]
+    if not pairs:
+        return pairs, None
+    twin = [1 << u for u in range(g.n)]
+    for c in pairs:
+        for u in bits(c):
+            twin[u] = c
+    return pairs, twin
+
+
 def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
                        anchors: int | None = None) -> list[tuple[int, ...]] | None:
     """Cover ``alive0`` by disjoint paths: at most k of them (k=None: unbounded),
@@ -371,20 +393,10 @@ def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
     the budget, the branching hands over to ``_table_cover`` once it has
     spent the table's price."""
     adj = g.adj_mask
-    # twin classes by neighbourhood and anchor membership; twin[u] is u's
-    # class as a mask, and None stands for a search without twins
-    side = 0 if anchors is None else anchors
-    classes: dict[tuple[int, int], int] = {}
-    for u in bits(alive0):
-        key = (adj[u], side >> u & 1)
-        classes[key] = classes.get(key, 0) | 1 << u
-    pairs = [c for c in classes.values() if c & (c - 1)]
-    twin = None
-    if pairs:
-        twin = [1 << u for u in range(g.n)]
-        for c in pairs:
-            for u in bits(c):
-                twin[u] = c
+    # the twin classes, found when first needed: most anchored searches
+    # fail their first state before any walk
+    pairs: list[int] | None = None
+    twin: list[int] | None = None
     failed: set[tuple[int, int | None]] = set()
     price = 1 << alive0.bit_count()
     # where the table does not fit, the limit is never passed: the budget
@@ -393,6 +405,7 @@ def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
              else budget.max_nodes)
 
     def rec(alive: int, r: int | None) -> list[tuple[int, ...]] | None:
+        nonlocal pairs, twin
         if alive == 0:
             return []
         if r is not None and r <= 0:
@@ -417,6 +430,8 @@ def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
                    for c in comps):
                 failed.add(key)
                 return None
+        if pairs is None:
+            pairs, twin = _twin_classes(g, alive0, anchors)
         # the per-state tables cannot use twins, the branching can
         tables = anchors is None and not (
             pairs and any((c := p & alive) & (c - 1) for p in pairs))
