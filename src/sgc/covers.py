@@ -367,6 +367,8 @@ def _twin_classes(g: Graph, alive: int, anchors: int | None
     given.  Also each vertex's class as a mask, or None without such
     classes."""
     adj = g.adj_mask
+    if len(set(adj)) == g.n:  # no twins anywhere in g
+        return [], None
     side = 0 if anchors is None else anchors
     classes: dict[tuple[int, int], int] = {}
     for u in bits(alive):
