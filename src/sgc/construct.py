@@ -23,6 +23,8 @@ from .trees import (
     CaterpillarCertificate,
     SpanningTree,
     _constrained_tree,
+    _path_as_tree,
+    _walked_path,
     branch_profile,
     classify_tree,
     min_branch_spanning_tree,
@@ -306,12 +308,18 @@ def construct_sgc_theorem1(g: Graph, budget: Budget | int | None = None) -> Cons
 def spanning_3tree_bounded(g: Graph, n_param: int,
                            budget: Budget | int | None = None) -> Decision:
     """Spanning tree with maximum degree <= 3 and at most ``n_param`` vertices
-    of degree 3; witness is the SpanningTree."""
+    of degree 3; witness is the SpanningTree.
+
+    A Hamiltonian path by the greedy walk (``trees._walked_path``) is such a
+    tree for every ``n_param``, with no vertex of degree 3; where the walk is
+    stuck, the include/exclude edge search decides."""
     if not is_connected(g):
         raise GraphError("spanning tree search needs a connected graph")
     if n_param < 0:
         raise ValueError("n_param must be non-negative")
     budget = as_budget(budget)
+    if walked := _walked_path(g, budget):
+        return Decision("yes", _path_as_tree(g, walked.witness))
     dec = _constrained_tree(g, n_param, budget, degree_cap=3)
     if dec.status != "yes":
         return dec

@@ -40,6 +40,9 @@ def once_per_instance(settled: Callable[[Any], bool] | None = None):
     ``settled``, only results it accepts are kept, and an answer that a
     budget cut short is computed again by the next call, under that call's
     budget.
+
+    ``f.keep(obj, result)`` keeps a result that another route settled, as
+    if f had returned it, unless a result is kept already.
     """
     def decorate(f: Callable) -> Callable:
         key = f.__name__
@@ -53,6 +56,8 @@ def once_per_instance(settled: Callable[[Any], bool] | None = None):
                 if settled is None or settled(result):
                     memo[key] = result
             return result
+
+        memoized.keep = lambda obj, result: vars(obj).setdefault(key, result)
         return memoized
     return decorate
 

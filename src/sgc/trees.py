@@ -51,9 +51,17 @@ ends in a leaf of T, and every vertex of degree one in G is a leaf, so a
 centre needs at least as many neighbours as G has such vertices.  Limits of
 two and more keep the include/exclude edge search.
 
-``hamiltonian_path`` searches first and falls back on the Held-Karp DP.  Its
-"no" is returned only where the DP's 2**n states fit the budget, so every
-answer it gives is the one the DP would give (see its docstring).
+Wherever a Hamiltonian path settles the answer, one greedy walk comes before
+any search (``_walked_path``): the Warnsdorff walk over V, which is the path
+search's first descent and is charged its n - 1 nodes when it spans V.  It
+answers ``hamiltonian_path``, gives s = 0 before any spanning tree is built,
+and gives ``construct.spanning_3tree_bounded`` a tree with no vertex of
+degree 3.  Its path is kept as the Hamiltonian path's answer on the
+instance, whichever of them walked.  A stuck walk charges nothing.
+
+``hamiltonian_path`` then counts, searches and falls back on the Held-Karp
+DP.  Its "no" is returned only where the DP's 2**n states fit the budget, so
+every answer it gives is the one the DP would give (see its docstring).
 """
 from __future__ import annotations
 
@@ -213,6 +221,30 @@ class _HandOver(Exception):
     """The path search spent its allowance without settling the instance."""
 
 
+def _walked_path(g: Graph, budget: Budget) -> Decision | None:
+    """A Hamiltonian path by one greedy walk: the Warnsdorff walk over V
+    (``graphs._warnsdorff_walk``) when it spans V, else None.
+
+    The walk is ``_path_search``'s first descent, so a walk that spans V is
+    charged the n - 1 nodes the search charges for it, and the path is kept
+    as ``hamiltonian_path``'s answer on the instance.  A stuck walk charges
+    nothing, nor does the empty graph, which has no vertex to start from;
+    nor a walk whose n - 1 nodes the budget cannot pay, which leaves the
+    budget spent for the routes after it."""
+    if not g.n:
+        return None
+    path = _warnsdorff_walk(g.adj_mask, (1 << g.n) - 1)[0]
+    if len(path) < g.n:
+        return None
+    try:
+        budget.spend(g.n - 1)
+    except OutOfBudget:
+        return None
+    dec = Decision("yes", path)
+    hamiltonian_path.keep(g, dec)
+    return dec
+
+
 def _warnsdorff(adj: tuple[int, ...], tip: int, rest: int) -> list[tuple[int, int]]:
     """The moves from ``tip`` into ``rest`` as (onward count, vertex), best
     last: fewest neighbours left in ``rest`` first, ties by vertex index."""
@@ -316,11 +348,14 @@ def _path_search(g: Graph, budget: Budget, allowance: int) -> tuple[int, ...] | 
 
 @once_per_instance(lambda dec: dec.status != "unknown")
 def hamiltonian_path(g: Graph, budget: Budget | int | None = None) -> Decision:
-    """Hamiltonian path decision, search first; witness is the vertex order.
+    """Hamiltonian path decision, greedy walk first; witness is the vertex
+    order.
 
-    Counting comes first: a path alternates the sides of a bipartite graph,
-    so sides that differ by two or more rule one out.  Next a pruned
-    depth-first search (``_path_search``) runs for at most
+    The greedy walk (``_walked_path``) comes first and answers "yes" for
+    n - 1 nodes where it spans V.  Where it is stuck, counting comes next: a
+    path alternates the sides of a bipartite graph, so sides that differ by
+    two or more rule one out.  Next a pruned depth-first search
+    (``_path_search``) runs for at most
     ``_SEARCH_ALLOWANCE`` nodes, and no further than leaves room for the
     bitmask DP where the DP's 2**n states fit the budget; past that the DP
     decides, so no instance the DP settles is left unknown.
@@ -341,6 +376,8 @@ def hamiltonian_path(g: Graph, budget: Budget | int | None = None) -> Decision:
     n = g.n
     if n <= 1:
         return Decision("yes", tuple(range(n)))
+    if walked := _walked_path(g, budget):
+        return walked
     room = budget.max_nodes - budget.spent - (1 << n)
     try:
         part = is_bipartite(g)
@@ -598,16 +635,21 @@ def min_branch_spanning_tree(g: Graph, budget: Budget | int | None = None) -> Mi
     """s(g) with a spanning tree attaining it; exact results are kept on the
     ``Graph`` instance, inexact ones are searched again by the next call.
 
-    The DFS tree bounds s from above.  A DFS tree with two or more branch
-    vertices gives way to the greedy few-branch tree where that has fewer,
-    once the Hamiltonian path is "no", or first of all where the DP's 2**n
-    states do not fit the budget (the path is never "no" there).  Only the
-    limits below the better count are searched: limit 1 as a spanning
-    spider (``_spanning_spider``), the others by the include/exclude edge
-    search."""
+    The greedy walk (``_walked_path``) comes first: where it spans V, s = 0
+    is exact for n - 1 nodes, and the path is kept as the Hamiltonian
+    path's answer too.  Where it is stuck, the DFS tree bounds s from
+    above.  A DFS tree with two or more branch vertices gives way to the
+    greedy few-branch tree (whose first start repeats the walk) where that
+    has fewer, once the Hamiltonian path is "no", or first of all where the
+    DP's 2**n states do not fit the budget (the path is never "no" there).
+    Only the limits below the better count are searched: limit 1 as a
+    spanning spider (``_spanning_spider``), the others by the include/exclude
+    edge search."""
     if not is_connected(g):
         raise GraphError("min-branch spanning tree needs a connected graph")
     budget = as_budget(budget)
+    if walked := _walked_path(g, budget):
+        return MinBranchResult(0, _path_as_tree(g, walked.witness), True)
     tree = _dfs_tree(g)
     best = len(branch_profile(tree).branch_vertices)
     if best == 0:

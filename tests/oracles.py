@@ -334,6 +334,19 @@ def min_branch_brute(g: Graph) -> int:
     return best
 
 
+def bounded_3tree_brute(g: Graph, k: int) -> bool:
+    """Is there a spanning tree of maximum degree at most 3 with at most k
+    vertices of degree 3?"""
+    for edges in spanning_trees_brute(g):
+        deg = [0] * g.n
+        for u, v in edges:
+            deg[u] += 1
+            deg[v] += 1
+        if max(deg, default=0) <= 3 and deg.count(3) <= k:
+            return True
+    return False
+
+
 def sgc_brute(g: Graph) -> bool:
     """Does some spanning tree keep all its branch vertices on one path?"""
     return any(tree_branches_on_one_path(g.n, edges)

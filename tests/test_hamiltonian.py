@@ -1,5 +1,5 @@
-"""The Hamiltonian-path search and DP, and the per-instance memo of s, alpha
-and HP."""
+"""The Hamiltonian-path greedy walk, search and DP, and the per-instance memo
+of s, alpha and HP."""
 import random
 from itertools import combinations
 
@@ -18,11 +18,19 @@ from sgc.graphs import (
     path_graph,
     random_connected,
 )
+from sgc.construct import spanning_3tree_bounded
 from sgc.families import theorem2_family
 from sgc.invariants import independence_number
-from oracles import has_hamiltonian_path_brute
-from sgc.search import Budget
-from sgc.trees import branch_profile, hamiltonian_path, min_branch_spanning_tree
+from oracles import bounded_3tree_brute, has_hamiltonian_path_brute, min_branch_brute
+from sgc.search import Budget, Decision
+from sgc.trees import (
+    _walked_path,
+    branch_profile,
+    hamiltonian_path,
+    min_branch_spanning_tree,
+    validate_spanning_tree,
+)
+from sgc.verify import Corpus
 
 
 @st.composite
@@ -119,8 +127,9 @@ def test_failed_states_are_kept_per_tip():
 
 def test_search_hands_over_to_the_dp(monkeypatch):
     """Past its allowance the search leaves the answer to the DP, which fits
-    where the budget has room for it."""
-    g = complete_bipartite(4, 5)
+    where the budget has room for it.  The greedy walk is stuck on this
+    graph, which has a Hamiltonian path."""
+    g = random_connected(9, 0.4, 30)
     tight = Budget(max_nodes=(1 << g.n) + 2)
     assert hamiltonian_path(Graph(g.n, g.edges), tight).status == "yes"
     assert tight.spent == tight.max_nodes
@@ -133,10 +142,107 @@ def test_search_hands_over_to_the_dp(monkeypatch):
         validate_path_cover(g, PathCover((dec.witness,)))
 
 
+def _check_walk_route(g, has_path, s=None, bounded=None):
+    """On fresh copies of g: the Hamiltonian path's status is ``has_path``;
+    s is exact, and 0 exactly when there is a path (``s``, when given, is
+    its value); the degree-3 tree with at most k vertices of degree 3 exists
+    for k = 0 exactly when there is a path (``bounded[k]``, when given, for
+    each k).  A walk that spans V gives a valid path witness for n - 1 nodes,
+    and every route that takes it then answers in those nodes."""
+    fresh = Graph(g.n, g.edges)
+    budget = Budget()
+    walked = _walked_path(fresh, budget)
+    if walked is not None:
+        validate_path_cover(g, PathCover((walked.witness,)))
+        assert budget.spent == g.n - 1
+        assert hamiltonian_path(fresh, Budget(max_nodes=0)) is walked
+    dec = hamiltonian_path(Graph(g.n, g.edges))
+    assert dec.status == ("yes" if has_path else "no")
+    if has_path:
+        validate_path_cover(g, PathCover((dec.witness,)))
+    budget = Budget()
+    mb = min_branch_spanning_tree(Graph(g.n, g.edges), budget)
+    validate_spanning_tree(mb.tree)
+    assert mb.exact and (mb.value == 0) == has_path
+    assert s is None or mb.value == s
+    if walked is not None:
+        assert budget.spent == g.n - 1
+    for k, want in enumerate(bounded or (has_path,)):
+        budget = Budget()
+        tree = spanning_3tree_bounded(Graph(g.n, g.edges), k, budget)
+        assert tree.status == ("yes" if want else "no")
+        if want:
+            profile = branch_profile(tree.witness)
+            assert profile.max_degree <= 3 and len(profile.branch_vertices) <= k
+        if walked is not None:
+            assert budget.spent == g.n - 1
+    return walked is not None
+
+
+def test_walk_route_matches_the_oracles_on_every_small_graph():
+    """Every connected labelled graph with at most six vertices: the
+    Hamiltonian path against the exhaustive walk, s against the spanning-tree
+    enumeration, and the degree-3 tree for k = 0 and 1 against it too (both
+    are answered by the path where there is one)."""
+    walked = 0
+    for g in Corpus.embedded(6):
+        has_path = has_hamiltonian_path_brute(g)
+        if has_path:
+            walked += _check_walk_route(g, True, 0, (True, True))
+        else:
+            walked += _check_walk_route(g, False, min_branch_brute(g),
+                                        [bounded_3tree_brute(g, k) for k in (0, 1)])
+    assert walked == 24_005
+
+
+def test_walk_route_matches_the_dp_on_random_graphs():
+    """n = 10-20 against the Held-Karp DP, where the walk spans V on some
+    graphs with a path and is stuck on others."""
+    stuck_with_path = 0
+    for n in range(10, 21):
+        for p in (0.15, 0.3):
+            for seed in (0, 1):
+                g = random_connected(n, p, seed)
+                has_path = ham_path_in_mask(g, (1 << n) - 1, Budget(max_nodes=1 << n)) is not None
+                stuck_with_path += has_path and not _check_walk_route(g, has_path)
+    assert stuck_with_path == 3
+
+
+def test_walk_leaves_the_empty_graph_to_the_routes_after_it():
+    g = Graph(0, frozenset())
+    budget = Budget()
+    assert _walked_path(g, budget) is None
+    assert hamiltonian_path(g, budget) == Decision("yes", ())
+    mb = min_branch_spanning_tree(g, budget)
+    assert (mb.value, mb.exact, mb.tree.tree_edges) == (0, True, frozenset())
+    dec = spanning_3tree_bounded(g, 0, budget)
+    assert dec.status == "yes" and dec.witness.tree_edges == frozenset()
+    assert budget.spent == 0
+
+
+def test_walk_the_budget_cannot_pay_settles_nothing():
+    """The walks of P_6 and K_6 span V, but their five nodes do not fit a
+    zero budget: every route that walks answers as it did without the walk,
+    and no path is kept."""
+    g = path_graph(6)
+    assert hamiltonian_path(g, Budget(max_nodes=0)).status == "unknown"
+    assert hamiltonian_path(g, Budget(max_nodes=4)).status == "unknown"
+    k6 = complete_graph(6)
+    assert not min_branch_spanning_tree(k6, Budget(max_nodes=0)).exact
+    assert spanning_3tree_bounded(k6, 1, Budget(max_nodes=0)).status == "unknown"
+    assert hamiltonian_path(k6, Budget(max_nodes=0)).status == "unknown"
+    budget = Budget(max_nodes=5)
+    assert hamiltonian_path(g, budget).witness == tuple(range(6))
+    assert budget.spent == 5
+
+
 def test_search_settles_graphs_past_the_dp():
     """The DP's 2**n states exceed the default budget from n = 24 on."""
     budget = Budget()
     _validated(path_graph(500), budget)
+    assert budget.spent == 499
+    budget = Budget()
+    assert min_branch_spanning_tree(path_graph(500), budget).exact
     assert budget.spent == 499
     _validated(complete_graph(30))
     for seed in (1, 2, 3):
