@@ -181,9 +181,9 @@ def _check_walk_route(g, has_path, s=None, bounded=None):
 
 def test_walk_route_matches_the_oracles_on_every_small_graph():
     """Every connected labelled graph with at most six vertices: the
-    Hamiltonian path against the exhaustive walk, s against the spanning-tree
-    enumeration, and the degree-3 tree for k = 0 and 1 against it too (both
-    are answered by the path where there is one)."""
+    Hamiltonian path against the brute-force path search, s against the
+    spanning-tree enumeration, and the degree-3 tree for k = 0 and 1 against
+    it too (both are answered by the path where there is one)."""
     walked = 0
     for g in Corpus.embedded(6):
         has_path = has_hamiltonian_path_brute(g)
@@ -203,8 +203,9 @@ def test_walk_route_matches_the_dp_on_random_graphs():
         for p in (0.15, 0.3):
             for seed in (0, 1):
                 g = random_connected(n, p, seed)
-                has_path = ham_path_in_mask(g, (1 << n) - 1, Budget(max_nodes=1 << n)) is not None
-                stuck_with_path += has_path and not _check_walk_route(g, has_path)
+                dp = ham_path_in_mask(g, (1 << n) - 1, Budget(max_nodes=1 << n))
+                walked = _check_walk_route(g, dp is not None)
+                stuck_with_path += dp is not None and not walked
     assert stuck_with_path == 3
 
 
