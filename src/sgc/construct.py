@@ -22,11 +22,11 @@ from .search import Budget, Decision, OutOfBudget, as_budget
 from .trees import (
     CaterpillarCertificate,
     SpanningTree,
-    _constrained_tree,
     _path_as_tree,
     _walked_path,
     branch_profile,
     classify_tree,
+    constrained_spanning_tree,
     min_branch_spanning_tree,
     validate_caterpillar_certificate,
     validate_spanning_tree,
@@ -310,9 +310,12 @@ def spanning_3tree_bounded(g: Graph, n_param: int,
     """Spanning tree with maximum degree <= 3 and at most ``n_param`` vertices
     of degree 3; witness is the SpanningTree.
 
-    A Hamiltonian path by the greedy walk (``trees._walked_path``) is such a
-    tree for every ``n_param``, with no vertex of degree 3; where the walk is
-    stuck, the include/exclude edge search decides."""
+    The greedy walk's Hamiltonian path (``trees._walked_path``, free once
+    kept on the instance) is such a tree for every ``n_param``, with no
+    vertex of degree 3; where the walk is stuck, the include/exclude edge
+    search (``trees.constrained_spanning_tree``) decides, even where a path
+    search has kept another Hamiltonian path, so the tree does not depend on
+    what ran on the instance before."""
     if not is_connected(g):
         raise GraphError("spanning tree search needs a connected graph")
     if n_param < 0:
@@ -320,7 +323,7 @@ def spanning_3tree_bounded(g: Graph, n_param: int,
     budget = as_budget(budget)
     if walked := _walked_path(g, budget):
         return Decision("yes", _path_as_tree(g, walked.witness))
-    dec = _constrained_tree(g, n_param, budget, degree_cap=3)
+    dec = constrained_spanning_tree(g, n_param, budget, degree_cap=3)
     if dec.status != "yes":
         return dec
     return Decision("yes", SpanningTree(g, dec.witness))

@@ -113,7 +113,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CertificateError
-from .graphs import Graph, _warnsdorff_walk, bits, is_bipartite, mask_components
+from .graphs import Graph, _greedy_walk, _warnsdorff_walk, bits, is_bipartite, mask_components
 from .search import Budget, Decision, OutOfBudget, as_budget
 
 
@@ -611,13 +611,14 @@ def _posa_cover(g: Graph, budget: Budget) -> list[tuple[int, ...]]:
     """Posa's greedy cover of g by at most alpha(g) entries (see the module
     docstring), charging one node per entry.  Each entry is the stuck walk's
     tail from its tip's farthest neighbour, written from its lowest vertex
-    with the second vertex below the last."""
+    with the second vertex below the last.  The first walk is the one over V
+    that the instance keeps (``graphs._greedy_walk``)."""
     adj = g.adj_mask
-    alive = (1 << g.n) - 1
+    full = alive = (1 << g.n) - 1
     cover = []
     while alive:
         budget.spend()
-        path, _ = _warnsdorff_walk(adj, alive)
+        path = _greedy_walk(g)[0] if alive == full else _warnsdorff_walk(adj, alive)[0]
         near = adj[path[-1]] & alive
         start = next((i for i, u in enumerate(path) if near >> u & 1), len(path) - 1)
         entry = path[start:]

@@ -42,7 +42,9 @@ def once_per_instance(settled: Callable[[Any], bool] | None = None):
     budget.
 
     ``f.keep(obj, result)`` keeps a result that another route settled, as
-    if f had returned it, unless a result is kept already.
+    if f had returned it, unless a result is kept already, and
+    ``f.kept(obj)`` reads the kept result (None when there is none) without
+    computing one.
     """
     def decorate(f: Callable) -> Callable:
         key = f.__name__
@@ -58,6 +60,7 @@ def once_per_instance(settled: Callable[[Any], bool] | None = None):
             return result
 
         memoized.keep = lambda obj, result: vars(obj).setdefault(key, result)
+        memoized.kept = lambda obj: vars(obj).get(key)
         return memoized
     return decorate
 
@@ -236,8 +239,19 @@ def _warnsdorff_walk(adj: Sequence[int], alive: int) -> tuple[tuple[int, ...], i
     return tuple(path), alive ^ rest
 
 
+@once_per_instance()
+def _greedy_walk(g: Graph) -> tuple[tuple[int, ...], int]:
+    """The Warnsdorff walk over all of V (n >= 1), kept on the instance:
+    the Hamiltonian path's first try, the SGC decision's first spine and the
+    first entry of Posa's cycle cover all read this one walk."""
+    return _warnsdorff_walk(g.adj_mask, (1 << g.n) - 1)
+
+
+@once_per_instance()
 def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(mask_components(g.adj_mask, (1 << g.n) - 1)) == 1
+    """Whether g is connected, kept on the instance."""
+    full = (1 << g.n) - 1
+    return g.n <= 1 or _mask_reach(g.adj_mask, full, 1) == full
 
 
 def is_bipartite(g: Graph) -> Bipartition | None:

@@ -120,16 +120,29 @@ def _greedy_independent(g: Graph) -> int:
 
 
 def _clique_cover_bound(adj: tuple[int, ...], mask: int) -> int:
-    """Greedy clique cover of the induced subgraph; its size bounds alpha above."""
-    cliques: list[int] = []
-    for v in bits(mask):
-        av = adj[v]
-        for i, cm in enumerate(cliques):
-            if cm & ~av == 0:
-                cliques[i] = cm | (1 << v)
+    """Greedy clique cover of the induced subgraph; its size bounds alpha above.
+
+    Each vertex, in increasing order, joins the first clique opened before it
+    that it is adjacent to in full, else opens one.  A clique fits v only if
+    its first vertex, its head, is a neighbour of v, and cliques open in
+    vertex order, so scanning the heads in N(v) upwards finds that first fit.
+    The bit loops are inlined, like the greedy's."""
+    heads = 0
+    cliques: dict[int, int] = {}  # head -> clique mask
+    while mask:
+        vbit = mask & -mask
+        mask ^= vbit
+        av = adj[vbit.bit_length() - 1]
+        fits = av & heads
+        while fits:
+            h = (fits & -fits).bit_length() - 1
+            if not cliques[h] & ~av:
+                cliques[h] |= vbit
                 break
+            fits &= fits - 1
         else:
-            cliques.append(1 << v)
+            heads |= vbit
+            cliques[vbit.bit_length() - 1] = vbit
     return len(cliques)
 
 

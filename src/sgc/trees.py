@@ -57,7 +57,13 @@ search's first descent and is charged its n - 1 nodes when it spans V.  It
 answers ``hamiltonian_path``, gives s = 0 before any spanning tree is built,
 and gives ``construct.spanning_3tree_bounded`` a tree with no vertex of
 degree 3.  Its path is kept as the Hamiltonian path's answer on the
-instance, whichever of them walked.  A stuck walk charges nothing.
+instance, whichever of them walked, and read back from there for no nodes,
+as every kept answer is.  A stuck walk charges nothing.  The walk itself
+(``graphs._greedy_walk``) runs once per ``Graph`` instance: the SGC
+decision's first spine and the first entry of Posa's cycle cover read the
+same one.  The path's spanning tree (``_path_as_tree``) is built once per
+instance too, and ``classify_tree`` is kept on each tree, so the claims that
+certify one graph build and classify that tree once.
 
 ``hamiltonian_path`` then counts, searches and falls back on the Held-Karp
 DP.  Its "no" is returned only where the DP's 2**n states fit the budget, so
@@ -79,6 +85,7 @@ from .graphs import (
     Graph,
     _fewest,
     _mask_reach,
+    _greedy_walk,
     _warnsdorff_walk,
     bits,
     is_bipartite,
@@ -180,8 +187,10 @@ def _along(adj: tuple[int, ...], alive: int) -> tuple[int, ...] | None:
     return _warnsdorff_walk(adj, alive)[0] if alive else ()
 
 
+@once_per_instance()
 def classify_tree(t: SpanningTree) -> tuple[str, CaterpillarCertificate | None]:
-    """Finest matching class plus a spine certificate (None only for "other").
+    """Finest matching class plus a spine certificate (None only for "other"),
+    once per tree.
 
     A caterpillar's spine is its core, the vertices with at least two tree
     neighbours; a generalized caterpillar's is the subtree spanning its
@@ -223,19 +232,24 @@ class _HandOver(Exception):
 
 def _walked_path(g: Graph, budget: Budget) -> Decision | None:
     """A Hamiltonian path by one greedy walk: the Warnsdorff walk over V
-    (``graphs._warnsdorff_walk``) when it spans V, else None.
+    (``graphs._greedy_walk``, kept on the instance) when it spans V, else
+    None.
 
     The walk is ``_path_search``'s first descent, so a walk that spans V is
     charged the n - 1 nodes the search charges for it, and the path is kept
-    as ``hamiltonian_path``'s answer on the instance.  A stuck walk charges
+    as ``hamiltonian_path``'s answer on the instance.  Where that answer is
+    kept already it is this path (``hamiltonian_path`` walks first), and it
+    is returned for no nodes, as every kept answer is.  A stuck walk charges
     nothing, nor does the empty graph, which has no vertex to start from;
     nor a walk whose n - 1 nodes the budget cannot pay, which leaves the
     budget spent for the routes after it."""
     if not g.n:
         return None
-    path = _warnsdorff_walk(g.adj_mask, (1 << g.n) - 1)[0]
+    path = _greedy_walk(g)[0]
     if len(path) < g.n:
         return None
+    if kept := hamiltonian_path.kept(g):
+        return kept
     try:
         budget.spend(g.n - 1)
     except OutOfBudget:
@@ -400,7 +414,11 @@ def hamiltonian_path(g: Graph, budget: Budget | int | None = None) -> Decision:
     return Decision("no")
 
 
+@once_per_instance()
 def _path_as_tree(g: Graph, order: tuple[int, ...]) -> SpanningTree:
+    """The spanning tree of the Hamiltonian path ``order``, kept on the
+    instance: every caller passes g's one kept path (with n <= 2, the one
+    path there is), so the tree is built once."""
     return SpanningTree(g, frozenset(norm_edge(a, b) for a, b in zip(order, order[1:])))
 
 
@@ -582,12 +600,6 @@ def constrained_spanning_tree(g: Graph, branch_limit: int, budget: Budget,
     a connected one."""
     if not is_connected(g):
         return Decision("no")
-    return _constrained_tree(g, branch_limit, budget, degree_cap)
-
-
-def _constrained_tree(g: Graph, branch_limit: int, budget: Budget,
-                      degree_cap: int | None = None) -> Decision:
-    """``constrained_spanning_tree`` for callers that have found g connected."""
     if g.n <= 2:
         return Decision("yes", g.edges)
     try:
@@ -636,15 +648,15 @@ def min_branch_spanning_tree(g: Graph, budget: Budget | int | None = None) -> Mi
     ``Graph`` instance, inexact ones are searched again by the next call.
 
     The greedy walk (``_walked_path``) comes first: where it spans V, s = 0
-    is exact for n - 1 nodes, and the path is kept as the Hamiltonian
-    path's answer too.  Where it is stuck, the DFS tree bounds s from
-    above.  A DFS tree with two or more branch vertices gives way to the
-    greedy few-branch tree (whose first start repeats the walk) where that
-    has fewer, once the Hamiltonian path is "no", or first of all where the
-    DP's 2**n states do not fit the budget (the path is never "no" there).
-    Only the limits below the better count are searched: limit 1 as a
-    spanning spider (``_spanning_spider``), the others by the include/exclude
-    edge search."""
+    is exact for n - 1 nodes (none once the path is kept), and the path is
+    kept as the Hamiltonian path's answer too.  Where it is stuck, the DFS
+    tree bounds s from above.  A DFS tree with two or more branch vertices
+    gives way to the greedy few-branch tree (whose first start repeats the
+    walk) where that has fewer, once the Hamiltonian path is "no", or first
+    of all where the DP's 2**n states do not fit the budget (the path is
+    never "no" there).  Only the limits below the better count are searched:
+    limit 1 as a spanning spider (``_spanning_spider``), the others by the
+    include/exclude edge search (``constrained_spanning_tree``)."""
     if not is_connected(g):
         raise GraphError("min-branch spanning tree needs a connected graph")
     budget = as_budget(budget)
@@ -677,7 +689,8 @@ def min_branch_spanning_tree(g: Graph, budget: Budget | int | None = None) -> Mi
     except OutOfBudget:
         return MinBranchResult(best, tree, False)
     for limit in range(1, best):
-        dec = _spanning_spider(g, budget) if limit == 1 else _constrained_tree(g, limit, budget)
+        dec = (_spanning_spider(g, budget) if limit == 1
+               else constrained_spanning_tree(g, limit, budget))
         if dec.status == "yes":
             return MinBranchResult(limit, SpanningTree(g, dec.witness), True)
         if dec.status == "unknown":
@@ -775,7 +788,7 @@ def decide_sgc(g: Graph, budget: Budget | int | None = None) -> Decision:
             return Decision("yes", CaterpillarCertificate(_path_as_tree(g, order), order))
         if (cert := _greedy_certificate(g, budget)) is not None:
             return Decision("yes", cert)
-        for spine, qmask in chain([_warnsdorff_walk(g.adj_mask, full)],
+        for spine, qmask in chain([_greedy_walk(g)],
                                   _spine_candidates(g, budget, hp.status == "no")):
             alive = full & ~qmask
             if alive == 0:

@@ -124,7 +124,9 @@ class Corpus:
                 edges = frozenset(pairs[i] for i in range(len(pairs))
                                   if mask >> i & 1)
                 g = Graph(n, edges)
-                if is_connected(g):
+                # unkept: keeping the answer on all 33,867 candidates for
+                # n <= 6 made the corpus take about 7% longer to build
+                if is_connected.__wrapped__(g):
                     graphs.append(g)
         return Corpus(graphs, label=f"embedded<= {max_n}")
 

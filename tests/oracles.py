@@ -421,3 +421,19 @@ def connected_graph_count(n: int) -> int:
             acc -= comb(k - 1, j - 1) * conn[j] * total[k - j]
         conn[k] = acc
     return conn[n]
+
+
+def clique_cover_bound_reference(adj: tuple[int, ...], mask: int) -> int:
+    """Greedy clique cover of the induced subgraph on ``mask``, each vertex
+    in increasing order trying every open clique in the order opened: the
+    head-indexed ``invariants._clique_cover_bound`` must return this count."""
+    cliques: list[int] = []
+    for v in bits(mask):
+        av = adj[v]
+        for i, cm in enumerate(cliques):
+            if cm & ~av == 0:
+                cliques[i] = cm | (1 << v)
+                break
+        else:
+            cliques.append(1 << v)
+    return len(cliques)

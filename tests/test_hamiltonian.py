@@ -237,6 +237,19 @@ def test_walk_the_budget_cannot_pay_settles_nothing():
     assert budget.spent == 5
 
 
+def test_a_searched_path_leaves_the_degree_3_tree_to_the_edge_search():
+    """The walk 1-4-0-5 is stuck, and s finds a Hamiltonian path by search
+    and keeps it.  The degree-3 tree read after s on that instance is still
+    the edge search's, as on an instance of its own, so theorem3's
+    certificate does not depend on the claims that ran before it."""
+    g = new_graph(6, [(0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (1, 5), (2, 3)])
+    assert min_branch_spanning_tree(g).value == 0
+    assert hamiltonian_path.kept(g).status == "yes"
+    tree = spanning_3tree_bounded(g, 1, Budget())
+    assert tree == spanning_3tree_bounded(Graph(g.n, g.edges), 1, Budget())
+    assert branch_profile(tree.witness).max_degree == 3
+
+
 def test_search_settles_graphs_past_the_dp():
     """The DP's 2**n states exceed the default budget from n = 24 on."""
     budget = Budget()

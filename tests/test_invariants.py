@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from sgc.errors import CertificateError
 from sgc.graphs import Graph, bits, complete_bipartite, complete_graph, cycle_graph, path_graph
 from sgc.invariants import (
+    _clique_cover_bound,
     _greedy_independent,
     check_independent_set,
     check_separator,
@@ -12,6 +13,7 @@ from sgc.invariants import (
 )
 from oracles import (
     _connected_mask,
+    clique_cover_bound_reference,
     greedy_independent_reference,
     independence_number_brute,
     vertex_connectivity_brute,
@@ -63,6 +65,17 @@ def graphs_up_to_40(draw):
 @example(complete_bipartite(4, 4))
 def test_greedy_independent_matches_reference(g):
     assert _greedy_independent(g) == greedy_independent_reference(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_up_to_40(), st.integers(min_value=0))
+@example(complete_bipartite(4, 8), (1 << 12) - 1)
+@example(cycle_graph(9), 0b110111011)
+def test_clique_cover_bound_matches_reference(g, mask):
+    """The head scan counts the cliques of the full first-fit scan, on any
+    induced subgraph."""
+    mask &= (1 << g.n) - 1
+    assert _clique_cover_bound(g.adj_mask, mask) == clique_cover_bound_reference(g.adj_mask, mask)
 
 
 def test_alpha_budget_exhaustion_keeps_lower_bound():

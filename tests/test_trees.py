@@ -27,7 +27,6 @@ from sgc.search import Budget, OutOfBudget
 from sgc.trees import (
     CaterpillarCertificate,
     SpanningTree,
-    _constrained_tree,
     _few_branch_tree,
     _spanning_spider,
     _spine_candidates,
@@ -300,7 +299,7 @@ def test_spanning_spider_matches_the_edge_search():
     answers = []
     for g in graphs:
         dec = _spanning_spider(g, Budget())
-        assert dec.status == _constrained_tree(g, 1, Budget()).status
+        assert dec.status == constrained_spanning_tree(g, 1, Budget()).status
         _check_spider(g, dec)
         answers.append(dec.status)
     assert answers.count("yes") == 46
@@ -504,14 +503,18 @@ def test_greedy_tree_charges_every_vertex_it_places():
     assert decide_sgc(_shared_cliques(9, 3), Budget(max_nodes=23)).status == "unknown"
 
 
-def test_branch_limit_searches_skip_the_connectivity_check(monkeypatch):
-    """s checks connectivity itself and the Hamiltonian path once; the
-    searches for each branch limit do not check it again."""
-    calls = []
+def test_branch_limit_searches_read_the_kept_connectivity(monkeypatch):
+    """s computes connectivity once; the Hamiltonian path and the edge search
+    for each branch limit from 2 up read the answer kept on the instance.
+    Each call records what was kept before it."""
+    kept = []
     real = trees.is_connected
-    monkeypatch.setattr(trees, "is_connected", lambda g: calls.append(g) or real(g))
-    res = min_branch_spanning_tree(random_connected(12, 0.25, 5))
-    assert res.value == 1 and len(calls) == 2
-    calls.clear()
-    assert min_branch_spanning_tree(theorem2_family(1).graph).value == 4
-    assert len(calls) == 1  # counting settles the Hamiltonian path
+    monkeypatch.setattr(trees, "is_connected", lambda g: kept.append(real.kept(g)) or real(g))
+    g = random_connected(12, 0.25, 5)
+    res = min_branch_spanning_tree(Graph(g.n, g.edges))
+    assert res.value == 1 and kept == [None, True]
+    kept.clear()
+    g = theorem2_family(1).graph
+    assert min_branch_spanning_tree(Graph(g.n, g.edges)).value == 4
+    # counting settles the Hamiltonian path; limits 2 and 3 search edges
+    assert kept == [None, True, True]

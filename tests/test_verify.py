@@ -203,6 +203,56 @@ def test_shared_cache_keeps_no_timeout(same_instance):
     assert report.hypothesis_count == 0 and report.timeouts == 0
 
 
+def test_claims_walk_once_per_instance(monkeypatch):
+    """The five per-graph checks in claim order on one graph whose greedy
+    walk spans V: the Warnsdorff walk over V runs once, for lemma3's s, which
+    lemma5's cycle cover, the corollary's SGC decision and theorem3's
+    degree-3 tree read again, and that tree charges no nodes.  An equal graph
+    built anew walks again."""
+    from sgc import construct, covers, graphs, trees
+
+    g = random_connected(8, 0.5, 1)
+    walks = []
+    walk = graphs._warnsdorff_walk
+
+    def counted(adj, alive):
+        if alive == full and (adj is g.adj_mask or adj is fresh.adj_mask):
+            walks.append(adj)
+        return walk(adj, alive)
+
+    for module in (graphs, covers, trees):
+        monkeypatch.setattr(module, "_warnsdorff_walk", counted)
+    charged = []
+    bounded = construct.spanning_3tree_bounded
+
+    def charging(h, n_param, budget):
+        before = budget.spent
+        dec = bounded(h, n_param, budget)
+        charged.append(budget.spent - before)
+        return dec
+
+    monkeypatch.setattr(construct, "spanning_3tree_bounded", charging)
+    fresh = Graph(g.n, g.edges)
+    full = (1 << g.n) - 1
+    for check in PER_GRAPH_CHECKS.values():
+        assert check(g, Budget())[0] == "verified"
+    assert walks == [g.adj_mask]
+    assert len(walk(g.adj_mask, full)[0]) == g.n
+    assert charged == [0]
+    check_lemma3_bound(fresh)
+    assert walks == [g.adj_mask, fresh.adj_mask]
+
+
+def test_claims_answer_alike_on_a_shared_instance():
+    """Every connected graph with n <= 5: the five checks, run claim-major on
+    one instance per graph so that each reads what the claims before it
+    kept, give the answers they give on an instance of their own."""
+    graphs = Corpus.embedded(5).graphs
+    shared = {claim: [check(g) for g in graphs] for claim, check in PER_GRAPH_CHECKS.items()}
+    for claim, check in PER_GRAPH_CHECKS.items():
+        assert [check(Graph(g.n, g.edges)) for g in graphs] == shared[claim], claim
+
+
 # --- corpus-level runs --------------------------------------------------------
 
 @pytest.mark.parametrize("theorem_id", ["lemma3", "lemma5", "theorem1",
