@@ -9,10 +9,10 @@ one object of reports keyed by claim id, with a summary row per claim on
 stderr).  All JSON output is key-sorted so reruns are byte-identical; only
 verify's ``elapsed_ms`` field varies between runs.
 
-Exit codes: 0 success, 1 bad input, failed construction or a claim violation
-(lemma4's violations are its refutation and do not count), 2 construction
-hypothesis rejected, 3 construction budget exhausted or a verify check timed
-out.
+Exit codes: 0 success, 1 bad input (a negative budget included), failed
+construction or a claim violation (lemma4's violations are its refutation
+and do not count), 2 construction hypothesis rejected, 3 construction budget
+exhausted or a verify check timed out.
 
 Under a ``--budget-nodes`` that binds, a claim's report from ``verify all``
 can differ from a run of that claim alone: an α or s that an earlier claim
@@ -58,10 +58,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _non_negative(convert):
+    """An argparse type: ``convert`` the text, and reject a value below 0."""
+    def parse(text: str):
+        value = convert(text)
+        if not value >= 0:
+            raise argparse.ArgumentTypeError(f"must be at least 0, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names the type in its errors
+    return parse
+
+
 def _add_budget_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--budget-nodes", type=int, default=DEFAULT_NODE_BUDGET,
+    parser.add_argument("--budget-nodes", type=_non_negative(int), default=DEFAULT_NODE_BUDGET,
                         metavar="N", help="search-node allowance per graph")
-    parser.add_argument("--budget-ms", type=float, default=None, metavar="MS",
+    parser.add_argument("--budget-ms", type=_non_negative(float), default=None, metavar="MS",
                         help="wall-clock allowance per graph (default: none)")
 
 

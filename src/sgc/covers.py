@@ -39,7 +39,7 @@ and ``_walk`` reads one path through any subset back out of the table; it
 also reads the witness cycles out of the cycle cover's table.
 
 Two readers share it.  ``ham_path_in_mask`` (Hamiltonian paths of induced
-subgraphs, also the path cover's one-path case) walks the full subset.
+subgraphs, where ``trees.hamiltonian_path`` hands over) walks the full subset.
 ``_table_cover`` reads a whole path cover off one table: in a state S, the
 part T holding S's lowest vertex is one path exactly when ``ends[T]`` is
 nonzero (for an anchored cover, when ``ends[T]`` meets the anchors, and the
@@ -47,16 +47,13 @@ walk back then ends the path at an anchor), and the rest of S recurses over
 the submasks of the same table, from S itself down.
 
 The path cover branches on the paths through the lowest vertex v, one node
-per path, and hands over to the table reader in two places.  A two-path state
-that is connected, with v no cut vertex, is read off its own table where the
-table and its 2**(|S| - 1) splits fit the node budget: there the state's
-first branch (the path (v,)) would pay for a DP on all but v anyway.  And
-where the table over the whole instance and as many nodes again fit the
-budget, the branching stops once it has spent the table's price and one
-table decides, keeping the states the branching already proved uncoverable.
-Easy instances settle before that; hard ones cost about twice the table
-plus its reads.  No counting bound is involved, so the search without
-``counting_prune`` stays bound-free.
+per path, and hands over to the table reader in one place.  Where the table
+over the whole instance and as many nodes again fit the budget, the
+branching stops once it has spent the table's price and one table decides,
+keeping the states the branching already proved uncoverable.  Easy instances
+settle before that; hard ones cost about twice the table plus its reads.
+No counting bound is involved, so the search without ``counting_prune``
+stays bound-free.
 
 Twins, vertices with the same neighbourhood (equal ``adj_mask``), make up
 the complete bipartite pieces of the paper's families.  One search splits
@@ -81,12 +78,17 @@ anchors {0, 1, 2, 5} needs both anchored twins 1 and 2 at path ends, which
 unsplit classes would treat as 3 and 4.  Without twins every class is one
 vertex, both rules are the plain ones, and the search is unchanged.
 
-The two per-state tables (the one-path DP and the two-path table) run only
-on states that hold no twin pair.  A table over every subset cannot use the
-symmetry, while the branching takes one path per orbit: K_{4,8} with k = 2
-took 6,145 nodes through the table and takes 129 by branching.  On
-twin-free states the tables stay: without them ``random_connected(14, 0.4,
-2)`` with k = 3 took 32,769 nodes, against 8,199 with them.
+No table is built on a state short of the whole instance: branching
+settles most states in a few nodes, where a table charges 2**|S| up front.
+On 330 twin-free ``random_connected(n, p, seed)`` instances (n = 8-14,
+p = 0.2-0.5, seeds 1-7, k = 2 and 3, no counting bound) per-state tables
+took 1,220,443 nodes in all and branching alone takes 205,141, with the
+same answers; P_22 with k = 2 fell from 4,194,305 nodes to 22.  Five of
+those instances cost more, each now at the hand-over's bound of about twice
+the table.  ``random_connected(12, 0.4, 2)`` and ``(14, 0.4, 2)`` with
+k = 3 went from 2,050 to 8,193 and from 8,199 to 32,769 nodes, so under a
+node budget below those figures they answer "unknown" where they answered
+"yes".
 
 The anchored cover (every path has an end in a set of anchors) adds two
 rules.  Call a vertex of the state S that is no anchor and has at most one
@@ -114,7 +116,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import CertificateError
 from .graphs import Graph, _greedy_walk, _warnsdorff_walk, bits, is_bipartite, mask_components
-from .search import Budget, Decision, OutOfBudget, as_budget
+from .search import Budget, Decision, OutOfBudget, _HandOver, as_budget
 
 
 @dataclass(frozen=True)
@@ -302,10 +304,6 @@ def _iter_paths_through(g: Graph, v: int, alive: int, budget: Budget,
 # ---------------------------------------------------------------------------
 # disjoint path covers
 
-class _HandOver(Exception):
-    """The branching spent its allowance without settling the instance."""
-
-
 def _table_cover(g: Graph, alive: int, r: int | None, budget: Budget,
                  anchors: int | None, failed: Iterable[tuple[int, int | None]]
                  ) -> list[tuple[int, ...]] | None:
@@ -329,7 +327,7 @@ def _table_cover(g: Graph, alive: int, r: int | None, budget: Budget,
         return out
 
     aim = -1 if anchors is None else pos(anchors)
-    dead = {(pos(a), rr) for a, rr in failed if not a & ~alive}
+    dead = {(pos(a), rr) for a, rr in failed}
 
     def read(s: int, r: int | None) -> list[tuple[int, ...]] | None:
         if ends[s] & aim:
@@ -360,28 +358,26 @@ def _table_cover(g: Graph, alive: int, r: int | None, budget: Budget,
     return read((1 << len(verts)) - 1, r)
 
 
-def _twin_classes(g: Graph, alive: int, anchors: int | None
-                  ) -> tuple[list[int], list[int] | None]:
-    """The twin classes of ``alive`` with two or more vertices, as masks:
+def _twin_classes(g: Graph, alive: int, anchors: int | None) -> list[int] | None:
+    """Each vertex's twin class as a mask: the vertices of ``alive`` with
     equal ``adj_mask``, and equal anchor membership when ``anchors`` is
-    given.  Also each vertex's class as a mask, or None without such
-    classes."""
+    given.  None when no class holds two or more vertices."""
     adj = g.adj_mask
     if len(set(adj)) == g.n:  # no twins anywhere in g
-        return [], None
+        return None
     side = 0 if anchors is None else anchors
     classes: dict[tuple[int, int], int] = {}
     for u in bits(alive):
         key = (adj[u], side >> u & 1)
         classes[key] = classes.get(key, 0) | 1 << u
-    pairs = [c for c in classes.values() if c & (c - 1)]
-    if not pairs:
-        return pairs, None
-    twin = [1 << u for u in range(g.n)]
-    for c in pairs:
-        for u in bits(c):
-            twin[u] = c
-    return pairs, twin
+    twin = None
+    for c in classes.values():
+        if c & (c - 1):
+            if twin is None:
+                twin = [1 << u for u in range(g.n)]
+            for u in bits(c):
+                twin[u] = c
+    return twin
 
 
 def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
@@ -397,8 +393,8 @@ def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
     adj = g.adj_mask
     # the twin classes, found when first needed: most anchored searches
     # fail their first state before any walk
-    pairs: list[int] | None = None
     twin: list[int] | None = None
+    walked = False
     failed: set[tuple[int, int | None]] = set()
     price = 1 << alive0.bit_count()
     # where the table does not fit, the limit is never passed: the budget
@@ -407,7 +403,7 @@ def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
              else budget.max_nodes)
 
     def rec(alive: int, r: int | None) -> list[tuple[int, ...]] | None:
-        nonlocal pairs, twin
+        nonlocal twin, walked
         if alive == 0:
             return []
         if r is not None and r <= 0:
@@ -432,37 +428,15 @@ def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
                    for c in comps):
                 failed.add(key)
                 return None
-        if pairs is None:
-            pairs, twin = _twin_classes(g, alive0, anchors)
-        # the per-state tables cannot use twins, the branching can
-        tables = anchors is None and not (
-            pairs and any((c := p & alive) & (c - 1) for p in pairs))
-        if r == 1 and tables:
-            hp = ham_path_in_mask(g, alive, budget)
-            if hp is not None:
-                return [hp]
-            failed.add(key)
-            return None
-        v = (alive & -alive).bit_length() - 1
-        if (r == 2 and tables and len(comps) == 1
-                and len(mask_components(adj, alive & ~(1 << v))) <= 1
-                and budget.spent + (3 << alive.bit_count() - 1) <= budget.max_nodes):
-            # v is no cut vertex, so the first branch below, the path (v,),
-            # would run the DP on alive - v: one table on alive and its
-            # 2**(|alive| - 1) splits cost three times that and settle the
-            # whole state.  A table past the node budget is left to that
-            # branch, whose DP may still fit.  The reader looks up no state
-            # but this one, so no failed state carries over.
-            paths = _table_cover(g, alive, 2, budget, None, ())
-            if paths is None:
-                failed.add(key)
-            return paths
+        if not walked:
+            twin, walked = _twin_classes(g, alive0, anchors), True
         if forced:
             u = (forced & -forced).bit_length() - 1
             paths = (((u,) + seq, 1 << u | m)
                      for seq, m in _arms(g, alive, budget, u, 1 << u, None, anchors, twin)
                      if anchors >> seq[-1] & 1)
         else:
+            v = (alive & -alive).bit_length() - 1
             paths = _iter_paths_through(g, v, alive, budget, twin)
         for path, pmask in paths:
             if budget.spent > limit:

@@ -18,6 +18,11 @@ class OutOfBudget(Exception):
     """Raised internally when a search exceeds its node or wall-clock budget."""
 
 
+class _HandOver(Exception):
+    """A search spent its allowance without settling the instance, and its
+    caller hands the instance over to another route."""
+
+
 @dataclass
 class Budget:
     """Search allowance measured in explored nodes and (optionally) wall-clock ms."""

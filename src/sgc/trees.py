@@ -94,7 +94,7 @@ from .graphs import (
     norm_edge,
     once_per_instance,
 )
-from .search import Budget, Decision, OutOfBudget, as_budget
+from .search import Budget, Decision, OutOfBudget, _HandOver, as_budget
 
 TREE_KINDS = ("path", "spider", "caterpillar", "generalized_caterpillar", "other")
 
@@ -224,10 +224,6 @@ def classify_tree(t: SpanningTree) -> tuple[str, CaterpillarCertificate | None]:
 # cost about what the DP does on 18 vertices.  Below 10 vertices the search
 # cannot run this long: it has fewer states than that.
 _SEARCH_ALLOWANCE = 1 << 12
-
-
-class _HandOver(Exception):
-    """The path search spent its allowance without settling the instance."""
 
 
 def _walked_path(g: Graph, budget: Budget) -> Decision | None:

@@ -294,6 +294,27 @@ def test_usage_errors_exit_1(capsys):
         capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "lemma3", "--max-n", "3", "--budget-nodes", "-1"],
+    ["analyze", "--budget-nodes", "-1"],
+    ["construct", "theorem1", "--budget-ms", "-5"],
+])
+def test_negative_budgets_exit_1(capsys, argv):
+    """A negative budget is a usage error, not a run of timeouts or unknowns."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "must be at least 0" in err
+
+
+def test_zero_budget_stays_valid(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("A_\n"))
+    code, out, _ = run(capsys, "analyze", "--budget-nodes", "0", "--budget-ms", "0")
+    assert code == 0
+    assert json.loads(out)["n"] == 2
+
+
 def test_module_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "sgc.cli", "analyze"],

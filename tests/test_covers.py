@@ -8,6 +8,7 @@ from sgc import covers
 from sgc.covers import (
     CycleCover,
     PathCover,
+    _ends_table,
     _entries_through,
     _posa_cover,
     _table_cover,
@@ -160,38 +161,21 @@ def test_anchored_twins_split_in_the_paths_through_a_vertex():
     _check_anchored_cover(g, 0b111111, 0b100111)
 
 
-@pytest.mark.parametrize("m", [3, 4])
-def test_two_path_table_settles_lemma4_instance(m):
-    """K_{m,2m} with k = 2 and no counting bound: the top state is settled by
-    one subset table (2**3m nodes, its 2**(3m - 1) splits and the state
-    itself) instead of branching on every path."""
-    budget = Budget()
-    dec = min_disjoint_path_cover(complete_bipartite(m, 2 * m), 2, budget,
-                                  counting_prune=False)
-    assert dec.status == "no"
-    assert budget.spent <= 1 << 13
-
-
-def test_two_path_table_left_out_past_the_budget():
-    """The table on P_12 (4,096 nodes) does not fit 3,000 nodes, but the
-    branch (0,) and a DP on the other 11 vertices (2,048 nodes) do."""
-    budget = Budget(max_nodes=3000)
-    dec = min_disjoint_path_cover(path_graph(12), 2, budget)
-    assert dec.status == "yes"
-    validate_path_cover(path_graph(12), dec.witness)
-
-
 @pytest.mark.parametrize("g, k, anchors, spent", [
     (complete_bipartite(7, 3), 3, None, 118),
     (complete_bipartite(3, 8), None, 0b111, 43),
     (complete_bipartite(4, 9), None, 0b11, 154),
+    (complete_bipartite(3, 6), 2, None, 58),
+    (complete_bipartite(4, 8), 2, None, 129),
 ])
 def test_twins_prune_the_complete_bipartite_covers(g, k, anchors, spent):
     """No cover exists: at most k paths with no counting bound, or paths
     each with an end in ``anchors``.  Each side is one twin class (split by
     the anchors), so the branching takes one path per orbit and settles
     below the table's price (2**n nodes).  The search that took every
-    labelling handed over to the table at 5,885, 9,185 and 93,985 nodes."""
+    labelling handed over to the table at 5,885, 9,185 and 93,985 nodes,
+    and read K_{4,8} with k = 2 (lemma4's m = 4) off a table of its own at
+    6,145."""
     budget = Budget()
     if anchors is None:
         assert min_disjoint_path_cover(g, k, budget, counting_prune=False).status == "no"
@@ -201,14 +185,16 @@ def test_twins_prune_the_complete_bipartite_covers(g, k, anchors, spent):
 
 
 @pytest.mark.parametrize("g, k, anchors, status, spent", [
-    (random_connected(9, 0.5, 26), 3, None, "yes", 1_095),
+    (random_connected(12, 0.4, 2), 3, None, "yes", 8_193),
     (random_connected(9, 0.3, 28), None, 0b1, "no", 1_800),
     (random_connected(10, 0.4, 31), None, 0b101, "no", 6_828),
 ])
 def test_branching_hands_over_to_the_table(g, k, anchors, status, spent, monkeypatch):
     """Twin-free graphs, where the branching runs past the table's price
     (2**n nodes) and one table over the whole graph decides, keeping the
-    states the branching proved uncoverable."""
+    states the branching proved uncoverable.  The first costs the
+    hand-over's bound of about twice the table: 2**12 nodes of branching,
+    2**12 for the table and one for its state."""
     full = (1 << g.n) - 1
     handed = []
 
@@ -228,6 +214,31 @@ def test_branching_hands_over_to_the_table(g, k, anchors, status, spent, monkeyp
         assert (anchored_path_cover(g, full, anchors, budget) is not None) == (status == "yes")
     assert handed[-1] == (full, k, anchors)
     assert budget.spent == spent > 1 << g.n
+
+
+@pytest.mark.parametrize("g, k, spent, whole", [
+    (random_connected(9, 0.5, 26), 3, 204, False),
+    (random_connected(12, 0.4, 2), 3, 8_193, True),
+    (path_graph(22), 2, 22, False),
+])
+def test_covers_build_tables_only_over_the_whole_instance(g, k, spent, whole, monkeypatch):
+    """An unanchored cover builds no table on a proper sub-state: the one
+    table route is the hand-over of the whole instance.  Per-state tables
+    built two on the first graph (1,095 nodes) and spent 4,194,305 nodes on
+    P_22, whose first branch is its Hamiltonian path."""
+    built = []
+
+    def table(g_, alive, budget):
+        built.append(alive)
+        return _ends_table(g_, alive, budget)
+
+    monkeypatch.setattr(covers, "_ends_table", table)
+    budget = Budget()
+    dec = min_disjoint_path_cover(g, k, budget, counting_prune=False)
+    assert dec.status == "yes"
+    validate_path_cover(g, dec.witness)
+    assert built == ([(1 << g.n) - 1] if whole else [])
+    assert budget.spent == spent
 
 
 def test_handed_over_anchored_cover_ends_at_an_anchor():
@@ -270,16 +281,17 @@ _TREE = Graph(11, frozenset({(0, 8), (0, 9), (1, 3), (2, 4), (2, 5), (2, 6),
 
 @pytest.mark.parametrize("g, k, status, spent", [
     (_spider(4, 3), 2, "no", 134),
-    (_spider(4, 3), 3, "yes", 45),
+    (_spider(4, 3), 3, "yes", 39),
     (_TREE, 3, "no", 108),
     (_TREE, 4, "yes", 203),
+    (path_graph(12), 2, "yes", 12),
 ])
-def test_two_path_states_without_table_keep_branching(g, k, status, spent):
-    """Sparse graphs whose two-path states are disconnected or have a cut
-    vertex as lowest vertex: they branch on paths, with the node counts of
-    the search that branched in every state.  The leaves 5, 6 and 10 of
-    ``_TREE`` are twins, so its branching takes one of them per orbit
-    (334 and 371 nodes when it took each)."""
+def test_sparse_covers_settle_by_branching(g, k, status, spent):
+    """Sparse graphs settle by branching on paths, far below the table's
+    price (2**n nodes).  The leaves 5, 6 and 10 of ``_TREE`` are twins, so
+    its branching takes one of them per orbit (334 and 371 nodes when it
+    took each).  P_12 with k = 2 takes its one path at the first branch,
+    where a table of the top state took 4,097 nodes."""
     budget = Budget()
     dec = min_disjoint_path_cover(g, k, budget, counting_prune=False)
     assert (dec.status, budget.spent) == (status, spent)
