@@ -14,6 +14,11 @@ construction or a claim violation (lemma4's violations are its refutation
 and do not count), 2 construction hypothesis rejected, 3 construction budget
 exhausted or a verify check timed out.
 
+``--budget-ms`` is a wall-clock allowance per graph, with no default.  It
+binds from the first node charged: the clock is read then and once per
+2,048 nodes after, and once the deadline has passed every charge runs out,
+so ``analyze --budget-ms 0`` settles only what charges nothing.
+
 Under a ``--budget-nodes`` that binds, a claim's report from ``verify all``
 can differ from a run of that claim alone: an α or s that an earlier claim
 settled on the same graph is reused without charging nodes, which leaves

@@ -40,11 +40,6 @@ def once_per_instance(settled: Callable[[Any], bool] | None = None):
     ``settled``, only results it accepts are kept, and an answer that a
     budget cut short is computed again by the next call, under that call's
     budget.
-
-    ``f.keep(obj, result)`` keeps a result that another route settled, as
-    if f had returned it, unless a result is kept already, and
-    ``f.kept(obj)`` reads the kept result (None when there is none) without
-    computing one.
     """
     def decorate(f: Callable) -> Callable:
         key = f.__name__
@@ -59,8 +54,6 @@ def once_per_instance(settled: Callable[[Any], bool] | None = None):
                     memo[key] = result
             return result
 
-        memoized.keep = lambda obj, result: vars(obj).setdefault(key, result)
-        memoized.kept = lambda obj: vars(obj).get(key)
         return memoized
     return decorate
 
@@ -242,8 +235,8 @@ def _warnsdorff_walk(adj: Sequence[int], alive: int) -> tuple[tuple[int, ...], i
 @once_per_instance()
 def _greedy_walk(g: Graph) -> tuple[tuple[int, ...], int]:
     """The Warnsdorff walk over all of V (n >= 1), kept on the instance:
-    the Hamiltonian path's first try, the SGC decision's first spine and the
-    first entry of Posa's cycle cover all read this one walk."""
+    the Hamiltonian path's first try and the first entry of Posa's cycle
+    cover both read this one walk."""
     return _warnsdorff_walk(g.adj_mask, (1 << g.n) - 1)
 
 

@@ -31,20 +31,25 @@ class Budget:
     max_ms: float | None = None
     spent: int = 0
     _deadline: float | None = field(default=None, repr=False)
+    _next_clock: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_ms is not None:
             self._deadline = time.monotonic() + self.max_ms / 1000.0
 
     def spend(self, amount: int = 1) -> None:
-        """Consume ``amount`` search nodes; raise OutOfBudget once exhausted."""
+        """Consume ``amount`` search nodes; raise OutOfBudget once exhausted.
+
+        Wall-clock checks are comparatively expensive, so the clock is read
+        at the first charge and then once per 2,048 nodes; once the deadline
+        has passed, every charge reads it and raises."""
         self.spent += amount
         if self.spent > self.max_nodes:
             raise OutOfBudget(f"node budget of {self.max_nodes} exhausted")
-        # Wall-clock checks are comparatively expensive; sample them.
-        if self._deadline is not None and self.spent % 2048 < amount:
-            if time.monotonic() > self._deadline:
+        if self._deadline is not None and self.spent >= self._next_clock:
+            if time.monotonic() >= self._deadline:
                 raise OutOfBudget(f"time budget of {self.max_ms} ms exhausted")
+            self._next_clock = self.spent + 2048
 
 
 def as_budget(budget: Budget | int | None) -> Budget:

@@ -12,17 +12,17 @@ vertex-disjoint "leg" paths covering the remaining vertices, each leg hanging
 off Q by one edge at a leg endpoint.  Exhausting all candidate spines is
 therefore a sound "no" proof.
 
-Once the graph is known to have no Hamiltonian path, only *minimal* spines
-are tried: a single vertex with at least three neighbours, or a longer path
-with at least two neighbours off it at each end.  This loses no tree.  A
-spanning generalized caterpillar T that is not a path has a branch vertex.
-Take as Q the path of T between its two outermost branch vertices (one
-vertex if there is one branch vertex).  Q holds every branch vertex, and its
-ends have degree at least three in T, so each end has at least two T-edges
-off Q, three when Q is one vertex.  Every component of T - Q holds no branch
-vertex, so it is a path, joined to Q by one edge of T at a vertex of degree
-at most two in T: one of the path's own ends.  So Q with those legs is found.
-While the Hamiltonian path is unknown, every simple path stays a candidate.
+Spines are tried only once the graph is known to have no Hamiltonian path,
+and then only *minimal* ones: a single vertex with at least three
+neighbours, or a longer path with at least two neighbours off it at each
+end.  This loses no tree.  A spanning generalized caterpillar T that is not
+a path has a branch vertex.  Take as Q the path of T between its two
+outermost branch vertices (one vertex if there is one branch vertex).  Q
+holds every branch vertex, and its ends have degree at least three in T, so
+each end has at least two T-edges off Q, three when Q is one vertex.  Every
+component of T - Q holds no branch vertex, so it is a path, joined to Q by
+one edge of T at a vertex of degree at most two in T: one of the path's own
+ends.  So Q with those legs (``_spine_with_legs``) is found.
 
 Before any spine, ``decide_sgc`` classifies one greedy spanning tree with few
 branch vertices (``_few_branch_tree``), which ``min_branch_spanning_tree``
@@ -30,13 +30,10 @@ also takes as its upper bound on s.  A tree with at most two branch vertices
 is always a generalized caterpillar, and a tree of any class but "other"
 answers "yes" with its validated spine certificate.  The greedy tree runs once
 the Hamiltonian path is not "yes", and first of all where the DP's 2**n
-states do not fit the budget, since the path is never "no" there.
-
-Then ``decide_sgc`` tries one extra spine, the greedy walk by Warnsdorff's
-rule from a vertex of least degree (the Hamiltonian-path search's first
-moves, followed until the walk is stuck).  Its cover, like every other,
-yields a validated certificate, and the enumeration after it is unchanged, so
-a "yes" still carries a checked tree and a "no" is still a proof.
+states do not fit the budget, since the path is never "no" there.  An
+"unknown" Hamiltonian path then ends the decision: it is only ever answered
+once the budget has run out, and a spent budget raises at every later
+charge, so no spine could settle anything.
 
 s decides branch limit 1 as a spanning spider.  The Hamiltonian path is
 "no" by then, so a spanning tree T with at most one branch vertex c is a
@@ -46,28 +43,28 @@ at a vertex of degree at most two in T: one of the leg's own ends.
 Conversely, disjoint paths covering V - c, each with an end next to c, give
 a tree whose only possible branch vertex is c.  So the limit holds exactly
 when some centre c has an anchored path cover of V - c with anchors N(c),
-the search ``decide_sgc`` runs for the one-vertex spine (c,).  Each leg
+the legs ``decide_sgc`` looks for on the one-vertex spine (c,).  Each leg
 ends in a leaf of T, and every vertex of degree one in G is a leaf, so a
 centre needs at least as many neighbours as G has such vertices.  Limits of
 two and more keep the include/exclude edge search.
 
 Wherever a Hamiltonian path settles the answer, one greedy walk comes before
-any search (``_walked_path``): the Warnsdorff walk over V, which is the path
-search's first descent and is charged its n - 1 nodes when it spans V.  It
-answers ``hamiltonian_path``, gives s = 0 before any spanning tree is built,
-and gives ``construct.spanning_3tree_bounded`` a tree with no vertex of
-degree 3.  Its path is kept as the Hamiltonian path's answer on the
-instance, whichever of them walked, and read back from there for no nodes,
-as every kept answer is.  A stuck walk charges nothing.  The walk itself
-(``graphs._greedy_walk``) runs once per ``Graph`` instance: the SGC
-decision's first spine and the first entry of Posa's cycle cover read the
-same one.  The path's spanning tree (``_path_as_tree``) is built once per
-instance too, and ``classify_tree`` is kept on each tree, so the claims that
-certify one graph build and classify that tree once.
+any search: the Warnsdorff walk over V (``graphs._greedy_walk``, run once per
+``Graph`` instance), which is the path search's first descent and is charged
+its n - 1 nodes when it spans V.  ``hamiltonian_path`` answers with it, and
+through ``_walked_path`` it gives s = 0 before any spanning tree is built and
+gives ``construct.spanning_3tree_bounded`` a tree with no vertex of degree 3.
+The answer is kept on the instance and read back from there for no nodes, as
+every kept answer is.  A stuck walk charges nothing; the first entry of
+Posa's cycle cover reads the same walk.  The path's spanning tree
+(``_path_as_tree``) is built once per instance too, and ``classify_tree`` is
+kept on each tree, so the claims that certify one graph build and classify
+that tree once.
 
-``hamiltonian_path`` then counts, searches and falls back on the Held-Karp
-DP.  Its "no" is returned only where the DP's 2**n states fit the budget, so
-every answer it gives is the one the DP would give (see its docstring).
+Where the walk is stuck, ``hamiltonian_path`` counts, searches and falls
+back on the Held-Karp DP.  Its "no" is returned only where the DP's 2**n
+states fit the budget, so every answer it gives is the one the DP would give
+(see its docstring).
 """
 from __future__ import annotations
 
@@ -75,7 +72,6 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Callable, Iterator
 
 from .covers import anchored_path_cover, ham_path_in_mask
@@ -227,32 +223,19 @@ _SEARCH_ALLOWANCE = 1 << 12
 
 
 def _walked_path(g: Graph, budget: Budget) -> Decision | None:
-    """A Hamiltonian path by one greedy walk: the Warnsdorff walk over V
-    (``graphs._greedy_walk``, kept on the instance) when it spans V, else
-    None.
+    """``hamiltonian_path(g, budget)`` where the Warnsdorff walk over V
+    (``graphs._greedy_walk``, kept on the instance) spans V, and it answers
+    "yes" with the walk's path; else None.
 
-    The walk is ``_path_search``'s first descent, so a walk that spans V is
-    charged the n - 1 nodes the search charges for it, and the path is kept
-    as ``hamiltonian_path``'s answer on the instance.  Where that answer is
-    kept already it is this path (``hamiltonian_path`` walks first), and it
-    is returned for no nodes, as every kept answer is.  A stuck walk charges
-    nothing, nor does the empty graph, which has no vertex to start from;
-    nor a walk whose n - 1 nodes the budget cannot pay, which leaves the
-    budget spent for the routes after it."""
-    if not g.n:
+    The walk is ``hamiltonian_path``'s first try, so where it spans V no
+    other path is ever kept on the instance: a path found by search is not
+    returned here.  A stuck walk charges nothing, nor does the empty graph,
+    which has no vertex to start from; a walk whose n - 1 nodes the budget
+    cannot pay leaves the budget spent for the routes after it."""
+    if not g.n or len(_greedy_walk(g)[0]) < g.n:
         return None
-    path = _greedy_walk(g)[0]
-    if len(path) < g.n:
-        return None
-    if kept := hamiltonian_path.kept(g):
-        return kept
-    try:
-        budget.spend(g.n - 1)
-    except OutOfBudget:
-        return None
-    dec = Decision("yes", path)
-    hamiltonian_path.keep(g, dec)
-    return dec
+    dec = hamiltonian_path(g, budget)
+    return dec if dec.status == "yes" else None
 
 
 def _warnsdorff(adj: tuple[int, ...], tip: int, rest: int) -> list[tuple[int, int]]:
@@ -361,14 +344,15 @@ def hamiltonian_path(g: Graph, budget: Budget | int | None = None) -> Decision:
     """Hamiltonian path decision, greedy walk first; witness is the vertex
     order.
 
-    The greedy walk (``_walked_path``) comes first and answers "yes" for
-    n - 1 nodes where it spans V.  Where it is stuck, counting comes next: a
-    path alternates the sides of a bipartite graph, so sides that differ by
-    two or more rule one out.  Next a pruned depth-first search
-    (``_path_search``) runs for at most
-    ``_SEARCH_ALLOWANCE`` nodes, and no further than leaves room for the
-    bitmask DP where the DP's 2**n states fit the budget; past that the DP
-    decides, so no instance the DP settles is left unknown.
+    The Warnsdorff walk over V (``graphs._greedy_walk``) comes first and
+    answers "yes" for n - 1 nodes where it spans V: it is ``_path_search``'s
+    first descent, charged as the search charges it.  Where it is stuck,
+    counting comes next: a path alternates the sides of a bipartite graph, so
+    sides that differ by two or more rule one out.  Next a pruned depth-first
+    search (``_path_search``) runs for at most ``_SEARCH_ALLOWANCE`` nodes,
+    and no further than leaves room for the bitmask DP where the DP's 2**n
+    states fit the budget; past that the DP decides, so no instance the DP
+    settles is left unknown.
 
     A "yes" is returned whether or not the DP would fit.  A "no", from
     counting or the search, is returned only where the DP's 2**n states fit
@@ -386,10 +370,12 @@ def hamiltonian_path(g: Graph, budget: Budget | int | None = None) -> Decision:
     n = g.n
     if n <= 1:
         return Decision("yes", tuple(range(n)))
-    if walked := _walked_path(g, budget):
-        return walked
-    room = budget.max_nodes - budget.spent - (1 << n)
+    walk = _greedy_walk(g)[0]
     try:
+        if len(walk) == n:
+            budget.spend(n - 1)
+            return Decision("yes", walk)
+        room = budget.max_nodes - budget.spent - (1 << n)
         part = is_bipartite(g)
         if part is not None and abs(len(part.side_a) - len(part.side_b)) >= 2 \
                 or not is_connected(g):
@@ -413,8 +399,8 @@ def hamiltonian_path(g: Graph, budget: Budget | int | None = None) -> Decision:
 @once_per_instance()
 def _path_as_tree(g: Graph, order: tuple[int, ...]) -> SpanningTree:
     """The spanning tree of the Hamiltonian path ``order``, kept on the
-    instance: every caller passes g's one kept path (with n <= 2, the one
-    path there is), so the tree is built once."""
+    instance: every caller passes the path ``hamiltonian_path`` keeps on g,
+    so the tree is built once."""
     return SpanningTree(g, frozenset(norm_edge(a, b) for a, b in zip(order, order[1:])))
 
 
@@ -614,15 +600,13 @@ def _spanning_spider(g: Graph, budget: Budget) -> Decision:
     are tried by degree, highest first, ties by index, down to three
     neighbours and to as many as g has vertices of degree one."""
     adj = g.adj_mask
-    full = (1 << g.n) - 1
     least = max(3, sum(m.bit_count() == 1 for m in adj))
     try:
         for c in sorted(range(g.n), key=lambda v: (-adj[v].bit_count(), v)):
             if adj[c].bit_count() < least:
                 break
-            legs = anchored_path_cover(g, full ^ 1 << c, adj[c], budget)
-            if legs is not None:
-                return Decision("yes", _tree_from_spine(g, (c,), legs).tree.tree_edges)
+            if cert := _spine_with_legs(g, (c,), budget):
+                return Decision("yes", cert.tree.tree_edges)
     except OutOfBudget:
         return Decision("unknown")
     return Decision("no")
@@ -697,50 +681,57 @@ def min_branch_spanning_tree(g: Graph, budget: Budget | int | None = None) -> Mi
 # ---------------------------------------------------------------------------
 # the spanning generalized caterpillar decision
 
-def _spine_candidates(g: Graph, budget: Budget, minimal: bool
-                      ) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every simple path of g exactly once (canonical: start <= end), as
-    (vertex sequence, vertex mask).  With ``minimal``, only the minimal
-    spines: a vertex with at least three neighbours, or a longer path with at
+def _spine_candidates(g: Graph, budget: Budget) -> Iterator[tuple[int, ...]]:
+    """The minimal spines of g, each once (canonical: start <= end): a
+    vertex with at least three neighbours, or a longer simple path with at
     least two neighbours off it at each end.  The start's count off the path
-    only falls as the path grows, so a start that fails it ends the branch."""
+    only falls as the path grows, so a start that fails it ends the branch.
+    Charges one node per path grown."""
     adj = g.adj
     adj_mask = g.adj_mask
-    off = 2 if minimal else 0
 
-    def go(path: list[int], mask: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    def go(path: list[int], mask: int) -> Iterator[tuple[int, ...]]:
         budget.spend()
         first = adj_mask[path[0]]
         for u in adj[path[-1]]:
             ub = 1 << u
             if not ub & mask:
                 grown = mask | ub
-                if (first & ~grown).bit_count() < off:
+                if (first & ~grown).bit_count() < 2:
                     continue
                 path.append(u)
-                if path[0] <= u and (adj_mask[u] & ~grown).bit_count() >= off:
-                    yield tuple(path), grown
+                if path[0] <= u and (adj_mask[u] & ~grown).bit_count() >= 2:
+                    yield tuple(path)
                 yield from go(path, grown)
                 path.pop()
 
     for s in range(g.n):
         # an end has a neighbour on the path, so it needs three in all
-        if minimal and len(adj[s]) < 3:
-            continue
-        yield (s,), 1 << s
-        yield from go([s], 1 << s)
+        if len(adj[s]) >= 3:
+            yield (s,)
+            yield from go([s], 1 << s)
 
 
-def _tree_from_spine(g: Graph, spine: tuple[int, ...],
-                     legs: list[tuple[int, ...]]) -> CaterpillarCertificate:
-    qmask = 0
+def _spine_with_legs(g: Graph, spine: tuple[int, ...],
+                     budget: Budget) -> CaterpillarCertificate | None:
+    """The spanning tree of ``spine`` plus legs, a path cover of the rest of
+    V whose every leg ends next to the spine (``anchored_path_cover`` with
+    anchors N(spine) off it), as a validated certificate; None when there is
+    no such cover."""
+    adj = g.adj_mask
+    qmask = anchors = 0
     for q in spine:
         qmask |= 1 << q
+        anchors |= adj[q]
+    rest = ((1 << g.n) - 1) & ~qmask
+    legs = anchored_path_cover(g, rest, anchors & rest, budget)
+    if legs is None:
+        return None
     edges = {norm_edge(a, b) for a, b in zip(spine, spine[1:])}
     for leg in legs:
-        if not g.adj_mask[leg[0]] & qmask:
+        if not adj[leg[0]] & qmask:
             leg = tuple(reversed(leg))
-        attach = (g.adj_mask[leg[0]] & qmask)
+        attach = adj[leg[0]] & qmask
         edges.add(norm_edge((attach & -attach).bit_length() - 1, leg[0]))
         edges.update(norm_edge(a, b) for a, b in zip(leg, leg[1:]))
     cert = CaterpillarCertificate(SpanningTree(g, frozenset(edges)), spine)
@@ -766,16 +757,10 @@ def decide_sgc(g: Graph, budget: Budget | int | None = None) -> Decision:
     if not is_connected(g):
         raise GraphError("SGC decision needs a connected graph")
     budget = as_budget(budget)
-    n = g.n
-    if n <= 2:
-        order = tuple(range(n))
-        return Decision("yes", CaterpillarCertificate(_path_as_tree(g, order), order))
-
-    full = (1 << n) - 1
     try:
         # past the DP the Hamiltonian path is never "no", so the greedy tree
         # goes first there
-        if budget.spent + (1 << n) > budget.max_nodes \
+        if budget.spent + (1 << g.n) > budget.max_nodes \
                 and (cert := _greedy_certificate(g, budget)) is not None:
             return Decision("yes", cert)
         hp = hamiltonian_path(g, budget)
@@ -784,20 +769,11 @@ def decide_sgc(g: Graph, budget: Budget | int | None = None) -> Decision:
             return Decision("yes", CaterpillarCertificate(_path_as_tree(g, order), order))
         if (cert := _greedy_certificate(g, budget)) is not None:
             return Decision("yes", cert)
-        for spine, qmask in chain([_greedy_walk(g)],
-                                  _spine_candidates(g, budget, hp.status == "no")):
-            alive = full & ~qmask
-            if alive == 0:
-                return Decision("yes", _tree_from_spine(g, spine, []))
-            anchors = 0
-            for q in spine:
-                anchors |= g.adj_mask[q]
-            anchors &= alive
-            if not anchors:
-                continue
-            legs = anchored_path_cover(g, alive, anchors, budget)
-            if legs is not None:
-                return Decision("yes", _tree_from_spine(g, spine, legs))
+        if hp.status == "unknown":
+            return hp
+        for spine in _spine_candidates(g, budget):
+            if cert := _spine_with_legs(g, spine, budget):
+                return Decision("yes", cert)
     except OutOfBudget:
         return Decision("unknown")
     return Decision("no")

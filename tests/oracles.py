@@ -97,6 +97,19 @@ def has_hamiltonian_path_brute(g: Graph) -> bool:
     return any(extend(s, 1 << s) for s in range(n))
 
 
+def simple_paths_brute(g: Graph) -> set[tuple[int, ...]]:
+    """Every simple path of g, one vertex included, each listed once from
+    its lower end: every vertex sequence grown one neighbour at a time."""
+    paths = set()
+    grow = [(v,) for v in range(g.n)]
+    while grow:
+        path = grow.pop()
+        if path[0] <= path[-1]:
+            paths.add(path)
+        grow += [path + (u,) for u in g.adj[path[-1]] if u not in path]
+    return paths
+
+
 def _has_hamiltonian_path_on(g: Graph, block: tuple[int, ...], ends: int = -1) -> bool:
     """Does G[block] have a Hamiltonian path with an end in the mask ``ends``?"""
     if len(block) <= 1:

@@ -17,7 +17,7 @@ from sgc.graphs import (
     path_graph,
     random_connected,
 )
-from sgc.search import Budget
+from sgc.search import Budget, OutOfBudget
 from sgc.verify import PER_GRAPH_CHECKS, THEOREM_IDS, Corpus, verify_theorem
 
 
@@ -313,6 +313,26 @@ def test_zero_budget_stays_valid(capsys, monkeypatch):
     code, out, _ = run(capsys, "analyze", "--budget-nodes", "0", "--budget-ms", "0")
     assert code == 0
     assert json.loads(out)["n"] == 2
+
+
+def test_zero_time_budget_binds_at_the_first_charge():
+    budget = Budget(max_ms=0)
+    for _ in range(3):
+        with pytest.raises(OutOfBudget):
+            budget.spend()
+    assert budget.spent == 3
+
+
+def test_zero_time_budget_settles_nothing_that_charges(capsys, monkeypatch):
+    """α's search and the Hamiltonian path's walk each charge a node on K_2,
+    so neither is settled; s is 0 from the DFS tree, a path."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO("A_\n"))
+    code, out, _ = run(capsys, "analyze", "--budget-ms", "0")
+    record = json.loads(out)
+    assert code == 0
+    assert record["alpha"]["exhaustive"] is False
+    assert record["s"] == {"exact": True, "value": 0}
+    assert record["sgc"]["status"] == "unknown"
 
 
 def test_module_entry_point(tmp_path):

@@ -19,6 +19,7 @@ from oracles import (
     classify_tree_brute,
     min_branch_brute,
     sgc_brute,
+    simple_paths_brute,
     spanning_tree_count,
     spanning_trees_brute,
 )
@@ -367,19 +368,18 @@ def test_decide_sgc_smallest_no_instance():
 
 def test_decide_sgc_theorem2_family_1_nodes():
     """Counting settles the Hamiltonian path and only minimal spines are
-    tried; the full DP and every spine took 10,859 nodes.  34 of the 97 go
+    tried; the full DP and every spine took 10,859 nodes.  34 of the 96 go
     to the greedy few-branch tree, which is the graph itself (a tree with
     four branch vertices off any one path), and one to each of the 11 failed
     leg covers: the graph is a tree, so every spine leaves a non-anchor leaf
-    too many in some component, and the anchored cover's first state fails
-    (the failed cover of the first spine, the Warnsdorff walk, took 43
-    nodes before that rule, and the whole decision 322)."""
+    too many in some component, and the anchored cover's first state fails.
+    Trying the stuck Warnsdorff walk as one more spine first took 97."""
     budget = Budget()
     assert decide_sgc(theorem2_family(1).graph, budget).status == "no"
-    assert budget.spent == 97 < 10_859
+    assert budget.spent == 96 < 10_859
 
 
-def test_decide_sgc_first_spine_settles_random_14():
+def test_decide_sgc_greedy_tree_settles_random_14():
     """The graph has no Hamiltonian path; the search proves it in 21 nodes,
     and the greedy few-branch tree, a generalized caterpillar, settles it in
     33 more before any spine is tried.  The DP and the spine enumeration
@@ -392,6 +392,20 @@ def test_decide_sgc_first_spine_settles_random_14():
     validate_caterpillar_certificate(dec.witness)
 
 
+@pytest.mark.parametrize("max_ms", [None, 0])
+def test_decide_sgc_stops_at_an_unknown_hamiltonian_path(monkeypatch, max_ms):
+    """An "unknown" path is answered only once the budget has run out, so
+    no spine is tried after it.  theorem2_family(2) has no SGC, and its
+    greedy tree is none; its Hamiltonian path runs out charging the DP's
+    2**30 states, and a 0 ms budget runs out at its first charge."""
+    g = theorem2_family(2).graph
+    assert hamiltonian_path(Graph(g.n, g.edges), Budget(max_ms=max_ms)).status == "unknown"
+    covers = []
+    monkeypatch.setattr(trees, "anchored_path_cover", lambda *args: covers.append(args))
+    assert decide_sgc(g, Budget(max_ms=max_ms)).status == "unknown"
+    assert covers == []
+
+
 def _off_path(g, path):
     mask = sum(1 << q for q in path)
     return [(g.adj_mask[q] & ~mask).bit_count() for q in (path[0], path[-1])]
@@ -399,11 +413,10 @@ def _off_path(g, path):
 
 def test_minimal_spines_are_the_spines_with_branching_ends(corpus_n4, corpus_n5):
     for g in corpus_n4 + corpus_n5[::5] + [theorem2_family(1).graph, complete_bipartite(3, 4)]:
-        every, minimal = Budget(), Budget()
-        want = [(path, mask) for path, mask in _spine_candidates(g, every, False)
-                if min(_off_path(g, path)) >= (3 if len(path) == 1 else 2)]
-        assert list(_spine_candidates(g, minimal, True)) == want
-        assert minimal.spent <= every.spent
+        want = {path for path in simple_paths_brute(g)
+                if min(_off_path(g, path)) >= (3 if len(path) == 1 else 2)}
+        spines = list(_spine_candidates(g, Budget()))
+        assert len(spines) == len(want) and set(spines) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -509,7 +522,7 @@ def test_branch_limit_searches_read_the_kept_connectivity(monkeypatch):
     Each call records what was kept before it."""
     kept = []
     real = trees.is_connected
-    monkeypatch.setattr(trees, "is_connected", lambda g: kept.append(real.kept(g)) or real(g))
+    monkeypatch.setattr(trees, "is_connected", lambda g: kept.append(vars(g).get("is_connected")) or real(g))
     g = random_connected(12, 0.25, 5)
     res = min_branch_spanning_tree(Graph(g.n, g.edges))
     assert res.value == 1 and kept == [None, True]
