@@ -50,7 +50,7 @@ from .graphs import (
 from .families import theorem2_family
 from .invariants import independence_number, vertex_connectivity
 from .search import DEFAULT_NODE_BUDGET, Budget
-from .trees import branch_profile, classify_tree, decide_sgc, min_branch_spanning_tree
+from .trees import Refutation, branch_profile, classify_tree, decide_sgc, min_branch_spanning_tree
 from .verify import EMBEDDED_CORPUS_MAX_N, FAMILY_CHECKS, THEOREM_IDS, Corpus, verify_theorem
 
 
@@ -131,9 +131,15 @@ def _analyze_one(g: Graph, budget: Budget) -> dict:
         },
     }
     if connected:
+        # the SGC decision goes before s: past the DP, s charges the
+        # Hamiltonian path's 2**n states, which spends the budget, while the
+        # decision's refutation runs before that path
+        sgc = decide_sgc(g, budget)
+        record["sgc"] = {"status": sgc.status}
+        if isinstance(sgc.witness, Refutation):
+            record["sgc"]["separator"] = sorted(sgc.witness.separator)
         mb = min_branch_spanning_tree(g, budget)
         record["s"] = {"value": mb.value, "exact": mb.exact}
-        record["sgc"] = {"status": decide_sgc(g, budget).status}
     else:
         # No spanning tree at all, so the invariants are settled vacuously.
         record["s"] = {"value": None, "exact": True}
@@ -158,7 +164,9 @@ def _print_analysis_text(record: dict) -> None:
     else:
         suffix = "" if s["exact"] else " (upper bound, budget hit)"
         print(f"  s = {s['value']}{suffix}")
-    print(f"  spanning generalized caterpillar: {record['sgc']['status']}")
+    sgc = record["sgc"]
+    how = f" (separator {sgc['separator']})" if "separator" in sgc else ""
+    print(f"  spanning generalized caterpillar: {sgc['status']}{how}")
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:

@@ -66,7 +66,8 @@ Status = Literal["yes", "no", "unknown"]
 
 @dataclass(frozen=True)
 class Decision:
-    """Three-valued search outcome.  ``witness`` is set exactly when status is yes."""
+    """Three-valued search outcome.  ``witness`` is set when status is yes;
+    a "no" may carry a certificate too (``trees.decide_sgc``'s refutation)."""
 
     status: Status
     witness: Any = None

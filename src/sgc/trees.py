@@ -29,11 +29,50 @@ branch vertices (``_few_branch_tree``), which ``min_branch_spanning_tree``
 also takes as its upper bound on s.  A tree with at most two branch vertices
 is always a generalized caterpillar, and a tree of any class but "other"
 answers "yes" with its validated spine certificate.  The greedy tree runs once
-the Hamiltonian path is not "yes", and first of all where the DP's 2**n
+the Hamiltonian path is not "yes", and before the path where the DP's 2**n
 states do not fit the budget, since the path is never "no" there.  An
 "unknown" Hamiltonian path then ends the decision: it is only ever answered
 once the budget has run out, and a spent budget raises at every later
 charge, so no spine could settle anything.
+
+A "no" is certified, wherever one of the separators tried allows it, by a
+separator refutation (``Refutation``).  Let T be a spanning generalized
+caterpillar with spine Q (a path is its own spine), and S any vertex set.
+Q - S has at most |S| + 1 segments, each inside one component of G - S, so
+at most |S| + 1 components meet Q.  Take a component C that Q misses.  Legs
+cover C, and each piece of a leg inside C (a maximal run of the leg in C)
+has an end in N(S): where the piece holds the leg's attaching end, that
+end's neighbour on Q lies outside C, so in S; otherwise the leg runs on out
+of C at an end of the piece, into S.  So C has a cover by disjoint paths each
+with an end among its *anchors*, N(S) in C, and where at least |S| + 2
+components have no such cover, G has no spanning generalized caterpillar.
+With no legs this is the count behind Chvatal's toughness condition ("Tough
+graphs and Hamiltonian circuits", 1973).  A component is shown to have no
+such cover (``_deficiency``) when it has no anchor; when it is bipartite
+with sides X and Y and |X| - |Y| > |X & anchors|, or the same with the sides
+swapped (a path holds at most one more vertex of X than of Y, and one more
+only with both ends in X, one of them an anchor, so the paths with a surplus
+take distinct anchors of X); or when it has at most
+``REFUTATION_COVER_LIMIT`` vertices and ``anchored_path_cover`` finds none.
+The rule is sufficient, not necessary: the near-tree
+``QkO_GCG@?G?_?CG??O?I__??G??`` (n = 18) has no SGC and no refutation among
+the separators tried.
+
+The separators are cheap candidates, with no flow per vertex pair
+(``_separators``): each false-twin class of two or more vertices (equal
+``adj_mask``), most neighbours off the class first; then each cut vertex
+where kappa is 1, else the kappa separator.  Kappa is not computed where the
+Warnsdorff walk spans V, since a Hamiltonian path is an SGC: on
+``random_connected(100, 0.3, s)`` it took 15-40 ms, and the refutation
+without it 0.5-0.7 ms (2-core host, Python 3.11.7).  ``theorem2_family(m)``
+is refuted by its hub, a twin class from m = 2 and a cut vertex at m = 1.
+The refutation charges one node per component tested plus the cover's nodes,
+in O(|S| (n + m)) bitmask work per separator, and each is validated before
+it is returned.  Where the DP's 2**n states do not fit the budget it runs
+first of all, before the greedy tree, which costs more: on
+``theorem2_family(4)`` the tree takes 1.7 ms and the refutation 0.11 ms on
+the same host.  Where the DP fits it runs after the greedy tree and before
+any spine.
 
 s decides branch limit 1 as a spanning spider.  The Hamiltonian path is
 "no" by then, so a spanning tree T with at most one branch vertex c is a
@@ -90,6 +129,7 @@ from .graphs import (
     norm_edge,
     once_per_instance,
 )
+from .invariants import vertex_connectivity
 from .search import Budget, Decision, OutOfBudget, _HandOver, as_budget
 
 TREE_KINDS = ("path", "spider", "caterpillar", "generalized_caterpillar", "other")
@@ -358,8 +398,9 @@ def hamiltonian_path(g: Graph, budget: Budget | int | None = None) -> Decision:
     counting or the search, is returned only where the DP's 2**n states fit
     the budget, so that no answer differs from the DP's: beyond that the call
     spends the 2**n states and answers "unknown", as the DP does.  A "no"
-    past the budget would send ``decide_sgc`` on to a spine search that
-    cannot settle ``theorem2_family(2)`` within it.
+    past the budget would send s on to its branch-limit searches, which on
+    ``theorem2_family(8)`` spend 300,000 nodes in 1.8 s (2-core host,
+    Python 3.11.7) without settling s.
 
     A yes or no is kept on the ``Graph`` instance, so s, the SGC decision and
     the constructive pipelines share one computation per instance; an
@@ -739,6 +780,166 @@ def _spine_with_legs(g: Graph, spine: tuple[int, ...],
     return cert
 
 
+# ---------------------------------------------------------------------------
+# the separator refutation
+
+# components up to this many vertices are tested by an anchored path cover
+REFUTATION_COVER_LIMIT = 10
+
+
+@dataclass(frozen=True)
+class Refutation:
+    """A vertex set S of ``host`` and at least |S| + 2 components of
+    ``host`` - S, each with no cover by disjoint paths that each end in N(S),
+    and the reason it has none: "no_anchor", "imbalance" or "no_cover" (see
+    ``_deficiency``).  A certificate that ``host`` has no spanning
+    generalized caterpillar (see the module docstring)."""
+
+    host: Graph
+    separator: frozenset[int]
+    deficient: tuple[tuple[frozenset[int], str], ...]
+
+
+def _neighbourhood(adj: tuple[int, ...], s: int) -> int:
+    """N(S) for the vertex set ``s``, as a mask."""
+    near = 0
+    while s:
+        low = s & -s
+        near |= adj[low.bit_length() - 1]
+        s ^= low
+    return near
+
+
+def _sides(adj: tuple[int, ...], comp: int) -> tuple[int, int] | None:
+    """The two colour classes of the connected induced subgraph on ``comp``
+    as masks, or None when it has an odd cycle.
+
+    The classes are the even and odd levels of a breadth-first search.  An
+    edge joins two vertices of one level or of consecutive levels, so the
+    subgraph is bipartite exactly when no edge lies inside a level."""
+    sides = [comp & -comp, 0]
+    seen = frontier = sides[0]
+    parity = 0
+    while frontier:
+        grow = _neighbourhood(adj, frontier)
+        if grow & frontier:
+            return None
+        frontier = grow & comp & ~seen
+        seen |= frontier
+        parity ^= 1
+        sides[parity] |= frontier
+    return sides[0], sides[1]
+
+
+def _deficiency(g: Graph, comp: int, near: int, budget: Budget) -> str | None:
+    """Why the component ``comp`` of G - S has no cover by disjoint paths
+    each with an end in its anchors ``near & comp`` (``near`` is N(S)), by
+    the first test that shows it, or None when none does: "no_anchor" (there
+    is no anchor), "imbalance" (it is bipartite and a side outnumbers the
+    other by more than its own anchors) or "no_cover" (it has at most
+    ``REFUTATION_COVER_LIMIT`` vertices and ``anchored_path_cover`` finds no
+    cover)."""
+    anchors = near & comp
+    if not anchors:
+        return "no_anchor"
+    if anchors == comp:
+        return None  # one path per vertex covers it
+    sides = _sides(g.adj_mask, comp)
+    if sides is not None:
+        x, y = sides
+        if x.bit_count() - y.bit_count() > (x & anchors).bit_count() \
+                or y.bit_count() - x.bit_count() > (y & anchors).bit_count():
+            return "imbalance"
+    if comp.bit_count() <= REFUTATION_COVER_LIMIT \
+            and anchored_path_cover(g, comp, anchors, budget) is None:
+        return "no_cover"
+    return None
+
+
+def validate_refutation(ref: Refutation) -> None:
+    """Raise CertificateError unless each listed component is a component of
+    host - S whose first failing test is its stated reason, and there are at
+    least |S| + 2 of them."""
+    g = ref.host
+    adj = g.adj_mask
+    if any(not 0 <= v < g.n for v in ref.separator):
+        raise CertificateError("separator vertex out of range")
+    s = sum(1 << v for v in ref.separator)
+    if len(ref.deficient) < len(ref.separator) + 2:
+        raise CertificateError(
+            f"{len(ref.deficient)} deficient components, a separator of "
+            f"{len(ref.separator)} needs {len(ref.separator) + 2}")
+    comps = set(mask_components(adj, ((1 << g.n) - 1) & ~s))
+    near = _neighbourhood(adj, s)
+    listed = set()
+    for vertices, reason in ref.deficient:
+        comp = sum(1 << v for v in vertices)
+        if comp not in comps or comp in listed:
+            raise CertificateError(f"{sorted(vertices)} is no component of G - S, or listed twice")
+        listed.add(comp)
+        got = _deficiency(g, comp, near, Budget())
+        if got != reason:
+            raise CertificateError(f"component {sorted(vertices)} is {got or 'coverable'}, "
+                                   f"not {reason}")
+
+
+def _refute_with(g: Graph, s: int, budget: Budget) -> Refutation | None:
+    """The refutation with separator ``s``, validated; None when fewer than
+    |S| + 2 components of G - S show a deficiency.  Charges one node per
+    component tested, plus the cover's nodes."""
+    adj = g.adj_mask
+    need = s.bit_count() + 2
+    near = _neighbourhood(adj, s)
+    # each component of G - S holds a neighbour of S
+    if (near & ~s).bit_count() < need:
+        return None
+    comps = mask_components(adj, ((1 << g.n) - 1) & ~s)
+    found = []
+    for i, comp in enumerate(comps):
+        if len(found) + len(comps) - i < need:
+            return None
+        budget.spend()
+        if reason := _deficiency(g, comp, near, budget):
+            found.append((frozenset(bits(comp)), reason))
+            if len(found) == need:
+                ref = Refutation(g, frozenset(bits(s)), tuple(found))
+                validate_refutation(ref)
+                return ref
+    return None
+
+
+def _separators(g: Graph) -> Iterator[int]:
+    """The separators a refutation tries, as masks: each false-twin class of
+    two or more vertices (equal ``adj_mask``), then each cut vertex where
+    kappa is 1, else the kappa separator when no class was it.  Kappa is
+    computed only once the classes are spent, and not where the Warnsdorff
+    walk spans V: a Hamiltonian path is an SGC, so nothing refutes it."""
+    classes: dict[int, int] = {}
+    for v, mask in enumerate(g.adj_mask):
+        classes[mask] = classes.get(mask, 0) | 1 << v
+    # most neighbours off the class first: that is where G - S can fall
+    # into the most components
+    twins = [c for _, c in sorted((c.bit_count() - mask.bit_count(), c)
+                                  for mask, c in classes.items() if c & (c - 1))]
+    yield from twins
+    if len(_greedy_walk(g)[0]) == g.n:
+        return
+    kappa = vertex_connectivity(g)
+    if kappa.kappa == 1:
+        yield from (1 << v for v in range(g.n))
+    elif kappa.separator and (cut := sum(1 << v for v in kappa.separator)) not in twins:
+        yield cut
+
+
+def _refutation(g: Graph, budget: Budget) -> Refutation | None:
+    """A validated refutation of a connected graph from the first of
+    ``_separators`` that gives one; None when none does."""
+    for s in _separators(g):
+        if ref := _refute_with(g, s, budget):
+            return ref
+    return None
+
+
 def _greedy_certificate(g: Graph, budget: Budget) -> CaterpillarCertificate | None:
     """The greedy few-branch tree's spine certificate, validated; None when
     that tree is no generalized caterpillar."""
@@ -751,18 +952,27 @@ def _greedy_certificate(g: Graph, budget: Budget) -> CaterpillarCertificate | No
 def decide_sgc(g: Graph, budget: Budget | int | None = None) -> Decision:
     """Does g admit a spanning tree whose branch vertices all lie on one path?
 
-    Yes answers carry a validated CaterpillarCertificate; a "no" is an
-    exhaustive proof; "unknown" means the budget ran out first.
+    Yes answers carry a validated CaterpillarCertificate.  A "no" carries a
+    validated ``Refutation`` where one of the separators tried gives one,
+    and is otherwise the exhaustive spine search's proof, with no witness;
+    "unknown" means the budget ran out first.
+
+    Past the DP (its 2**n states do not fit the budget) the refutation runs
+    first, then the greedy tree, then the Hamiltonian path.  Where the DP
+    fits, the Hamiltonian path, the greedy tree and the refutation run in
+    that order, and only then the spines (see the module docstring).
     """
     if not is_connected(g):
         raise GraphError("SGC decision needs a connected graph")
     budget = as_budget(budget)
     try:
-        # past the DP the Hamiltonian path is never "no", so the greedy tree
-        # goes first there
-        if budget.spent + (1 << g.n) > budget.max_nodes \
-                and (cert := _greedy_certificate(g, budget)) is not None:
-            return Decision("yes", cert)
+        # past the DP the Hamiltonian path is never "no", so the refutation
+        # and the greedy tree go first there
+        if budget.spent + (1 << g.n) > budget.max_nodes:
+            if (ref := _refutation(g, budget)) is not None:
+                return Decision("no", ref)
+            if (cert := _greedy_certificate(g, budget)) is not None:
+                return Decision("yes", cert)
         hp = hamiltonian_path(g, budget)
         if hp.status == "yes":
             order = hp.witness
@@ -771,6 +981,8 @@ def decide_sgc(g: Graph, budget: Budget | int | None = None) -> Decision:
             return Decision("yes", cert)
         if hp.status == "unknown":
             return hp
+        if (ref := _refutation(g, budget)) is not None:
+            return Decision("no", ref)
         for spine in _spine_candidates(g, budget):
             if cert := _spine_with_legs(g, spine, budget):
                 return Decision("yes", cert)

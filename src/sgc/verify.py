@@ -10,8 +10,9 @@ and 3 run the pipelines of ``construct``, whose hypothesis gates they share.
 
 Two claims run over family parameters m instead of a corpus: ``lemma4`` (where
 the violations ARE the point — the report documents the refutation) and
-``theorem2`` (whose instances grow too fast for whole-graph decision beyond
-m = 1, so larger instances are verified through their proof's sub-claims).
+``theorem2``, one whole-graph ``decide_sgc`` per m, whose "no" is a
+validated separator refutation (``trees.Refutation``) at every m: the hub
+leaves m + 2 copies that no paths ending next to it can cover.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ from .families import (
 )
 from .graphs import (
     Graph,
-    complete_bipartite,
     emit_graph6,
     is_connected,
     parse_graph6,
@@ -305,8 +305,10 @@ def _check_lemma4_instance(m: int, budget: Budget) -> tuple[str, str]:
 
 def _check_theorem2_instance(m: int, budget: Budget) -> tuple[str, str]:
     """One hub-and-copies instance: verify its invariants and that it has no
-    spanning generalized caterpillar (whole-graph decision for m = 1, the
-    proof's sub-claims beyond)."""
+    spanning generalized caterpillar, by one whole-graph decision at every m.
+    Its "no" is the separator refutation: the m hub vertices leave m + 2
+    copies of K_{2m+1,m}, each bipartite with sides differing by m + 1 and
+    only its m connectors as anchors (``trees.Refutation``)."""
     inst = theorem2_family(m)
     validate_theorem2_instance(inst)
     g = inst.graph
@@ -319,38 +321,16 @@ def _check_theorem2_instance(m: int, budget: Budget) -> tuple[str, str]:
         return "timeout", "independence number not settled"
     if alpha_cert.alpha != want["alpha"]:
         return "violation", f"alpha = {alpha_cert.alpha}, want {want['alpha']}"
-    if g.n <= 16:
-        dec = decide_sgc(g, budget)
-        if dec.status == "no":
-            return "verified", ("no spanning generalized caterpillar (exhaustive spine "
-                                f"search); alpha = {alpha_cert.alpha}, kappa = {kappa}")
-        if dec.status == "yes":
-            return "violation", "instance admits a spanning generalized caterpillar"
-        return "timeout", "whole-graph decision not settled"
-    # Sub-claim route.  (a) each copy K_{2m+1,m} needs at least m+1 disjoint
-    # paths; (b) a single spine path visiting the m hub vertices offers at most
-    # 2m attachment slots, too few for the m+2 copies' 2m+2 required spine
-    # visits (pigeonhole: some copy is missed entirely).
-    copy = complete_bipartite(2 * m + 1, m)
-    if copy.n <= EXHAUSTIVE_COVER_LIMIT:
-        method = "exhaustive + counting"
-        dec = min_disjoint_path_cover(copy, m, budget, counting_prune=False)
-        if dec.status == "unknown":
-            return "timeout", "exhaustive copy cover search not settled"
-        if dec.status == "yes":
-            return "violation", f"copy K_{{{2 * m + 1},{m}}} covered by {m} paths"
-    else:
-        # a path alternates sides, and the sides differ by m + 1 > m
-        method = "counting bound"
-    upper = min_disjoint_path_cover(copy, m + 1, budget)
-    if upper.status == "unknown":
-        return "timeout", "copy cover search not settled"
-    if upper.status == "no":
-        return "violation", f"copy K_{{{2 * m + 1},{m}}} not covered by {m + 1} paths"
-    return "verified", (f"sub-claims hold: path cover of each copy K_{{{2 * m + 1},{m}}} "
-                        f"needs exactly m+1 = {m + 1} disjoint paths ({method}); "
-                        f"m+2 = {m + 2} copies need 2m+2 = {2 * m + 2} spine visits, but the "
-                        f"m hub vertices admit at most 2m = {2 * m} on one path")
+    dec = decide_sgc(g, budget)
+    if dec.status == "no":
+        ref = dec.witness
+        how = ("exhaustive spine search" if ref is None else
+               f"{len(ref.deficient)} deficient components off {len(ref.separator)} vertices")
+        return "verified", (f"no spanning generalized caterpillar ({how}); "
+                            f"alpha = {alpha_cert.alpha}, kappa = {kappa}")
+    if dec.status == "yes":
+        return "violation", "instance admits a spanning generalized caterpillar"
+    return "timeout", "whole-graph decision not settled"
 
 
 FAMILY_CHECKS = {"lemma4": _check_lemma4_instance, "theorem2": _check_theorem2_instance}

@@ -1,17 +1,19 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sgc.covers import PathCover, validate_path_cover
+from sgc.covers import PathCover, anchored_path_cover, validate_path_cover
 from sgc.errors import CertificateError, GraphError
 from sgc.graphs import (
     Graph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    is_bipartite,
     new_graph,
     norm_edge,
+    parse_graph6,
     path_graph,
     random_connected,
 )
@@ -27,6 +29,7 @@ from sgc import trees
 from sgc.search import Budget, OutOfBudget
 from sgc.trees import (
     CaterpillarCertificate,
+    Refutation,
     SpanningTree,
     _few_branch_tree,
     _spanning_spider,
@@ -40,6 +43,7 @@ from sgc.trees import (
     spanning_tree,
     spanning_tree_enumerate,
     validate_caterpillar_certificate,
+    validate_refutation,
     validate_spanning_tree,
 )
 from sgc.families import theorem2_family
@@ -367,16 +371,20 @@ def test_decide_sgc_smallest_no_instance():
 
 
 def test_decide_sgc_theorem2_family_1_nodes():
-    """Counting settles the Hamiltonian path and only minimal spines are
-    tried; the full DP and every spine took 10,859 nodes.  34 of the 96 go
-    to the greedy few-branch tree, which is the graph itself (a tree with
-    four branch vertices off any one path), and one to each of the 11 failed
-    leg covers: the graph is a tree, so every spine leaves a non-anchor leaf
-    too many in some component, and the anchored cover's first state fails.
-    Trying the stuck Warnsdorff walk as one more spine first took 97."""
+    """Counting settles the Hamiltonian path, and the refutation settles the
+    rest before any spine; the full DP and every spine took 10,859 nodes,
+    the minimal spines 96.  34 of the 37 go to the greedy few-branch tree,
+    which is the graph itself (a tree with four branch vertices off any one
+    path), and one to each of the three components the hub, a cut vertex,
+    leaves: each is K_{3,1} with one anchor on its 3-side, so the sides
+    differ by more than its anchors."""
     budget = Budget()
-    assert decide_sgc(theorem2_family(1).graph, budget).status == "no"
-    assert budget.spent == 96 < 10_859
+    dec = decide_sgc(theorem2_family(1).graph, budget)
+    assert dec.status == "no"
+    validate_refutation(dec.witness)
+    assert dec.witness.separator == {0}
+    assert [reason for _, reason in dec.witness.deficient] == ["imbalance"] * 3
+    assert budget.spent == 37 < 96
 
 
 def test_decide_sgc_greedy_tree_settles_random_14():
@@ -392,18 +400,40 @@ def test_decide_sgc_greedy_tree_settles_random_14():
     validate_caterpillar_certificate(dec.witness)
 
 
+# a near-tree with no SGC that no separator the refutation tries certifies
+UNREFUTED_18 = "QkO_GCG@?G?_?CG??O?I__??G??"
+
+
 @pytest.mark.parametrize("max_ms", [None, 0])
 def test_decide_sgc_stops_at_an_unknown_hamiltonian_path(monkeypatch, max_ms):
     """An "unknown" path is answered only once the budget has run out, so
-    no spine is tried after it.  theorem2_family(2) has no SGC, and its
-    greedy tree is none; its Hamiltonian path runs out charging the DP's
-    2**30 states, and a 0 ms budget runs out at its first charge."""
-    g = theorem2_family(2).graph
-    assert hamiltonian_path(Graph(g.n, g.edges), Budget(max_ms=max_ms)).status == "unknown"
-    covers = []
-    monkeypatch.setattr(trees, "anchored_path_cover", lambda *args: covers.append(args))
-    assert decide_sgc(g, Budget(max_ms=max_ms)).status == "unknown"
-    assert covers == []
+    no spine is tried after it.  The near-tree has no SGC, no refutation and
+    a greedy tree that is none; under a budget short of the DP its
+    Hamiltonian path runs out charging the DP's 2**18 states, and a 0 ms
+    budget runs out at its first charge."""
+    g = parse_graph6(UNREFUTED_18)
+    short = (1 << g.n) - 1
+    assert decide_sgc(Graph(g.n, g.edges)).status == "no"
+    assert trees._refutation(Graph(g.n, g.edges), Budget()) is None
+    assert hamiltonian_path(Graph(g.n, g.edges), Budget(short, max_ms)).status == "unknown"
+    events = []
+
+    def path(*args):
+        dec = hamiltonian_path(*args)
+        events.append(dec.status)
+        return dec
+
+    def cover(*args):
+        events.append("cover")
+        return anchored_path_cover(*args)
+
+    monkeypatch.setattr(trees, "hamiltonian_path", path)
+    monkeypatch.setattr(trees, "anchored_path_cover", cover)
+    assert decide_sgc(g, Budget(short, max_ms)).status == "unknown"
+    # a 0 ms budget runs out before the path is asked
+    assert ("unknown" in events) == (max_ms is None)
+    if max_ms is None:
+        assert "cover" not in events[events.index("unknown"):]
 
 
 def _off_path(g, path):
@@ -436,7 +466,8 @@ def test_decide_sgc_matches_brute(g):
 def test_decide_sgc_never_no_under_a_budget_short_of_the_dp(g, data):
     """The minimal-spine rule needs a proven "no" for the Hamiltonian path;
     a budget the DP does not fit in never gives one, though the search may
-    still find a path."""
+    still find a path.  The refutation may answer "no" there, but every
+    graph with fewer than 10 vertices has an SGC."""
     limit = data.draw(st.integers(min_value=0, max_value=(1 << g.n) - 1))
     hp = hamiltonian_path(Graph(g.n, g.edges), Budget(max_nodes=limit))
     assert hp.status != "no"
@@ -476,15 +507,107 @@ def test_greedy_tree_settles_sgc_past_the_dp():
     """Three K_9 sharing a vertex (n = 25) have no Hamiltonian path, and
     2**25 exceeds the default budget, so the path is never "no" there; the
     greedy tree, a spider at the shared vertex, settles the decision first.
-    Before it the call charged the DP's 2**25 and answered unknown.
-    theorem2_family(2) has no SGC, and its greedy tree is none: it stays
-    unknown."""
+    Before it the call charged the DP's 2**25 and answered unknown.  The
+    refutation before the tree charges one node: the shared vertex leaves
+    three K_8, the first is all anchors, so one path per vertex covers it,
+    and the two left cannot make three.  theorem2_family(2) has no SGC, and
+    its greedy tree is none; it was unknown, and the refutation with the hub
+    as S now answers "no" in 4 nodes, one per copy tested."""
     budget = Budget()
     dec = decide_sgc(_shared_cliques(9, 3), budget)
-    assert dec.status == "yes" and budget.spent == 24
+    assert dec.status == "yes" and budget.spent == 25
     validate_caterpillar_certificate(dec.witness)
     assert classify_tree(dec.witness.tree)[0] == "spider"
-    assert decide_sgc(theorem2_family(2).graph).status == "unknown"
+    budget = Budget()
+    dec = decide_sgc(theorem2_family(2).graph, budget)
+    assert dec.status == "no" and budget.spent == 4
+    validate_refutation(dec.witness)
+    assert dec.witness.separator == {0, 1}
+
+
+# the Y of cherries with one more leaf at its centre: the leaf is a fourth
+# component of G - {0}, one that a path of its own anchored vertex covers
+Y_WITH_LEAF = new_graph(11, list(Y_OF_CHERRIES.edges) + [(0, 10)])
+
+
+@pytest.mark.parametrize("g", [Y_OF_CHERRIES, Y_WITH_LEAF])
+def test_refutation_of_the_y_of_cherries(g):
+    ref = trees._refutation(g, Budget())
+    validate_refutation(ref)
+    assert ref.separator == {0}
+    assert ref.deficient == ((frozenset({1, 4, 5}), "imbalance"),
+                             (frozenset({2, 6, 7}), "imbalance"),
+                             (frozenset({3, 8, 9}), "imbalance"))
+
+
+@pytest.mark.parametrize("tamper", [
+    # S = {} leaves one component, not the three listed
+    lambda ref: Refutation(ref.host, frozenset(), ref.deficient),
+    # the leaf has an anchored cover
+    lambda ref: Refutation(ref.host, ref.separator,
+                           ref.deficient[:2] + ((frozenset({10}), "no_cover"),)),
+    lambda ref: Refutation(ref.host, ref.separator,
+                           ref.deficient[:2] + ((frozenset({10}), "imbalance"),)),
+    # one deficient component too few
+    lambda ref: Refutation(ref.host, ref.separator, ref.deficient[:2]),
+    # a component listed twice
+    lambda ref: Refutation(ref.host, ref.separator, ref.deficient[:2] + ref.deficient[:1]),
+    # a component with more than one anchor is not "no_anchor"
+    lambda ref: Refutation(ref.host, ref.separator,
+                           ((ref.deficient[0][0], "no_anchor"),) + ref.deficient[1:]),
+])
+def test_validate_refutation_rejects_tampering(tamper):
+    ref = trees._refutation(Y_WITH_LEAF, Budget())
+    with pytest.raises(CertificateError):
+        validate_refutation(tamper(ref))
+
+
+def test_validate_refutation_rejects_a_separator_that_splits_otherwise():
+    """theorem2_family(2) with one hub vertex dropped from S: the other hub
+    vertex joins the four copies into one component."""
+    ref = decide_sgc(theorem2_family(2).graph).witness
+    validate_refutation(ref)
+    with pytest.raises(CertificateError):
+        validate_refutation(Refutation(ref.host, frozenset({0}), ref.deficient))
+
+
+def test_sides_are_a_bipartition(corpus_n4, corpus_n5):
+    for g in corpus_n4 + corpus_n5:
+        full = (1 << g.n) - 1
+        sides = trees._sides(g.adj_mask, full)
+        assert (sides is not None) == (is_bipartite(g) is not None)
+        if sides is not None:
+            x, y = sides
+            assert x | y == full and not x & y
+            assert not any(g.adj_mask[v] & x for v in range(g.n) if x >> v & 1)
+            assert not any(g.adj_mask[v] & y for v in range(g.n) if y >> v & 1)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_theorem2_family_is_refuted_by_its_hub(m):
+    ref = trees._refutation(theorem2_family(m).graph, Budget())
+    validate_refutation(ref)
+    assert ref.separator == set(range(m))
+    assert len(ref.deficient) == m + 2
+
+
+@pytest.mark.parametrize("k", [7, 9])
+def test_shared_cliques_are_not_refuted(k):
+    """Three K_k sharing a vertex have an SGC, a spider at that vertex."""
+    assert trees._refutation(_shared_cliques(k, 3), Budget()) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_trees(max_extra=3))
+# a spider with three legs of two edges: each such leg has one vertex per
+# side and its anchor on one of them, so one path covers it, and only a
+# strict imbalance test leaves it alone
+@example(new_graph(8, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5), (2, 6), (3, 7)]))
+def test_refutation_only_where_brute_finds_no_sgc(g):
+    ref = trees._refutation(g, Budget())
+    if ref is not None:
+        validate_refutation(ref)
+        assert not sgc_brute(g)
 
 
 @pytest.mark.parametrize("n, seed", [(18, 501), (16, 302), (16, 303)])
@@ -513,7 +636,7 @@ def test_greedy_tree_charges_every_vertex_it_places():
     with pytest.raises(OutOfBudget):
         _few_branch_tree(Graph(g.n, g.edges), Budget(max_nodes=32))
     # the greedy tree goes first past the DP, and one node short it runs out
-    assert decide_sgc(_shared_cliques(9, 3), Budget(max_nodes=23)).status == "unknown"
+    assert decide_sgc(_shared_cliques(9, 3), Budget(max_nodes=24)).status == "unknown"
 
 
 def test_branch_limit_searches_read_the_kept_connectivity(monkeypatch):

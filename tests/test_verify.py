@@ -3,7 +3,6 @@ import json
 import pytest
 
 from sgc import verify
-from sgc.covers import min_disjoint_path_cover
 from sgc.errors import FormatError
 from sgc.families import counterexample_bipartite, theorem2_family
 from sgc.graphs import (
@@ -23,6 +22,7 @@ from oracles import (
     vertex_connectivity_brute,
 )
 from sgc.search import Budget
+from sgc.trees import decide_sgc, validate_refutation
 from sgc.verify import (
     PER_GRAPH_CHECKS,
     Corpus,
@@ -317,21 +317,27 @@ def test_lemma4_rejects_bad_parameters():
         refute_lemma4(m_values=(0,))
 
 
-@pytest.mark.parametrize("m, searches", [(2, 1), (3, 1), (4, 0)])
-def test_theorem2_searches_each_copy_once(monkeypatch, m, searches):
-    # one search without the counting bound up to EXHAUSTIVE_COVER_LIMIT
-    # vertices (K_{5,2} and K_{7,3}), the bound alone past it (K_{9,4})
-    pruning = []
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_theorem2_is_refuted_without_copy_searches(monkeypatch, m):
+    """One whole-graph decision settles every m, and its "no" is the
+    separator refutation; the copy cover searches of the proof's sub-claims
+    are gone."""
+    searches = []
+    monkeypatch.setattr(verify, "min_disjoint_path_cover", lambda *args: searches.append(args))
+    decisions = []
 
-    def recording(g, k, budget=None, counting_prune=True):
-        if k == m:
-            pruning.append(counting_prune)
-        return min_disjoint_path_cover(g, k, budget, counting_prune)
+    def deciding(g, budget):
+        dec = decide_sgc(g, budget)
+        decisions.append(dec)
+        return dec
 
-    monkeypatch.setattr(verify, "min_disjoint_path_cover", recording)
+    monkeypatch.setattr(verify, "decide_sgc", deciding)
     outcome, detail = verify._check_theorem2_instance(m, Budget())
     assert outcome == "verified", detail
-    assert pruning == [False] * searches
+    assert searches == []
+    [dec] = decisions
+    validate_refutation(dec.witness)
+    assert dec.witness.separator == set(range(m))  # the hub
 
 
 def test_theorem2_family_report():
