@@ -47,32 +47,35 @@ of C at an end of the piece, into S.  So C has a cover by disjoint paths each
 with an end among its *anchors*, N(S) in C, and where at least |S| + 2
 components have no such cover, G has no spanning generalized caterpillar.
 With no legs this is the count behind Chvatal's toughness condition ("Tough
-graphs and Hamiltonian circuits", 1973).  A component is shown to have no
-such cover (``_deficiency``) when it has no anchor; when it is bipartite
-with sides X and Y and |X| - |Y| > |X & anchors|, or the same with the sides
-swapped (a path holds at most one more vertex of X than of Y, and one more
-only with both ends in X, one of them an anchor, so the paths with a surplus
-take distinct anchors of X); or when it has at most
+graphs and Hamiltonian circuits", 1973).  Every separator tried is
+non-empty and G is connected, so every component of G - S has an anchor.  A
+component is shown to have no such cover (``_deficiency``) when it is
+bipartite with sides X and Y and |X| - |Y| > |X & anchors|, or the same with
+the sides swapped (a path holds at most one more vertex of X than of Y, and
+one more only with both ends in X, one of them an anchor, so the paths with
+a surplus take distinct anchors of X); or when it has at most
 ``REFUTATION_COVER_LIMIT`` vertices and ``anchored_path_cover`` finds none.
 The rule is sufficient, not necessary: the near-tree
 ``QkO_GCG@?G?_?CG??O?I__??G??`` (n = 18) has no SGC and no refutation among
 the separators tried.
 
-The separators are cheap candidates, with no flow per vertex pair
-(``_separators``): each false-twin class of two or more vertices (equal
-``adj_mask``), most neighbours off the class first; then each cut vertex
-where kappa is 1, else the kappa separator.  Kappa is not computed where the
-Warnsdorff walk spans V, since a Hamiltonian path is an SGC: on
-``random_connected(100, 0.3, s)`` it took 15-40 ms, and the refutation
-without it 0.5-0.7 ms (2-core host, Python 3.11.7).  ``theorem2_family(m)``
-is refuted by its hub, a twin class from m = 2 and a cut vertex at m = 1.
-The refutation charges one node per component tested plus the cover's nodes,
-in O(|S| (n + m)) bitmask work per separator, and each is validated before
-it is returned.  Where the DP's 2**n states do not fit the budget it runs
-first of all, before the greedy tree, which costs more: on
-``theorem2_family(4)`` the tree takes 1.7 ms and the refutation 0.11 ms on
-the same host.  Where the DP fits it runs after the greedy tree and before
-any spine.
+The separators are cheap candidates, with no flow per vertex pair: each
+false-twin class of two or more vertices (equal ``adj_mask``), most
+neighbours off the class first (``_twin_separators``); then each cut vertex
+where kappa is 1, else the kappa separator (``_cut_separators``).  Kappa is
+not computed where the Warnsdorff walk spans V, since a Hamiltonian path is
+an SGC: on ``random_connected(100, 0.3, s)`` it took 15-40 ms, and the
+refutation without it 0.5-0.7 ms (2-core host, Python 3.11.7).
+``theorem2_family(m)`` is refuted by its hub, a twin class from m = 2 and a
+cut vertex at m = 1.  The refutation charges one node per component tested
+plus the cover's nodes, in O(|S| (n + m)) bitmask work per separator, and
+each is validated before it is returned.  Where the DP's 2**n states do not
+fit the budget, the twin classes are tried first of all, before the greedy
+tree, which costs more: on ``theorem2_family(4)`` the tree takes 1.7 ms and
+the refutation 0.11 ms on the same host.  The cut separators come after the
+tree there, so a graph the tree answers never pays for kappa or for one try
+per cut vertex.  Where the DP fits, both run after the greedy tree and
+before any spine.
 
 s decides branch limit 1 as a spanning spider.  The Hamiltonian path is
 "no" by then, so a spanning tree T with at most one branch vertex c is a
@@ -111,7 +114,8 @@ import sys
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterator
+from itertools import chain
+from typing import Callable, Iterable, Iterator
 
 from .covers import anchored_path_cover, ham_path_in_mask
 from .errors import CertificateError, GraphError
@@ -791,7 +795,7 @@ REFUTATION_COVER_LIMIT = 10
 class Refutation:
     """A vertex set S of ``host`` and at least |S| + 2 components of
     ``host`` - S, each with no cover by disjoint paths that each end in N(S),
-    and the reason it has none: "no_anchor", "imbalance" or "no_cover" (see
+    and the reason it has none: "imbalance" or "no_cover" (see
     ``_deficiency``).  A certificate that ``host`` has no spanning
     generalized caterpillar (see the module docstring)."""
 
@@ -834,14 +838,11 @@ def _sides(adj: tuple[int, ...], comp: int) -> tuple[int, int] | None:
 def _deficiency(g: Graph, comp: int, near: int, budget: Budget) -> str | None:
     """Why the component ``comp`` of G - S has no cover by disjoint paths
     each with an end in its anchors ``near & comp`` (``near`` is N(S)), by
-    the first test that shows it, or None when none does: "no_anchor" (there
-    is no anchor), "imbalance" (it is bipartite and a side outnumbers the
-    other by more than its own anchors) or "no_cover" (it has at most
-    ``REFUTATION_COVER_LIMIT`` vertices and ``anchored_path_cover`` finds no
-    cover)."""
+    the first test that shows it, or None when none does: "imbalance" (it
+    is bipartite and a side outnumbers the other by more than its own
+    anchors) or "no_cover" (it has at most ``REFUTATION_COVER_LIMIT``
+    vertices and ``anchored_path_cover`` finds no cover)."""
     anchors = near & comp
-    if not anchors:
-        return "no_anchor"
     if anchors == comp:
         return None  # one path per vertex covers it
     sides = _sides(g.adj_mask, comp)
@@ -908,33 +909,40 @@ def _refute_with(g: Graph, s: int, budget: Budget) -> Refutation | None:
     return None
 
 
-def _separators(g: Graph) -> Iterator[int]:
-    """The separators a refutation tries, as masks: each false-twin class of
-    two or more vertices (equal ``adj_mask``), then each cut vertex where
-    kappa is 1, else the kappa separator when no class was it.  Kappa is
-    computed only once the classes are spent, and not where the Warnsdorff
-    walk spans V: a Hamiltonian path is an SGC, so nothing refutes it."""
+def _twin_separators(g: Graph) -> list[int]:
+    """Each false-twin class of two or more vertices (equal ``adj_mask``) as
+    a mask, most neighbours off the class first: that is where G - S can
+    fall into the most components."""
     classes: dict[int, int] = {}
     for v, mask in enumerate(g.adj_mask):
         classes[mask] = classes.get(mask, 0) | 1 << v
-    # most neighbours off the class first: that is where G - S can fall
-    # into the most components
-    twins = [c for _, c in sorted((c.bit_count() - mask.bit_count(), c)
-                                  for mask, c in classes.items() if c & (c - 1))]
-    yield from twins
+    return [c for _, c in sorted((c.bit_count() - mask.bit_count(), c)
+                                 for mask, c in classes.items() if c & (c - 1))]
+
+
+def _cut_separators(g: Graph, tried: list[int]) -> Iterator[int]:
+    """Each cut vertex as a mask where kappa is 1, else the kappa separator
+    unless it is in ``tried``.  Nothing where the Warnsdorff walk spans V: a
+    Hamiltonian path is an SGC, so nothing refutes it, and kappa is not
+    computed."""
     if len(_greedy_walk(g)[0]) == g.n:
         return
     kappa = vertex_connectivity(g)
     if kappa.kappa == 1:
         yield from (1 << v for v in range(g.n))
-    elif kappa.separator and (cut := sum(1 << v for v in kappa.separator)) not in twins:
+    elif kappa.separator and (cut := sum(1 << v for v in kappa.separator)) not in tried:
         yield cut
 
 
-def _refutation(g: Graph, budget: Budget) -> Refutation | None:
+def _refutation(g: Graph, budget: Budget,
+                separators: Iterable[int] | None = None) -> Refutation | None:
     """A validated refutation of a connected graph from the first of
-    ``_separators`` that gives one; None when none does."""
-    for s in _separators(g):
+    ``separators`` that gives one; None when none does.  The default tries
+    the twin classes, then the cut separators."""
+    if separators is None:
+        twins = _twin_separators(g)
+        separators = chain(twins, _cut_separators(g, twins))
+    for s in separators:
         if ref := _refute_with(g, s, budget):
             return ref
     return None
@@ -957,10 +965,11 @@ def decide_sgc(g: Graph, budget: Budget | int | None = None) -> Decision:
     and is otherwise the exhaustive spine search's proof, with no witness;
     "unknown" means the budget ran out first.
 
-    Past the DP (its 2**n states do not fit the budget) the refutation runs
-    first, then the greedy tree, then the Hamiltonian path.  Where the DP
-    fits, the Hamiltonian path, the greedy tree and the refutation run in
-    that order, and only then the spines (see the module docstring).
+    Past the DP (its 2**n states do not fit the budget) the refutation by
+    twin classes runs first, then the greedy tree, then the refutation by
+    cut separators, then the Hamiltonian path.  Where the DP fits, the
+    Hamiltonian path, the greedy tree and the whole refutation run in that
+    order, and only then the spines (see the module docstring).
     """
     if not is_connected(g):
         raise GraphError("SGC decision needs a connected graph")
@@ -969,10 +978,13 @@ def decide_sgc(g: Graph, budget: Budget | int | None = None) -> Decision:
         # past the DP the Hamiltonian path is never "no", so the refutation
         # and the greedy tree go first there
         if budget.spent + (1 << g.n) > budget.max_nodes:
-            if (ref := _refutation(g, budget)) is not None:
+            twins = _twin_separators(g)
+            if (ref := _refutation(g, budget, twins)) is not None:
                 return Decision("no", ref)
             if (cert := _greedy_certificate(g, budget)) is not None:
                 return Decision("yes", cert)
+            if (ref := _refutation(g, budget, _cut_separators(g, twins))) is not None:
+                return Decision("no", ref)
         hp = hamiltonian_path(g, budget)
         if hp.status == "yes":
             order = hp.witness

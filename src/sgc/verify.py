@@ -40,7 +40,7 @@ from .graphs import (
     random_connected,
 )
 from .invariants import independence_number, vertex_connectivity
-from .search import DEFAULT_NODE_BUDGET, Budget, OutOfBudget, as_budget
+from .search import DEFAULT_NODE_BUDGET, Budget, Decision, OutOfBudget, as_budget
 from .trees import CaterpillarCertificate, branch_profile, decide_sgc, min_branch_spanning_tree
 
 THEOREM_IDS = ("lemma3", "lemma4", "lemma5", "theorem1", "corollary",
@@ -223,6 +223,15 @@ def check_theorem1(g: Graph, budget: Budget | None = None) -> tuple[str, str]:
                            lambda cert: "construction produced a validated certificate")
 
 
+def _how_refuted(dec: Decision) -> str:
+    """How ``decide_sgc`` reached its "no": the separator refutation it
+    carries, or else the exhaustive spine search."""
+    ref = dec.witness
+    if ref is None:
+        return "exhaustive spine search"
+    return f"{len(ref.deficient)} deficient components off {len(ref.separator)} vertices"
+
+
 def check_corollary(g: Graph, budget: Budget | None = None) -> tuple[str, str]:
     """alpha <= (kappa^2 + kappa) / 2 implies a spanning generalized caterpillar."""
     budget = as_budget(budget)
@@ -239,7 +248,7 @@ def check_corollary(g: Graph, budget: Budget | None = None) -> tuple[str, str]:
     if dec.status == "yes":
         return "verified", "spanning generalized caterpillar found"
     if dec.status == "no":
-        return "violation", "exhaustive spine search found no spanning generalized caterpillar"
+        return "violation", f"no spanning generalized caterpillar ({_how_refuted(dec)})"
     res = construct_sgc_theorem1(g, budget)
     if res.status == "ok":
         return "verified", "constructive route produced a validated certificate"
@@ -323,10 +332,7 @@ def _check_theorem2_instance(m: int, budget: Budget) -> tuple[str, str]:
         return "violation", f"alpha = {alpha_cert.alpha}, want {want['alpha']}"
     dec = decide_sgc(g, budget)
     if dec.status == "no":
-        ref = dec.witness
-        how = ("exhaustive spine search" if ref is None else
-               f"{len(ref.deficient)} deficient components off {len(ref.separator)} vertices")
-        return "verified", (f"no spanning generalized caterpillar ({how}); "
+        return "verified", (f"no spanning generalized caterpillar ({_how_refuted(dec)}); "
                             f"alpha = {alpha_cert.alpha}, kappa = {kappa}")
     if dec.status == "yes":
         return "violation", "instance admits a spanning generalized caterpillar"

@@ -508,14 +508,13 @@ def test_greedy_tree_settles_sgc_past_the_dp():
     2**25 exceeds the default budget, so the path is never "no" there; the
     greedy tree, a spider at the shared vertex, settles the decision first.
     Before it the call charged the DP's 2**25 and answered unknown.  The
-    refutation before the tree charges one node: the shared vertex leaves
-    three K_8, the first is all anchors, so one path per vertex covers it,
-    and the two left cannot make three.  theorem2_family(2) has no SGC, and
-    its greedy tree is none; it was unknown, and the refutation with the hub
-    as S now answers "no" in 4 nodes, one per copy tested."""
+    graph has no twin classes, so nothing is charged before the tree, and
+    its cut vertex is never tried.  theorem2_family(2) has no SGC, and its
+    greedy tree is none; it was unknown, and the refutation with the hub,
+    a twin class, as S now answers "no" in 4 nodes, one per copy tested."""
     budget = Budget()
     dec = decide_sgc(_shared_cliques(9, 3), budget)
-    assert dec.status == "yes" and budget.spent == 25
+    assert dec.status == "yes" and budget.spent == 24
     validate_caterpillar_certificate(dec.witness)
     assert classify_tree(dec.witness.tree)[0] == "spider"
     budget = Budget()
@@ -540,6 +539,34 @@ def test_refutation_of_the_y_of_cherries(g):
                              (frozenset({3, 8, 9}), "imbalance"))
 
 
+def test_cut_separators_come_after_the_greedy_tree_past_the_dp(monkeypatch):
+    """Past the DP only the twin classes are tried before the greedy tree.
+    Each cherry's two leaves of the Y of cherries are a twin class that
+    refutes nothing; the greedy tree is the graph itself, no generalized
+    caterpillar (25 nodes); then kappa is computed, and the centre, a cut
+    vertex, leaves three deficient components (3 nodes)."""
+    events = []
+    connectivity = trees.vertex_connectivity
+
+    def tree(*args):
+        events.append("tree")
+        return _few_branch_tree(*args)
+
+    def kappa(*args):
+        events.append("kappa")
+        return connectivity(*args)
+
+    monkeypatch.setattr(trees, "_few_branch_tree", tree)
+    monkeypatch.setattr(trees, "vertex_connectivity", kappa)
+    g = Graph(Y_OF_CHERRIES.n, Y_OF_CHERRIES.edges)
+    budget = Budget(max_nodes=(1 << g.n) - 1)
+    dec = decide_sgc(g, budget)
+    assert dec.status == "no" and budget.spent == 28
+    validate_refutation(dec.witness)
+    assert dec.witness.separator == {0}
+    assert events == ["tree", "kappa"]
+
+
 @pytest.mark.parametrize("tamper", [
     # S = {} leaves one component, not the three listed
     lambda ref: Refutation(ref.host, frozenset(), ref.deficient),
@@ -552,9 +579,6 @@ def test_refutation_of_the_y_of_cherries(g):
     lambda ref: Refutation(ref.host, ref.separator, ref.deficient[:2]),
     # a component listed twice
     lambda ref: Refutation(ref.host, ref.separator, ref.deficient[:2] + ref.deficient[:1]),
-    # a component with more than one anchor is not "no_anchor"
-    lambda ref: Refutation(ref.host, ref.separator,
-                           ((ref.deficient[0][0], "no_anchor"),) + ref.deficient[1:]),
 ])
 def test_validate_refutation_rejects_tampering(tamper):
     ref = trees._refutation(Y_WITH_LEAF, Budget())
@@ -636,7 +660,7 @@ def test_greedy_tree_charges_every_vertex_it_places():
     with pytest.raises(OutOfBudget):
         _few_branch_tree(Graph(g.n, g.edges), Budget(max_nodes=32))
     # the greedy tree goes first past the DP, and one node short it runs out
-    assert decide_sgc(_shared_cliques(9, 3), Budget(max_nodes=24)).status == "unknown"
+    assert decide_sgc(_shared_cliques(9, 3), Budget(max_nodes=23)).status == "unknown"
 
 
 def test_branch_limit_searches_read_the_kept_connectivity(monkeypatch):
