@@ -115,7 +115,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CertificateError
-from .graphs import Graph, _greedy_walk, _warnsdorff_walk, bits, is_bipartite, mask_components
+from .graphs import (Graph, _greedy_walk, _twin_classes, _warnsdorff_walk, bits, is_bipartite,
+                     mask_components)
 from .search import Budget, Decision, OutOfBudget, _HandOver, as_budget
 
 
@@ -252,7 +253,7 @@ def _arms(g: Graph, alive: int, budget: Budget, tip: int, used: int,
     to the new one, with no neighbour left outside the path.
 
     With ``twin`` (each vertex's twin class as a mask, see
-    ``_twin_classes``), a step to u is left out when a lower twin of u
+    ``_split_twins``), a step to u is left out when a lower twin of u
     is in ``alive`` and off the path: swapping the two fixes the state, so
     one path per orbit is enough."""
     adj = g.adj_mask
@@ -358,25 +359,21 @@ def _table_cover(g: Graph, alive: int, r: int | None, budget: Budget,
     return read((1 << len(verts)) - 1, r)
 
 
-def _twin_classes(g: Graph, alive: int, anchors: int | None) -> list[int] | None:
-    """Each vertex's twin class as a mask: the vertices of ``alive`` with
-    equal ``adj_mask``, and equal anchor membership when ``anchors`` is
-    given.  None when no class holds two or more vertices."""
-    adj = g.adj_mask
-    if len(set(adj)) == g.n:  # no twins anywhere in g
+def _split_twins(g: Graph, alive: int, anchors: int | None) -> list[int] | None:
+    """Each vertex's twin class (``graphs._twin_classes``) within ``alive``,
+    split by anchor membership when ``anchors`` is given; None when no such
+    class holds two or more vertices."""
+    classes = _twin_classes(g)
+    if len(set(classes)) == g.n:  # no twins anywhere in g
         return None
     side = 0 if anchors is None else anchors
-    classes: dict[tuple[int, int], int] = {}
-    for u in bits(alive):
-        key = (adj[u], side >> u & 1)
-        classes[key] = classes.get(key, 0) | 1 << u
     twin = None
-    for c in classes.values():
+    for u in bits(alive):
+        c = classes[u] & alive & (side if side >> u & 1 else ~side)
         if c & (c - 1):
             if twin is None:
-                twin = [1 << u for u in range(g.n)]
-            for u in bits(c):
-                twin[u] = c
+                twin = [1 << v for v in range(g.n)]
+            twin[u] = c
     return twin
 
 
@@ -429,7 +426,7 @@ def _path_cover_search(g: Graph, alive0: int, k: int | None, budget: Budget,
                 failed.add(key)
                 return None
         if not walked:
-            twin, walked = _twin_classes(g, alive0, anchors), True
+            twin, walked = _split_twins(g, alive0, anchors), True
         if forced:
             u = (forced & -forced).bit_length() - 1
             paths = (((u,) + seq, 1 << u | m)
@@ -485,14 +482,11 @@ def min_disjoint_path_cover(g: Graph, k: int, budget: Budget | int | None = None
 
 
 def path_cover_number(g: Graph, budget: Budget | int | None = None) -> int | None:
-    """Least k admitting a disjoint path cover, or None on budget exhaustion."""
+    """Least k admitting a disjoint path cover, or None on budget exhaustion.
+    The counting bound answers each k below it, for no nodes."""
     budget = as_budget(budget)
-    lower = min(1, g.n)
-    part = is_bipartite(g)
-    if part is not None:
-        lower = max(lower, abs(len(part.side_a) - len(part.side_b)))
-    for k in range(lower, g.n + 1):
-        dec = min_disjoint_path_cover(g, k, budget, counting_prune=False)
+    for k in range(min(1, g.n), g.n + 1):
+        dec = min_disjoint_path_cover(g, k, budget)
         if dec.status == "yes":
             return k
         if dec.status == "unknown":

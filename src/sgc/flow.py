@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bits
+from .graphs import Graph, _neighbourhood, bits
 
 
 @dataclass
@@ -72,10 +72,7 @@ def _fan(g: Graph, source: int, targets: int, blocked: int, limit: int | None) -
         layers = []
         while frontier and not hit:
             layers.append(frontier)
-            reach = 0
-            for x in bits(frontier):
-                reach |= adj[x]
-            reach &= alive & ~seen_in
+            reach = _neighbourhood(adj, frontier) & alive & ~seen_in
             seen_in |= reach
             hit = reach & targets & ~used
             frontier = reach & ~used
@@ -148,12 +145,7 @@ def _packed(g: Graph, s: int, t: int, limit: int) -> int:
     seen = frontier | 1 << t
     layers = []
     while True:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            reach |= adj[low.bit_length() - 1]
-        frontier = reach & ~seen
+        frontier = _neighbourhood(adj, frontier) & ~seen
         if not frontier:
             return 0
         hits = frontier & adj[t]

@@ -175,6 +175,20 @@ def random_connected(n: int, p: float, seed: int, max_attempts: int = 10_000) ->
 # ---------------------------------------------------------------------------
 # elementary predicates
 
+# ``_mask_reach`` and the subset tables of ``covers`` (``_ends_table``,
+# ``_entries_through``) keep this loop inline: a call per breadth-first level
+# made ``mask_components`` 11% slower on random graphs with n = 14-20, and the
+# tables run it once per subset.
+def _neighbourhood(adj: Sequence[int], s: int) -> int:
+    """N(S) for the vertex set ``s``, as a mask."""
+    near = 0
+    while s:
+        low = s & -s
+        near |= adj[low.bit_length() - 1]
+        s ^= low
+    return near
+
+
 def _mask_reach(adj: Sequence[int], alive: int, source: int, until: int = 0) -> int:
     """The vertices of ``alive`` that the vertex set ``source`` (inside
     ``alive``) reaches in the induced subgraph on ``alive``, found breadth
@@ -247,24 +261,46 @@ def is_connected(g: Graph) -> bool:
     return g.n <= 1 or _mask_reach(g.adj_mask, full, 1) == full
 
 
+def _sides(adj: Sequence[int], alive: int) -> tuple[int, int] | None:
+    """The two colour classes of the component of ``alive``'s lowest vertex
+    in the induced subgraph on ``alive`` (nonempty), as masks, that vertex's
+    first; None when the component has an odd cycle.
+
+    The classes are the even and odd levels of a breadth-first search.  An
+    edge joins two vertices of one level or of consecutive levels, so the
+    component is bipartite exactly when no edge lies inside a level."""
+    low = frontier = alive & -alive
+    level, other = low, 0  # the frontier's class and the other one
+    while frontier:
+        grow = _neighbourhood(adj, frontier)
+        if grow & frontier:
+            return None
+        frontier = grow & alive & ~(level | other)
+        level, other = other | frontier, level
+    return (level, other) if level & low else (other, level)
+
+
 def is_bipartite(g: Graph) -> Bipartition | None:
-    """Two-color the graph; returns the witness or None on an odd cycle."""
-    color: list[int | None] = [None] * g.n
-    for root in range(g.n):
-        if color[root] is not None:
-            continue
-        color[root] = 0
-        queue = [root]
-        while queue:
-            v = queue.pop()
-            for u in g.adj[v]:
-                if color[u] is None:
-                    color[u] = 1 - color[v]  # type: ignore[operator]
-                    queue.append(u)
-                elif color[u] == color[v]:
-                    return None
-    side_a = frozenset(v for v in range(g.n) if color[v] == 0)
-    return Bipartition(side_a, frozenset(range(g.n)) - side_a)
+    """Two-color the graph, one ``_sides`` call per component, each
+    component's lowest vertex in ``side_a``; returns the witness or None on
+    an odd cycle."""
+    side_a = side_b = 0
+    while rest := ((1 << g.n) - 1) & ~(side_a | side_b):
+        if (sides := _sides(g.adj_mask, rest)) is None:
+            return None
+        side_a, side_b = side_a | sides[0], side_b | sides[1]
+    return Bipartition(frozenset(bits(side_a)), frozenset(bits(side_b)))
+
+
+@once_per_instance()
+def _twin_classes(g: Graph) -> tuple[int, ...]:
+    """Each vertex's false-twin class as a mask, kept on the instance: the
+    vertices with its ``adj_mask``.  The twin separators of the SGC
+    refutation and the twin orbits of the path-cover search read it."""
+    classes: dict[int, int] = {}
+    for v, mask in enumerate(g.adj_mask):
+        classes[mask] = classes.get(mask, 0) | 1 << v
+    return tuple(classes[mask] for mask in g.adj_mask)
 
 
 # ---------------------------------------------------------------------------

@@ -25,15 +25,14 @@ one edge of T at a vertex of degree at most two in T: one of the path's own
 ends.  So Q with those legs (``_spine_with_legs``) is found.
 
 Before any spine, ``decide_sgc`` classifies one greedy spanning tree with few
-branch vertices (``_few_branch_tree``), which ``min_branch_spanning_tree``
-also takes as its upper bound on s.  A tree with at most two branch vertices
+branch vertices (``_few_branch_tree``).  ``min_branch_spanning_tree`` builds
+the same tree as its upper bound on s, right after its DFS tree and before
+the Hamiltonian path, at every size.  A tree with at most two branch vertices
 is always a generalized caterpillar, and a tree of any class but "other"
-answers "yes" with its validated spine certificate.  The greedy tree runs once
-the Hamiltonian path is not "yes", and before the path where the DP's 2**n
-states do not fit the budget, since the path is never "no" there.  An
-"unknown" Hamiltonian path then ends the decision: it is only ever answered
-once the budget has run out, and a spent budget raises at every later
-charge, so no spine could settle anything.
+answers "yes" with its validated spine certificate.  An "unknown" Hamiltonian
+path ends the decision: it is only ever answered once the budget has run
+out, and a spent budget raises at every later charge, so no spine could
+settle anything.
 
 A "no" is certified, wherever one of the separators tried allows it, by a
 separator refutation (``Refutation``).  Let T be a spanning generalized
@@ -69,13 +68,8 @@ refutation without it 0.5-0.7 ms (2-core host, Python 3.11.7).
 ``theorem2_family(m)`` is refuted by its hub, a twin class from m = 2 and a
 cut vertex at m = 1.  The refutation charges one node per component tested
 plus the cover's nodes, in O(|S| (n + m)) bitmask work per separator, and
-each is validated before it is returned.  Where the DP's 2**n states do not
-fit the budget, the twin classes are tried first of all, before the greedy
-tree, which costs more: on ``theorem2_family(4)`` the tree takes 1.7 ms and
-the refutation 0.11 ms on the same host.  The cut separators come after the
-tree there, so a graph the tree answers never pays for kappa or for one try
-per cut vertex.  Where the DP fits, both run after the greedy tree and
-before any spine.
+each is validated before it is returned.  Where each runs is set out in
+``decide_sgc``.
 
 s decides branch limit 1 as a spanning spider.  The Hamiltonian path is
 "no" by then, so a spanning tree T with at most one branch vertex c is a
@@ -125,6 +119,9 @@ from .graphs import (
     _fewest,
     _mask_reach,
     _greedy_walk,
+    _neighbourhood,
+    _sides,
+    _twin_classes,
     _warnsdorff_walk,
     bits,
     is_bipartite,
@@ -675,13 +672,13 @@ def min_branch_spanning_tree(g: Graph, budget: Budget | int | None = None) -> Mi
     The greedy walk (``_walked_path``) comes first: where it spans V, s = 0
     is exact for n - 1 nodes (none once the path is kept), and the path is
     kept as the Hamiltonian path's answer too.  Where it is stuck, the DFS
-    tree bounds s from above.  A DFS tree with two or more branch vertices
-    gives way to the greedy few-branch tree (whose first start repeats the
-    walk) where that has fewer, once the Hamiltonian path is "no", or first
-    of all where the DP's 2**n states do not fit the budget (the path is
-    never "no" there).  Only the limits below the better count are searched:
-    limit 1 as a spanning spider (``_spanning_spider``), the others by the
-    include/exclude edge search (``constrained_spanning_tree``)."""
+    tree bounds s from above, and a DFS tree with two or more branch
+    vertices gives way to the greedy few-branch tree (whose first start
+    repeats the walk) where that has fewer.  The Hamiltonian path comes
+    next, in that order at every size.  Only the limits below the better
+    count are searched: limit 1 as a spanning spider (``_spanning_spider``),
+    the others by the include/exclude edge search
+    (``constrained_spanning_tree``)."""
     if not is_connected(g):
         raise GraphError("min-branch spanning tree needs a connected graph")
     budget = as_budget(budget)
@@ -689,28 +686,18 @@ def min_branch_spanning_tree(g: Graph, budget: Budget | int | None = None) -> Mi
         return MinBranchResult(0, _path_as_tree(g, walked.witness), True)
     tree = _dfs_tree(g)
     best = len(branch_profile(tree).branch_vertices)
-    if best == 0:
-        return MinBranchResult(0, tree, True)
-
-    def fewer() -> tuple[int, SpanningTree]:
-        greedy = _few_branch_tree(g, budget)
-        count = len(branch_profile(greedy).branch_vertices)
-        return (count, greedy) if count < best else (best, tree)
-
     try:
-        # past the DP the Hamiltonian path is never "no", so the greedy tree
-        # goes first there
-        if best >= 2 and budget.spent + (1 << g.n) > budget.max_nodes:
-            best, tree = fewer()
-            if best == 0:
-                return MinBranchResult(0, tree, True)
+        if best >= 2:
+            greedy = _few_branch_tree(g, budget)
+            if (count := len(branch_profile(greedy).branch_vertices)) < best:
+                best, tree = count, greedy
+        if best == 0:
+            return MinBranchResult(0, tree, True)
         dec = hamiltonian_path(g, budget)
         if dec.status == "yes":
             return MinBranchResult(0, _path_as_tree(g, dec.witness), True)
         if dec.status == "unknown":
             return MinBranchResult(best, tree, False)
-        if best >= 2:
-            best, tree = fewer()  # kept on the instance: free when it ran above
     except OutOfBudget:
         return MinBranchResult(best, tree, False)
     for limit in range(1, best):
@@ -764,10 +751,8 @@ def _spine_with_legs(g: Graph, spine: tuple[int, ...],
     anchors N(spine) off it), as a validated certificate; None when there is
     no such cover."""
     adj = g.adj_mask
-    qmask = anchors = 0
-    for q in spine:
-        qmask |= 1 << q
-        anchors |= adj[q]
+    qmask = sum(1 << q for q in spine)
+    anchors = _neighbourhood(adj, qmask)
     rest = ((1 << g.n) - 1) & ~qmask
     legs = anchored_path_cover(g, rest, anchors & rest, budget)
     if legs is None:
@@ -802,37 +787,6 @@ class Refutation:
     host: Graph
     separator: frozenset[int]
     deficient: tuple[tuple[frozenset[int], str], ...]
-
-
-def _neighbourhood(adj: tuple[int, ...], s: int) -> int:
-    """N(S) for the vertex set ``s``, as a mask."""
-    near = 0
-    while s:
-        low = s & -s
-        near |= adj[low.bit_length() - 1]
-        s ^= low
-    return near
-
-
-def _sides(adj: tuple[int, ...], comp: int) -> tuple[int, int] | None:
-    """The two colour classes of the connected induced subgraph on ``comp``
-    as masks, or None when it has an odd cycle.
-
-    The classes are the even and odd levels of a breadth-first search.  An
-    edge joins two vertices of one level or of consecutive levels, so the
-    subgraph is bipartite exactly when no edge lies inside a level."""
-    sides = [comp & -comp, 0]
-    seen = frontier = sides[0]
-    parity = 0
-    while frontier:
-        grow = _neighbourhood(adj, frontier)
-        if grow & frontier:
-            return None
-        frontier = grow & comp & ~seen
-        seen |= frontier
-        parity ^= 1
-        sides[parity] |= frontier
-    return sides[0], sides[1]
 
 
 def _deficiency(g: Graph, comp: int, near: int, budget: Budget) -> str | None:
@@ -910,27 +864,25 @@ def _refute_with(g: Graph, s: int, budget: Budget) -> Refutation | None:
 
 
 def _twin_separators(g: Graph) -> list[int]:
-    """Each false-twin class of two or more vertices (equal ``adj_mask``) as
-    a mask, most neighbours off the class first: that is where G - S can
-    fall into the most components."""
-    classes: dict[int, int] = {}
-    for v, mask in enumerate(g.adj_mask):
-        classes[mask] = classes.get(mask, 0) | 1 << v
-    return [c for _, c in sorted((c.bit_count() - mask.bit_count(), c)
-                                 for mask, c in classes.items() if c & (c - 1))]
+    """Each false-twin class of two or more vertices
+    (``graphs._twin_classes``), most neighbours off the class first: that is
+    where G - S can fall into the most components."""
+    return sorted({c for c in _twin_classes(g) if c & (c - 1)},
+                  key=lambda c: (c.bit_count() - g.adj_mask[c.bit_length() - 1].bit_count(), c))
 
 
-def _cut_separators(g: Graph, tried: list[int]) -> Iterator[int]:
+def _cut_separators(g: Graph) -> Iterator[int]:
     """Each cut vertex as a mask where kappa is 1, else the kappa separator
-    unless it is in ``tried``.  Nothing where the Warnsdorff walk spans V: a
-    Hamiltonian path is an SGC, so nothing refutes it, and kappa is not
-    computed."""
+    unless it is a twin class (``_twin_separators``).  Nothing where the
+    Warnsdorff walk spans V: a Hamiltonian path is an SGC, so nothing
+    refutes it, and kappa is not computed."""
     if len(_greedy_walk(g)[0]) == g.n:
         return
     kappa = vertex_connectivity(g)
     if kappa.kappa == 1:
         yield from (1 << v for v in range(g.n))
-    elif kappa.separator and (cut := sum(1 << v for v in kappa.separator)) not in tried:
+    elif kappa.separator and (cut := sum(1 << v for v in kappa.separator)) \
+            not in _twin_separators(g):
         yield cut
 
 
@@ -940,8 +892,7 @@ def _refutation(g: Graph, budget: Budget,
     ``separators`` that gives one; None when none does.  The default tries
     the twin classes, then the cut separators."""
     if separators is None:
-        twins = _twin_separators(g)
-        separators = chain(twins, _cut_separators(g, twins))
+        separators = chain(_twin_separators(g), _cut_separators(g))
     for s in separators:
         if ref := _refute_with(g, s, budget):
             return ref
@@ -965,25 +916,32 @@ def decide_sgc(g: Graph, budget: Budget | int | None = None) -> Decision:
     and is otherwise the exhaustive spine search's proof, with no witness;
     "unknown" means the budget ran out first.
 
-    Past the DP (its 2**n states do not fit the budget) the refutation by
-    twin classes runs first, then the greedy tree, then the refutation by
-    cut separators, then the Hamiltonian path.  Where the DP fits, the
-    Hamiltonian path, the greedy tree and the whole refutation run in that
-    order, and only then the spines (see the module docstring).
+    The order splits at the DP on purpose.  Past it (the DP's 2**n states
+    do not fit the budget) the Hamiltonian path is never "no", so the
+    refutation by twin classes runs first, then the greedy tree, which costs
+    more (1.7 ms against 0.11 ms on ``theorem2_family(4)``), then the
+    refutation by cut separators, so a graph the tree answers pays for no
+    kappa and no try per cut vertex, and the path last.  Where the DP fits,
+    the Hamiltonian path comes first, then the greedy tree and the whole
+    refutation, and only then the spines.  One order at every size (walk,
+    twin classes, greedy tree, cut separators, path, spines) gave the same
+    status on 28,475 graphs (the n <= 6 corpus and 998 random and family
+    graphs), but a walk-stuck graph whose Hamiltonian path was kept on the
+    instance no longer had its answer at once: ``random_connected(14, 0.2,
+    7)`` went 0.007 -> 0.047 ms and ``(16, 0.3, 400)`` 0.007 -> 0.079 ms
+    (2-core host, Python 3.11.7), and search-random's item_p50_ms rose by
+    30% and 47% in two 10 s pairs.
     """
     if not is_connected(g):
         raise GraphError("SGC decision needs a connected graph")
     budget = as_budget(budget)
     try:
-        # past the DP the Hamiltonian path is never "no", so the refutation
-        # and the greedy tree go first there
         if budget.spent + (1 << g.n) > budget.max_nodes:
-            twins = _twin_separators(g)
-            if (ref := _refutation(g, budget, twins)) is not None:
+            if (ref := _refutation(g, budget, _twin_separators(g))) is not None:
                 return Decision("no", ref)
             if (cert := _greedy_certificate(g, budget)) is not None:
                 return Decision("yes", cert)
-            if (ref := _refutation(g, budget, _cut_separators(g, twins))) is not None:
+            if (ref := _refutation(g, budget, _cut_separators(g))) is not None:
                 return Decision("no", ref)
         hp = hamiltonian_path(g, budget)
         if hp.status == "yes":

@@ -11,7 +11,7 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterator
 
-from sgc.graphs import Edge, Graph, bits, norm_edge
+from sgc.graphs import Bipartition, Edge, Graph, bits, norm_edge
 from sgc.search import Budget
 
 
@@ -61,6 +61,28 @@ def _connected_mask(g: Graph, alive: int) -> bool:
         seen |= grow
         frontier = grow
     return seen == alive
+
+
+def bipartition_reference(g: Graph) -> Bipartition | None:
+    """Two-colour the graph by a walk over the neighbour lists, each
+    component from its lowest vertex, which goes in ``side_a``; None on an
+    odd cycle."""
+    color: list[int | None] = [None] * g.n
+    for root in range(g.n):
+        if color[root] is not None:
+            continue
+        color[root] = 0
+        queue = [root]
+        while queue:
+            v = queue.pop()
+            for u in g.adj[v]:
+                if color[u] is None:
+                    color[u] = 1 - color[v]  # type: ignore[operator]
+                    queue.append(u)
+                elif color[u] == color[v]:
+                    return None
+    side_a = frozenset(v for v in range(g.n) if color[v] == 0)
+    return Bipartition(side_a, frozenset(range(g.n)) - side_a)
 
 
 def vertex_connectivity_brute(g: Graph) -> int:

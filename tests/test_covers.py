@@ -1,16 +1,20 @@
+import functools
+import random
 from itertools import combinations
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgc import covers
+import sgc.graphs
+from sgc import covers, trees
 from sgc.covers import (
     CycleCover,
     PathCover,
     _ends_table,
     _entries_through,
     _posa_cover,
+    _split_twins,
     _table_cover,
     anchored_path_cover,
     cycle_cover_number,
@@ -27,6 +31,7 @@ from sgc.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
+    once_per_instance,
     parse_graph6,
     path_graph,
     random_connected,
@@ -39,7 +44,9 @@ from oracles import (
     independence_number_brute,
     path_cover_number_brute,
 )
+from sgc.families import theorem2_family
 from sgc.search import Budget
+from sgc.trees import decide_sgc
 
 
 def test_path_cover_easy_cases():
@@ -151,6 +158,54 @@ def test_twin_rules_match_brute(g, data):
     full = (1 << g.n) - 1
     alive = data.draw(st.integers(1, full), label="alive")
     _check_anchored_cover(g, alive, data.draw(st.integers(0, full), label="anchors") & alive)
+
+
+def test_twin_classes_run_once_per_instance(monkeypatch):
+    """The SGC refutation and the path-cover searches read one twin
+    grouping per ``Graph`` instance: theorem2_family(2) is refuted by its
+    hub, a twin class, and then each copy gets an anchored cover search;
+    K_{4,8} is searched for covers by 2 and by 3 paths with no counting
+    bound.  Seven reads, two computations."""
+    calls = []
+    raw = sgc.graphs._twin_classes.__wrapped__
+
+    @functools.wraps(raw)
+    def counted(g):
+        calls.append(g)
+        return raw(g)
+
+    kept = once_per_instance()(counted)
+    reads = []
+    for module in (sgc.graphs, trees, covers):
+        monkeypatch.setattr(module, "_twin_classes", lambda g: reads.append(g) or kept(g))
+    t2 = theorem2_family(2)
+    assert decide_sgc(t2.graph).status == "no"
+    for copy in t2.copies:
+        alive = sum(1 << v for v in copy.big_side + copy.small_side)
+        assert anchored_path_cover(t2.graph, alive, sum(1 << v for v in copy.connectors),
+                                   Budget()) is None
+    k48 = complete_bipartite(4, 8)
+    for k in (2, 3):
+        assert min_disjoint_path_cover(k48, k, counting_prune=False).status == "no"
+    assert len(reads) == 7
+    assert len(calls) == 2 and calls[0] is t2.graph and calls[1] is k48
+
+
+def test_split_twins_are_the_twins_in_alive_with_equal_anchor_membership(corpus_n4, corpus_n5):
+    """The per-search split of the twin classes, against the vertices of
+    ``alive`` with u's ``adj_mask`` and u's anchor membership, for a random
+    ``alive`` and random anchors (or none) on each graph with n <= 5."""
+    rng = random.Random(24)
+    for g in corpus_n4 + corpus_n5:
+        full = (1 << g.n) - 1
+        alive = rng.randint(1, full)
+        anchors = rng.choice((None, rng.randint(0, full)))
+        side = 0 if anchors is None else anchors
+        twin = _split_twins(g, alive, anchors)
+        want = {u: sum(1 << v for v in bits(alive) if g.adj_mask[v] == g.adj_mask[u]
+                       and side >> v & 1 == side >> u & 1) for u in bits(alive)}
+        assert (twin is None) == all(c == 1 << u for u, c in want.items())
+        assert {u: 1 << u if twin is None else twin[u] for u in want} == want
 
 
 def test_anchored_twins_split_in_the_paths_through_a_vertex():

@@ -3,12 +3,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import _connected_mask
+from oracles import _connected_mask, bipartition_reference
 
 from sgc.errors import FormatError, GraphError
 from sgc.graphs import (
     GRAPH6_MAX_N,
     Graph,
+    _sides,
     bits,
     complete_bipartite,
     complete_graph,
@@ -74,6 +75,62 @@ def test_complete_bipartite_layout():
     assert part is not None
     assert {part.side_a, part.side_b} == {frozenset({0, 1}), frozenset({2, 3, 4, 5})}
     assert is_bipartite(complete_graph(3)) is None
+
+
+def _all_graphs(max_n):
+    for n in range(max_n + 1):
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            yield Graph(n, frozenset(p for i, p in enumerate(pairs) if chosen >> i & 1))
+
+
+def test_is_bipartite_matches_the_reference_colouring():
+    """One ``_sides`` call per component gives the list walk's witness,
+    each component's lowest vertex in side_a, on every labelled graph with
+    n <= 6 (33,868 of them, the disconnected ones included)."""
+    count = 0
+    for g in _all_graphs(6):
+        assert is_bipartite(g) == bipartition_reference(g), g
+        count += 1
+    assert count == 33_868
+
+
+@pytest.mark.parametrize("g, side_a", [
+    (Graph(4, frozenset({(0, 2), (1, 3)})), {0, 1}),  # 2K_2, interleaved
+    (Graph(6, frozenset({(1, 3), (3, 5), (0, 2), (2, 4), (0, 4)})), None),  # P_3 + K_3
+    (Graph(6, frozenset({(1, 4), (2, 4)})), {0, 1, 2, 3, 5}),  # 0, 3 and 5 isolated
+    (Graph(3, frozenset()), {0, 1, 2}),
+    (Graph(0, frozenset()), set()),
+    (path_graph(500), set(range(0, 500, 2))),
+    (complete_bipartite(1, 1), {0}),
+    (complete_bipartite(3, 5), {0, 1, 2}),
+    (complete_bipartite(16, 32), set(range(16))),
+])
+def test_is_bipartite_on_disconnected_long_and_complete_bipartite_graphs(g, side_a):
+    part = is_bipartite(g)
+    assert part == bipartition_reference(g)
+    if side_a is None:
+        assert part is None
+    else:
+        assert part.side_a == side_a and part.side_b == set(range(g.n)) - side_a
+    if g.bipartition is not None:
+        assert part == g.bipartition
+
+
+@given(graphs(max_n=10).filter(lambda g: g.n), st.data())
+def test_sides_colour_the_component_of_the_lowest_vertex(g, data):
+    """``_sides`` on a vertex set colours only the component of its lowest
+    vertex, as the reference walk colours that component alone."""
+    alive = data.draw(st.integers(min_value=1, max_value=(1 << g.n) - 1))
+    comp = mask_components(g.adj_mask, alive)[0]
+    kept = set(bits(comp))
+    part = bipartition_reference(Graph(g.n, frozenset(e for e in g.edges if set(e) <= kept)))
+    sides = _sides(g.adj_mask, alive)
+    if part is None:
+        assert sides is None
+    else:
+        assert sides == (sum(1 << v for v in part.side_a) & comp,
+                         sum(1 << v for v in part.side_b) & comp)
 
 
 def test_connectivity_predicate():

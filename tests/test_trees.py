@@ -10,7 +10,6 @@ from sgc.graphs import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    is_bipartite,
     new_graph,
     norm_edge,
     parse_graph6,
@@ -18,6 +17,7 @@ from sgc.graphs import (
     random_connected,
 )
 from oracles import (
+    bipartition_reference,
     classify_tree_brute,
     min_branch_brute,
     sgc_brute,
@@ -25,7 +25,7 @@ from oracles import (
     spanning_tree_count,
     spanning_trees_brute,
 )
-from sgc import trees
+from sgc import graphs, trees
 from sgc.search import Budget, OutOfBudget
 from sgc.trees import (
     CaterpillarCertificate,
@@ -341,6 +341,26 @@ def test_min_branch_past_the_dp_takes_the_greedy_tree(n, p, seed, s, dfs):
     assert len(branch_profile(res.tree).branch_vertices) == s
 
 
+@pytest.mark.parametrize("max_nodes", [None, (1 << 14) - 1])
+def test_min_branch_builds_the_greedy_tree_before_the_hamiltonian_path(monkeypatch, max_nodes):
+    """One route order at every size: the greedy tree right after a DFS
+    tree with two or more branch vertices, then the Hamiltonian path, where
+    the DP fits the budget and where it does not.  The Warnsdorff walk
+    covers 8 of the 14 vertices of ``random_connected(14, 0.2, 7)``, its
+    DFS tree has 3 branch vertices and the greedy tree 1; s = 0."""
+    events = []
+    path, tree = trees.hamiltonian_path, trees._few_branch_tree
+    monkeypatch.setattr(trees, "hamiltonian_path",
+                        lambda *args: events.append("path") or path(*args))
+    monkeypatch.setattr(trees, "_few_branch_tree",
+                        lambda *args: events.append("tree") or tree(*args))
+    g = random_connected(14, 0.2, 7)
+    budget = Budget() if max_nodes is None else Budget(max_nodes=max_nodes)
+    res = min_branch_spanning_tree(g, budget)
+    assert res.value == 0 and res.exact
+    assert events == ["tree", "path"]
+
+
 def test_decide_sgc_examples():
     assert decide_sgc(complete_bipartite(3, 6)).status == "yes"
     assert decide_sgc(path_graph(2)).status == "yes"
@@ -596,12 +616,17 @@ def test_validate_refutation_rejects_a_separator_that_splits_otherwise():
 
 
 def test_sides_are_a_bipartition(corpus_n4, corpus_n5):
+    """``graphs._sides`` over all of a connected graph is the reference
+    walk's colouring, the lowest vertex's side first.  ``is_bipartite`` is
+    built on ``_sides``, so it cannot serve as the reference."""
     for g in corpus_n4 + corpus_n5:
         full = (1 << g.n) - 1
-        sides = trees._sides(g.adj_mask, full)
-        assert (sides is not None) == (is_bipartite(g) is not None)
+        sides = graphs._sides(g.adj_mask, full)
+        part = bipartition_reference(g)
+        assert (sides is not None) == (part is not None)
         if sides is not None:
             x, y = sides
+            assert (x, y) == (sum(1 << v for v in part.side_a), sum(1 << v for v in part.side_b))
             assert x | y == full and not x & y
             assert not any(g.adj_mask[v] & x for v in range(g.n) if x >> v & 1)
             assert not any(g.adj_mask[v] & y for v in range(g.n) if y >> v & 1)
