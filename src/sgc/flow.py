@@ -145,7 +145,12 @@ def _packed(g: Graph, s: int, t: int, limit: int) -> int:
     seen = frontier | 1 << t
     layers = []
     while True:
-        frontier = _neighbourhood(adj, frontier) & ~seen
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            grow |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grow & ~seen
         if not frontier:
             return 0
         hits = frontier & adj[t]

@@ -175,10 +175,12 @@ def random_connected(n: int, p: float, seed: int, max_attempts: int = 10_000) ->
 # ---------------------------------------------------------------------------
 # elementary predicates
 
-# ``_mask_reach`` and the subset tables of ``covers`` (``_ends_table``,
-# ``_entries_through``) keep this loop inline: a call per breadth-first level
-# made ``mask_components`` 11% slower on random graphs with n = 14-20, and the
-# tables run it once per subset.
+# ``_mask_reach``, ``flow._packed`` and the subset tables of ``covers``
+# (``_ends_table``, ``_entries_through``) keep this loop inline: a call per
+# breadth-first level made ``mask_components`` 11% slower on random graphs
+# with n = 14-20, and ``_packed`` 6% slower over the 37,759 packings that
+# kappa runs on the n <= 6 corpus, where a level holds one or two vertices;
+# the tables run it once per subset.
 def _neighbourhood(adj: Sequence[int], s: int) -> int:
     """N(S) for the vertex set ``s``, as a mask."""
     near = 0
@@ -301,6 +303,60 @@ def _twin_classes(g: Graph) -> tuple[int, ...]:
     for v, mask in enumerate(g.adj_mask):
         classes[mask] = classes.get(mask, 0) | 1 << v
     return tuple(classes[mask] for mask in g.adj_mask)
+
+
+@once_per_instance()
+def _cut_vertices(g: Graph) -> int:
+    """The cut vertices of g as a mask, kept on the instance: the vertices
+    whose deletion leaves more components than g has.
+
+    One low-link depth-first search per component (Hopcroft and Tarjan,
+    1973), in O(n + m) steps: a vertex other than a root cuts where some
+    child's subtree has no edge reaching above it, and a root cuts where it
+    has two or more children.  The tree edge back to the parent counts too:
+    it lowers a child's low only to the parent's own time, which still
+    leaves the parent a cut.  The SGC refutation tries these vertices as
+    separators; kappa does not call it (see ``invariants``)."""
+    adj = g.adj_mask
+    order = [0] * g.n  # discovery time, from 1; 0 while unseen
+    low = [0] * g.n
+    parent = [-1] * g.n
+    rest = list(adj)  # the neighbours each vertex has yet to look at
+    cuts = clock = 0
+    for root in range(g.n):
+        if order[root]:
+            continue
+        clock += 1
+        order[root] = low[root] = clock
+        stack = [root]
+        children = 0
+        while stack:
+            v = stack[-1]
+            if rest[v]:
+                b = rest[v] & -rest[v]
+                rest[v] ^= b
+                u = b.bit_length() - 1
+                if not order[u]:
+                    clock += 1
+                    order[u] = low[u] = clock
+                    parent[u] = v
+                    stack.append(u)
+                elif order[u] < low[v]:
+                    low[v] = order[u]
+                continue
+            stack.pop()
+            p = parent[v]
+            if p < 0:
+                continue
+            if low[v] < low[p]:
+                low[p] = low[v]
+            if p == root:
+                children += 1
+            elif low[v] >= order[p]:
+                cuts |= 1 << p
+        if children >= 2:
+            cuts |= 1 << root
+    return cuts
 
 
 # ---------------------------------------------------------------------------

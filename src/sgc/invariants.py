@@ -205,18 +205,21 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     best = min(degs)
     v = degs.index(best)
     best_sep = frozenset(bits(adj[v]))
-    pairs = [(v, w) for w in bits(((1 << n) - 1) & ~adj[v] & ~(1 << v))]
-    # b runs over v's neighbours above a that miss a
-    pairs += [(a, b) for a in bits(adj[v]) for b in bits(adj[v] & ~adj[a] & -(2 << a))]
-    done = set()
-    for a, b in pairs:
-        key = frozenset((adj[a], adj[b]))
-        if key in done:
-            continue  # a twin swap maps this pair onto one already run
-        done.add(key)
-        value, sep = flow.min_vertex_separator(g, a, b, limit=best)
-        if value < best:
-            best, best_sep = value, sep
+    if best > 1:  # at 1, N(v) is already a minimum separator
+        pairs = [(v, w) for w in bits(((1 << n) - 1) & ~adj[v] & ~(1 << v))]
+        # b runs over v's neighbours above a that miss a
+        pairs += [(a, b) for a in bits(adj[v]) for b in bits(adj[v] & ~adj[a] & -(2 << a))]
+        done = set()
+        for a, b in pairs:
+            key = frozenset((adj[a], adj[b]))
+            if key in done:
+                continue  # a twin swap maps this pair onto one already run
+            done.add(key)
+            value, sep = flow.min_vertex_separator(g, a, b, limit=best)
+            if value < best:
+                best, best_sep = value, sep
+                if best == 1:
+                    break  # no later pair can go below 1 or replace this cut
     check_separator(g, best_sep)
     if len(best_sep) != best:
         raise CertificateError("separator size disagrees with the flow value")

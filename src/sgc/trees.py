@@ -116,6 +116,7 @@ from .errors import CertificateError, GraphError
 from .graphs import (
     Edge,
     Graph,
+    _cut_vertices,
     _fewest,
     _mask_reach,
     _greedy_walk,
@@ -473,7 +474,10 @@ def _few_branch_tree(g: Graph, budget: Budget) -> SpanningTree:
     least degree are tried as starts, and the tree with the fewest branch
     vertices is kept; a start is dropped once it has as many as the best so
     far, and a tree with at most one ends the search.  Charges one node per
-    vertex placed, a leg at a time.
+    vertex placed, a leg at a time.  The first start, the lowest vertex of
+    least degree, is where ``graphs._greedy_walk`` starts too, so its first
+    leg is read off that walk, kept on the instance, and charged as if
+    walked.
     """
     n = g.n
     adj = g.adj_mask
@@ -484,9 +488,16 @@ def _few_branch_tree(g: Graph, budget: Budget) -> SpanningTree:
         edges = []
         rest = full ^ 1 << start
         tip = start
+        walk, walked = _greedy_walk(g)
+        if start == walk[0]:  # the first leg from here is the kept walk over V
+            for tip, nxt in zip(walk, walk[1:]):
+                edges.append(norm_edge(tip, nxt))
+                deg[tip] += 1
+                deg[nxt] = 1
+            rest, tip = full ^ walked, walk[-1]
+        placed = len(edges)
         branches = 0
         while True:
-            placed = 0
             while adj[tip] & rest:
                 nxt = _fewest(adj, adj[tip] & rest, rest)
                 edges.append(norm_edge(tip, nxt))
@@ -496,6 +507,7 @@ def _few_branch_tree(g: Graph, budget: Budget) -> SpanningTree:
                 tip = nxt
                 placed += 1
             budget.spend(placed)
+            placed = 0
             if not rest:
                 best_count, best_edges = branches, edges
                 break
@@ -872,16 +884,17 @@ def _twin_separators(g: Graph) -> list[int]:
 
 
 def _cut_separators(g: Graph) -> Iterator[int]:
-    """Each cut vertex as a mask where kappa is 1, else the kappa separator
-    unless it is a twin class (``_twin_separators``).  Nothing where the
-    Warnsdorff walk spans V: a Hamiltonian path is an SGC, so nothing
-    refutes it, and kappa is not computed."""
+    """Each cut vertex as a mask (``graphs._cut_vertices``); where there is
+    none, kappa is at least 2 and its separator is tried unless it is a twin
+    class (``_twin_separators``).  Any other single vertex leaves one
+    component, so it could refute nothing.  Nothing where the Warnsdorff
+    walk spans V: a Hamiltonian path is an SGC, so nothing refutes it, and
+    neither the cut vertices nor kappa are computed."""
     if len(_greedy_walk(g)[0]) == g.n:
         return
-    kappa = vertex_connectivity(g)
-    if kappa.kappa == 1:
-        yield from (1 << v for v in range(g.n))
-    elif kappa.separator and (cut := sum(1 << v for v in kappa.separator)) \
+    if cuts := _cut_vertices(g):
+        yield from (1 << v for v in bits(cuts))
+    elif (sep := vertex_connectivity(g).separator) and (cut := sum(1 << v for v in sep)) \
             not in _twin_separators(g):
         yield cut
 

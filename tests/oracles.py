@@ -11,6 +11,7 @@ from itertools import combinations, permutations
 from math import comb
 from typing import Iterator
 
+from sgc import flow
 from sgc.graphs import Bipartition, Edge, Graph, bits, norm_edge
 from sgc.search import Budget
 
@@ -102,6 +103,60 @@ def vertex_connectivity_brute(g: Graph) -> int:
             if not _connected_mask(g, alive):
                 return k
     return n - 1
+
+
+def vertex_connectivity_all_pairs(g: Graph) -> tuple[int, frozenset[int] | None]:
+    """(kappa, separator) by every Esfahanian-Hakimi pair query, one per twin
+    key, with no stop once the cut reaches 1: ``vertex_connectivity`` must
+    give this very certificate, since only a strictly smaller cut replaces
+    the best."""
+    n = g.n
+    if n <= 1:
+        return 0, None
+    if g.m == n * (n - 1) // 2:
+        return n - 1, None
+    if not _connected_mask(g, (1 << n) - 1):
+        return 0, frozenset()
+    adj = g.adj_mask
+    degs = [a.bit_count() for a in adj]
+    best = min(degs)
+    v = degs.index(best)
+    best_sep = frozenset(bits(adj[v]))
+    pairs = [(v, w) for w in bits(((1 << n) - 1) & ~adj[v] & ~(1 << v))]
+    pairs += [(a, b) for a in bits(adj[v]) for b in bits(adj[v] & ~adj[a] & -(2 << a))]
+    done = set()
+    for a, b in pairs:
+        key = frozenset((adj[a], adj[b]))
+        if key in done:
+            continue
+        done.add(key)
+        value, sep = flow.min_vertex_separator(g, a, b, limit=best)
+        if value < best:
+            best, best_sep = value, sep
+    return best, best_sep
+
+
+def _component_count(g: Graph, alive: int) -> int:
+    count = 0
+    while alive:
+        seen = {(alive & -alive).bit_length() - 1}
+        stack = list(seen)
+        while stack:
+            for u in g.adj[stack.pop()]:
+                if alive >> u & 1 and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        for u in seen:
+            alive &= ~(1 << u)
+        count += 1
+    return count
+
+
+def cut_vertices_brute(g: Graph) -> set[int]:
+    """The vertices whose deletion leaves more components than g has."""
+    full = (1 << g.n) - 1
+    whole = _component_count(g, full)
+    return {v for v in range(g.n) if _component_count(g, full & ~(1 << v)) > whole}
 
 
 def has_hamiltonian_path_brute(g: Graph) -> bool:

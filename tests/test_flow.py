@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -16,9 +17,11 @@ from sgc.graphs import (
     cycle_graph,
     norm_edge,
     path_graph,
+    random_connected,
 )
 from sgc.invariants import check_separator, vertex_connectivity
-from oracles import max_fan_brute, vertex_connectivity_brute
+from sgc.verify import Corpus
+from oracles import max_fan_brute, vertex_connectivity_all_pairs, vertex_connectivity_brute
 
 
 @st.composite
@@ -243,11 +246,73 @@ def test_kappa_of_k_m_2m(m, counted_flows):
 def test_kappa_of_theorem2_family(m, counted_flows):
     assert vertex_connectivity(theorem2_family(m).graph).kappa == \
         expected_theorem2_invariants(m)["kappa"]
-    # one query per twin class of pairs; a query per pair made 11, 28, 52, ... 166
-    assert counted_flows["separator"] == [9, 13, 16, 19, 22, 25][m - 1]
+    # one query per twin class of pairs; a query per pair made 11, 28, 52, ... 166.
+    # At m = 1 the minimum degree is 1, so kappa = 1 is certain and no query
+    # runs (9 ran before that floor was read off the degree)
+    assert counted_flows["separator"] == [0, 13, 16, 19, 22, 25][m - 1]
     # every queried pair packs m disjoint shortest paths, the best cut, so no
     # flow runs
     assert counted_flows["fan"] == 0
+
+
+def _random_tree(n, seed):
+    rng = random.Random(seed)
+    return Graph(n, frozenset((rng.randrange(v), v) for v in range(1, n)))
+
+
+@pytest.mark.parametrize("g", [path_graph(3), path_graph(40), path_graph(500),
+                               complete_bipartite(1, 2), complete_bipartite(1, 30)]
+                         + [_random_tree(n, seed) for n in (5, 17, 60) for seed in range(3)],
+                         ids=lambda g: f"n{g.n}m{g.m}")
+def test_kappa_at_minimum_degree_1_runs_no_query(g, counted_flows):
+    """Connectivity puts kappa at 1 or more, so at minimum degree 1 the
+    lowest vertex v of that degree has N(v) as a minimum separator."""
+    cert = vertex_connectivity(g)
+    v = min(range(g.n), key=lambda u: (g.degree(u), u))
+    assert cert.kappa == 1 and cert.separator == set(g.adj[v])
+    assert counted_flows == {"separator": 0, "fan": 0}
+
+
+def test_kappa_stops_at_the_first_cut_of_size_1(counted_flows):
+    """Two K_4 sharing vertex 3: vertex 0 has the minimum degree 3, and its
+    pairs with 4, 5 and 6 have three keys.  The first query finds the cut
+    {3}, and no pair can go below 1, so the other two, which ran before,
+    are left out."""
+    g = Graph(7, frozenset(combinations(range(4), 2)) | frozenset(combinations(range(3, 7), 2)))
+    cert = vertex_connectivity(g)
+    assert (cert.kappa, cert.separator) == (1, {3})
+    assert counted_flows["separator"] == 1
+    assert (cert.kappa, cert.separator) == vertex_connectivity_all_pairs(Graph(g.n, g.edges))
+    assert counted_flows["separator"] == 4
+
+
+def test_kappa_certificate_is_the_all_pairs_one_on_the_corpus():
+    """Stopping at a cut of size 1 keeps the cut and its separator that every
+    pair query gives, on all 27,476 connected graphs with n <= 6."""
+    for g in Corpus.embedded(6):
+        cert = vertex_connectivity(g)
+        assert (cert.kappa, cert.separator) == vertex_connectivity_all_pairs(g), g
+
+
+def _glued(a, b, p, seed):
+    """Random connected graphs on a and b vertices sharing one vertex, then
+    relabelled: kappa is 1, mostly above a minimum degree of 2."""
+    rng = random.Random(seed)
+    edges = set(random_connected(a, p, seed).edges)
+    edges |= {(u + a - 1, v + a - 1) for u, v in random_connected(b, p, seed + 1).edges}
+    perm = list(range(a + b - 1))
+    rng.shuffle(perm)
+    return Graph(a + b - 1, frozenset(norm_edge(perm[u], perm[v]) for u, v in edges))
+
+
+@pytest.mark.parametrize("p", [0.1, 0.2, 0.35, 0.6])
+def test_kappa_certificate_is_the_all_pairs_one_on_random_graphs(p):
+    for seed in range(60):
+        for g in (random_connected(8 + seed % 17, p, seed),
+                  _glued(4 + seed % 7, 5 + seed % 11, min(p + 0.4, 1.0), seed)):
+            cert = vertex_connectivity(g)
+            assert (cert.kappa, cert.separator) == \
+                vertex_connectivity_all_pairs(Graph(g.n, g.edges)), g
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 40])

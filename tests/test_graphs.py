@@ -3,12 +3,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import _connected_mask, bipartition_reference
+from oracles import _connected_mask, bipartition_reference, cut_vertices_brute
 
 from sgc.errors import FormatError, GraphError
 from sgc.graphs import (
     GRAPH6_MAX_N,
     Graph,
+    _cut_vertices,
     _sides,
     bits,
     complete_bipartite,
@@ -155,6 +156,32 @@ def test_mask_components_match_reference(g, data):
         assert not any(g.adj_mask[v] & b for v in bits(a))
     assert (len(comps) <= 1) == _connected_mask(g, alive)
     assert is_connected(g) == _connected_mask(g, (1 << g.n) - 1)
+
+
+def test_cut_vertices_match_vertex_deletion():
+    """The low-link search finds the vertices whose deletion adds a
+    component, on every labelled graph with n <= 6 (33,868 of them, n <= 2
+    and the disconnected ones included)."""
+    count = 0
+    for g in _all_graphs(6):
+        assert set(bits(_cut_vertices(g))) == cut_vertices_brute(g), g
+        count += 1
+    assert count == 33_868
+
+
+@pytest.mark.parametrize("g, cuts", [
+    (path_graph(500), set(range(1, 499))),
+    (complete_bipartite(1, 7), {0}),
+    (cycle_graph(9), set()),
+    (complete_graph(5), set()),
+    # two K_4 sharing vertex 3, and a pendant vertex 7 at 6
+    (Graph(8, frozenset(combinations(range(4), 2)) | frozenset(combinations(range(3, 7), 2))
+           | {(6, 7)}), {3, 6}),
+    # P_3 and K_2 side by side
+    (Graph(5, frozenset({(0, 1), (1, 2), (3, 4)})), {1}),
+])
+def test_cut_vertices_of_long_and_composite_graphs(g, cuts):
+    assert set(bits(_cut_vertices(g))) == cuts
 
 
 def test_random_connected_deterministic():

@@ -19,6 +19,7 @@ from sgc.graphs import (
 from oracles import (
     bipartition_reference,
     classify_tree_brute,
+    cut_vertices_brute,
     min_branch_brute,
     sgc_brute,
     simple_paths_brute,
@@ -563,28 +564,68 @@ def test_cut_separators_come_after_the_greedy_tree_past_the_dp(monkeypatch):
     """Past the DP only the twin classes are tried before the greedy tree.
     Each cherry's two leaves of the Y of cherries are a twin class that
     refutes nothing; the greedy tree is the graph itself, no generalized
-    caterpillar (25 nodes); then kappa is computed, and the centre, a cut
-    vertex, leaves three deficient components (3 nodes)."""
+    caterpillar (25 nodes); then the cut vertices are found, and the centre,
+    the first of them, leaves three deficient components (3 nodes).  Kappa
+    is not computed: the graph has cut vertices."""
     events = []
-    connectivity = trees.vertex_connectivity
+    connectivity, cut_vertices = trees.vertex_connectivity, trees._cut_vertices
 
-    def tree(*args):
-        events.append("tree")
-        return _few_branch_tree(*args)
+    def record(event, real):
+        def wrapper(*args):
+            events.append(event)
+            return real(*args)
+        return wrapper
 
-    def kappa(*args):
-        events.append("kappa")
-        return connectivity(*args)
-
-    monkeypatch.setattr(trees, "_few_branch_tree", tree)
-    monkeypatch.setattr(trees, "vertex_connectivity", kappa)
+    monkeypatch.setattr(trees, "_few_branch_tree", record("tree", _few_branch_tree))
+    monkeypatch.setattr(trees, "_cut_vertices", record("cuts", cut_vertices))
+    monkeypatch.setattr(trees, "vertex_connectivity", record("kappa", connectivity))
     g = Graph(Y_OF_CHERRIES.n, Y_OF_CHERRIES.edges)
     budget = Budget(max_nodes=(1 << g.n) - 1)
     dec = decide_sgc(g, budget)
     assert dec.status == "no" and budget.spent == 28
     validate_refutation(dec.witness)
     assert dec.witness.separator == {0}
-    assert events == ["tree", "kappa"]
+    assert events == ["tree", "cuts"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(near_trees(max_extra=3), connected_graphs(4, 9)))
+def test_cut_separators_refute_as_every_single_vertex_did(g):
+    """Where kappa is 1 the cut separators are the cut vertices, in order.
+    Every other single vertex leaves one component, so it refutes nothing
+    and charges nothing: trying every vertex, as was done before, gives the
+    same refutation for the same nodes."""
+    g = Graph(g.n, g.edges)
+    cuts = list(trees._cut_separators(g))
+    if len(graphs._greedy_walk(g)[0]) == g.n:
+        assert cuts == []
+        return
+    kappa = trees.vertex_connectivity(g)
+    if kappa.kappa > 1:
+        assert cuts in ([], [sum(1 << v for v in kappa.separator)])
+        return
+    assert cuts == [1 << v for v in sorted(cut_vertices_brute(g))]
+    got, want = Budget(), Budget()
+    twins = trees._twin_separators(g)
+    assert trees._refutation(g, got) == \
+        trees._refutation(g, want, twins + [1 << v for v in range(g.n)])
+    assert got.spent == want.spent
+
+
+def test_greedy_tree_reads_its_first_leg_off_the_kept_walk(monkeypatch):
+    """The first start, the lowest leaf 4 of the Y of cherries, is where the
+    Warnsdorff walk over V starts, and its first leg is that walk, 4-1-5:
+    the tree picks no vertex of it again, yet charges it as placed."""
+    g = Graph(Y_OF_CHERRIES.n, Y_OF_CHERRIES.edges)
+    walk = graphs._greedy_walk(g)[0]
+    assert walk == (4, 1, 5)
+    picks = []
+    fewest = trees._fewest
+    monkeypatch.setattr(trees, "_fewest", lambda *args: picks.append(args) or fewest(*args))
+    budget = Budget()
+    tree = _few_branch_tree(g, budget)
+    assert tree.tree_edges == Y_OF_CHERRIES.edges
+    assert len(picks) == budget.spent - (len(walk) - 1)
 
 
 @pytest.mark.parametrize("tamper", [
