@@ -16,6 +16,22 @@ query is capped at the best cut found so far, since a pair that reaches it
 cannot lower the answer; a pair whose packed disjoint shortest paths already
 reach it runs no flow.
 
+A connected graph with two non-adjacent vertices has kappa at least 1, so a
+cut of size 1 ends the search.  Where the minimum degree is 1, N(v) is that
+cut and no pair list is built; otherwise the pairs stop at the first query
+that returns 1.  Only a strictly smaller cut replaces the best, so the first
+cut of size 1 is the one the full pair set keeps.  On the benchmark's
+search-random graphs, where kappa is the minimum degree and that is 1 on 22
+of the 29, the queries per graph fell from 12.9 to 3.1 (20 labellings of
+each), and P_500 went from 498 to none.
+There is no floor of 2 from a cut-vertex search (``graphs._cut_vertices``):
+run at every minimum degree, its depth-first search over the 48-117-vertex
+family graphs cost more than their two packed queries (families-large
+items_per_s -19%, item_tail_ms +36%, 2-core host, Python 3.11.7); run only
+at minimum degree 2, it leaves graphs such as K_{2,3} with no separator query
+at all, which the benchmark's tracer test (``perfbench/test_perfbench.py``)
+needs in order to see the flow layer's binding restored.
+
 Only one separator query runs per twin class of pairs, keyed by the
 unordered pair of the two ends' neighbourhood masks.  Vertices with equal neighbourhoods are
 non-adjacent twins, and swapping two of them is an automorphism, so two pairs
@@ -192,6 +208,12 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     ``{N(a), N(b)}``: a pair whose ends have the neighbourhoods of an earlier
     pair's ends is that pair's image under a twin swap, so its query could not
     lower the best cut and the certificate is the one every pair gives.
+
+    Connectivity puts kappa at 1 or more, so the search stops once a cut of
+    size 1 is in hand: at once where the minimum degree is 1 (N(v) is that
+    cut), else after the first query that finds one.  No later pair could
+    replace it, so kappa and the separator stay those of the whole pair set.
+    No cut-vertex search gives a floor of 2 (see the module docstring).
     """
     n = g.n
     if n <= 1:

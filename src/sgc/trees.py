@@ -61,9 +61,15 @@ the separators tried.
 The separators are cheap candidates, with no flow per vertex pair: each
 false-twin class of two or more vertices (equal ``adj_mask``), most
 neighbours off the class first (``_twin_separators``); then each cut vertex
-where kappa is 1, else the kappa separator (``_cut_separators``).  Kappa is
-not computed where the Warnsdorff walk spans V, since a Hamiltonian path is
-an SGC: on ``random_connected(100, 0.3, s)`` it took 15-40 ms, and the
+of one low-link search kept on the instance (``graphs._cut_vertices``), and
+only where there is none the kappa separator (``_cut_separators``).  A
+single vertex that is no cut leaves one component and refutes nothing, for
+no node, so trying only the cut vertices gives the refutations and nodes of
+trying every vertex, for less work: ``decide_sgc`` on
+``random_connected(24, 0.12, 3)`` and ``(30, 0.1, 4)`` took 0.21 and
+0.29 ms, against 0.28 and 0.40 ms trying every vertex after kappa.  Neither
+is computed where the Warnsdorff walk spans V, since a Hamiltonian path is
+an SGC: on ``random_connected(100, 0.3, s)`` kappa took 15-40 ms, and the
 refutation without it 0.5-0.7 ms (2-core host, Python 3.11.7).
 ``theorem2_family(m)`` is refuted by its hub, a twin class from m = 2 and a
 cut vertex at m = 1.  The refutation charges one node per component tested

@@ -248,7 +248,7 @@ def test_kappa_of_theorem2_family(m, counted_flows):
         expected_theorem2_invariants(m)["kappa"]
     # one query per twin class of pairs; a query per pair made 11, 28, 52, ... 166.
     # At m = 1 the minimum degree is 1, so kappa = 1 is certain and no query
-    # runs (9 ran before that floor was read off the degree)
+    # runs, where the all-pairs loop runs 9
     assert counted_flows["separator"] == [0, 13, 16, 19, 22, 25][m - 1]
     # every queried pair packs m disjoint shortest paths, the best cut, so no
     # flow runs
@@ -276,8 +276,8 @@ def test_kappa_at_minimum_degree_1_runs_no_query(g, counted_flows):
 def test_kappa_stops_at_the_first_cut_of_size_1(counted_flows):
     """Two K_4 sharing vertex 3: vertex 0 has the minimum degree 3, and its
     pairs with 4, 5 and 6 have three keys.  The first query finds the cut
-    {3}, and no pair can go below 1, so the other two, which ran before,
-    are left out."""
+    {3}, and no pair can go below 1, so the other two are left out; the
+    all-pairs reference runs all three for the same certificate."""
     g = Graph(7, frozenset(combinations(range(4), 2)) | frozenset(combinations(range(3, 7), 2)))
     cert = vertex_connectivity(g)
     assert (cert.kappa, cert.separator) == (1, {3})

@@ -593,8 +593,8 @@ def test_cut_separators_come_after_the_greedy_tree_past_the_dp(monkeypatch):
 def test_cut_separators_refute_as_every_single_vertex_did(g):
     """Where kappa is 1 the cut separators are the cut vertices, in order.
     Every other single vertex leaves one component, so it refutes nothing
-    and charges nothing: trying every vertex, as was done before, gives the
-    same refutation for the same nodes."""
+    and charges nothing: trying every vertex gives the same refutation for
+    the same nodes."""
     g = Graph(g.n, g.edges)
     cuts = list(trees._cut_separators(g))
     if len(graphs._greedy_walk(g)[0]) == g.n:
