@@ -14,11 +14,17 @@ a pair beats a bound pays for at most that many paths.
 
 A pair query with a limit first packs vertex-disjoint shortest s-t paths
 (``_packed``): one breadth-first search from s to the first layer that meets
-N(t), then a walk back from each hit through the unused vertices of the
-earlier layers.  The walks mark what they use, so the packed paths are
-disjoint by construction and their count is a lower bound on the flow; when
-it reaches the limit, the answer is the one the flow would give, and no flow
-runs.  Common neighbours are the length-2 paths of the first layer.
+N(t), then a walk back (``_walk_back``) from each hit through the unused
+vertices of the earlier layers.  The walks mark what they use, so the packed
+paths are disjoint by construction and their count is a lower bound on the
+flow; when it reaches the limit, the answer is the one the flow would give,
+and no flow runs.  Common neighbours are the length-2 paths of the first
+layer.  A caller with many targets for one source (kappa's minimum-degree
+vertex against its non-neighbours) passes the source's full breadth-first
+layers (``_layers``) to every query: the layers up to the first that meets
+N(t) are those of the search that avoids t, since t lies one layer further
+out, so ``_packed_in`` reads the same hits and walks the same layers back,
+and the count is ``_packed``'s.
 ``disjoint_paths`` and ``max_fan`` return paths, not a count, and always run
 the flow.
 """
@@ -130,15 +136,52 @@ def disjoint_paths(g: Graph, s: int, t: int, limit: int | None = None) -> list[l
     return (direct + [p + [t] for p in fan.paths()])[:limit]
 
 
+def _layers(adj: tuple[int, ...], s: int) -> list[int]:
+    """The breadth-first layers of s's component as masks, ``[1 << s]`` first:
+    layer j holds the vertices at distance j from s."""
+    layers = [1 << s]
+    seen = frontier = 1 << s
+    while frontier := _neighbourhood(adj, frontier) & ~seen:
+        layers.append(frontier)
+        seen |= frontier
+    return layers
+
+
+def _walk_back(adj: tuple[int, ...], hits: int, back: list[int], limit: int) -> int:
+    """Paths packed from the ``hits`` mask back through ``back``, the layers
+    between the hits and the source, nearest the hits first, at most ``limit``.
+
+    From each hit, lowest first, the walk steps to the lowest unused
+    neighbour in each layer of ``back`` in turn, and the path counts when
+    every step finds one; its vertices are then marked used.  The last layer
+    of ``back`` neighbours the source, so every counted path reaches it.
+    """
+    used = count = 0
+    while hits:
+        w = hits & -hits  # one-bit masks from here on
+        hits ^= w
+        path = 0
+        for layer in back:
+            free = adj[w.bit_length() - 1] & layer & ~used
+            if not free:
+                break
+            w = free & -free
+            path |= w
+        else:
+            used |= path
+            count += 1
+            if count == limit:
+                break
+    return count
+
+
 def _packed(g: Graph, s: int, t: int, limit: int) -> int:
     """Vertex-disjoint shortest s-t paths packed greedily, at most ``limit``.
 
     A breadth-first search from s, never entering t, stops at the first layer
-    that meets N(t).  From each hit, lowest first, the walk steps back to the
-    lowest unused neighbour in each earlier layer down to s, and the path
-    counts when every step finds one.  Its vertices are then marked used, so
-    the counted paths share only s and t, and their number is a lower bound
-    on the pair's local connectivity.
+    that meets N(t), and ``_walk_back`` packs paths from those hits down to
+    s.  The counted paths share only s and t, so their number is a lower
+    bound on the pair's local connectivity.
     """
     adj = g.adj_mask
     frontier = 1 << s
@@ -159,27 +202,28 @@ def _packed(g: Graph, s: int, t: int, limit: int) -> int:
         seen |= frontier
         layers.append(frontier)
     layers.reverse()
-    used = count = 0
-    while hits:
-        w = hits & -hits  # one-bit masks from here on
-        hits ^= w
-        path = 0
-        for layer in layers:
-            free = adj[w.bit_length() - 1] & layer & ~used
-            if not free:
-                break
-            w = free & -free
-            path |= w
-        else:
-            used |= path
-            count += 1
-            if count == limit:
-                break
-    return count
+    return _walk_back(adj, hits, layers, limit)
 
 
-def min_vertex_separator(g: Graph, s: int, t: int,
-                         limit: int | None = None) -> tuple[int, frozenset[int] | None]:
+def _packed_in(adj: tuple[int, ...], layers: list[int], t: int, limit: int) -> int:
+    """``_packed``'s count for the source of ``layers`` (its ``_layers``) and
+    the target t, read off those layers.
+
+    With j the first layer that meets N(t), t lies at distance j + 1, so no
+    shortest path to a vertex of layers 0..j passes through it, and those
+    layers are the ones the search that avoids t finds.  The hits are then
+    the same, and so are the layers the walk back steps through.
+    """
+    near = adj[t]
+    for j in range(1, len(layers)):
+        hits = layers[j] & near
+        if hits:
+            return _walk_back(adj, hits, layers[j - 1:0:-1], limit)
+    return 0
+
+
+def min_vertex_separator(g: Graph, s: int, t: int, limit: int | None = None, *,
+                         layers: list[int] | None = None) -> tuple[int, frozenset[int] | None]:
     """Menger for a non-adjacent pair: (local connectivity, witness separator).
 
     With ``limit``, the search stops once ``limit`` disjoint paths are found
@@ -187,11 +231,17 @@ def min_vertex_separator(g: Graph, s: int, t: int,
     Before the flow, ``_packed`` lays vertex-disjoint shortest s-t paths side
     by side; they are disjoint by construction, so a pair where it reaches
     ``limit`` returns that answer without running a flow.  Distinct common
-    neighbours are the paths its first layer yields.
+    neighbours are the paths its first layer yields.  A caller that queries
+    one source against many targets passes s's ``_layers`` as ``layers``,
+    and each packing reads them instead of searching from s again.
     """
     if s == t or g.has_edge(s, t):
         raise ValueError("separator queries need two distinct non-adjacent vertices")
-    if limit is not None and 0 <= limit <= _packed(g, s, t, limit):
+    if layers is not None and layers[0] != 1 << s:
+        raise ValueError("layers must be the source's breadth-first layers")
+    if limit is not None and 0 <= limit <= (
+            _packed(g, s, t, limit) if layers is None
+            else _packed_in(g.adj_mask, layers, t, limit)):
         return limit, None
     fan = _fan(g, s, g.adj_mask[t], 1 << s | 1 << t, limit)
     return fan.value, None if fan.cut is None else frozenset(bits(fan.cut))

@@ -11,10 +11,10 @@ Vertex connectivity runs Menger flows (``flow.min_vertex_separator``, bitmask
 augmenting paths over the implicit vertex-split graph) on the
 Esfahanian-Hakimi pair set: a minimum-degree vertex v against each
 non-neighbour, and each non-adjacent pair of v's neighbours.  The vertex, its
-neighbourhood and both pair lists are read off ``g.adj_mask`` alone.  Each
-query is capped at the best cut found so far, since a pair that reaches it
-cannot lower the answer; a pair whose packed disjoint shortest paths already
-reach it runs no flow.
+neighbourhood and both pair lists are read off ``g.adj_mask`` and the twin
+classes.  Each query is capped at the best cut found so far, since a pair
+that reaches it cannot lower the answer; a pair whose packed disjoint
+shortest paths already reach it runs no flow.
 
 A connected graph with two non-adjacent vertices has kappa at least 1, so a
 cut of size 1 ends the search.  Where the minimum degree is 1, N(v) is that
@@ -32,13 +32,32 @@ at minimum degree 2, it leaves graphs such as K_{2,3} with no separator query
 at all, which the benchmark's tracer test (``perfbench/test_perfbench.py``)
 needs in order to see the flow layer's binding restored.
 
-Only one separator query runs per twin class of pairs, keyed by the
-unordered pair of the two ends' neighbourhood masks.  Vertices with equal neighbourhoods are
-non-adjacent twins, and swapping two of them is an automorphism, so two pairs
-with the same key have equal local connectivity.  A skipped pair therefore
-cannot go strictly below the cut its twin pair already left in the running
-best, and since only a strictly smaller cut replaces the best, kappa and the
-separator are those the full pair set gives.
+Only one separator query runs per twin class of pairs: a pair whose ends
+have the neighbourhoods of an earlier pair's ends is skipped.  Vertices with
+equal neighbourhoods are non-adjacent twins, and swapping two of them is an
+automorphism, so two such pairs have equal local connectivity.  A skipped
+pair therefore cannot go strictly below the cut its twin pair already left
+in the running best, and since only a strictly smaller cut replaces the
+best, kappa and the separator are those the full pair set gives.
+
+The pairs are listed from the false-twin classes (``graphs._twin_classes``,
+kept on the instance), with no key built per vertex pair.  A class lies
+wholly inside or wholly outside N(v), every class is independent, and two
+classes are joined completely or not at all.  So, of the pairs the whole
+pair set lists in order, the first with a given pair of neighbourhoods is:
+v with the lowest vertex of a class outside N[v]; (min X, min Y) for two
+non-adjacent classes X, Y inside N(v) with min X < min Y; and (min X, the
+second-lowest of X) for a class X of two or more inside N(v).  The first
+kind is listed by walking the non-neighbours of v upwards and dropping
+each queried vertex's class, the other two from the class minima inside
+N(v), then sorted, so the queries and their order are those of the whole
+pair set kept one per neighbourhood pair.  On K_{16,32} that is 2 pairs
+where the per-pair key was built 151 times.
+
+The queries from v all share one breadth-first search: v's layers
+(``flow._layers``) go with each of them to ``flow.min_vertex_separator``,
+whose packing reads them instead of searching from v again (see ``flow``).
+On ``theorem2_family(2..5)`` that is one search where 12-21 ran.
 
 Both certificates are computed once per ``Graph`` instance and kept in its
 instance dict (``graphs.once_per_instance``), beside the cached ``adj`` and
@@ -52,7 +71,7 @@ from dataclasses import dataclass
 
 from . import flow
 from .errors import CertificateError
-from .graphs import Graph, bits, is_connected, mask_components, once_per_instance
+from .graphs import Graph, _mask_reach, _twin_classes, bits, is_connected, once_per_instance
 from .search import Budget, OutOfBudget, as_budget
 
 
@@ -90,7 +109,7 @@ def check_separator(g: Graph, separator: frozenset[int]) -> None:
             alive |= 1 << v
     if alive.bit_count() < 2:
         raise CertificateError("separator leaves fewer than two vertices")
-    if len(mask_components(g.adj_mask, alive)) == 1:
+    if _mask_reach(g.adj_mask, alive, alive & -alive) == alive:
         raise CertificateError("graph stays connected after removing the separator")
 
 
@@ -204,10 +223,15 @@ def independence_number(g: Graph, budget: Budget | int | None = None) -> Indepen
 def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     """kappa(g) with a separator of that size.
 
-    The Esfahanian-Hakimi pairs run in order, one separator query per key
-    ``{N(a), N(b)}``: a pair whose ends have the neighbourhoods of an earlier
-    pair's ends is that pair's image under a twin swap, so its query could not
-    lower the best cut and the certificate is the one every pair gives.
+    The Esfahanian-Hakimi pairs run in order, one separator query per
+    unordered pair of neighbourhoods ``{N(a), N(b)}``: a pair whose ends have
+    the neighbourhoods of an earlier pair's ends is that pair's image under
+    a twin swap, so its query could not lower the best cut and the
+    certificate is the one every pair gives.  The first pair of each is read
+    off the twin classes: v against the lowest vertex of each class outside
+    N[v], then, sorted, each non-adjacent pair of class minima inside N(v)
+    and each such minimum with the second-lowest vertex of its class.  The
+    queries from v share v's breadth-first layers.
 
     Connectivity puts kappa at 1 or more, so the search stops once a cut of
     size 1 is in hand: at once where the minimum degree is 1 (N(v) is that
@@ -228,16 +252,32 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
     v = degs.index(best)
     best_sep = frozenset(bits(adj[v]))
     if best > 1:  # at 1, N(v) is already a minimum separator
-        pairs = [(v, w) for w in bits(((1 << n) - 1) & ~adj[v] & ~(1 << v))]
-        # b runs over v's neighbours above a that miss a
-        pairs += [(a, b) for a in bits(adj[v]) for b in bits(adj[v] & ~adj[a] & -(2 << a))]
-        done = set()
-        for a, b in pairs:
-            key = frozenset((adj[a], adj[b]))
-            if key in done:
-                continue  # a twin swap maps this pair onto one already run
-            done.add(key)
-            value, sep = flow.min_vertex_separator(g, a, b, limit=best)
+        classes = _twin_classes(g)
+        # v against the lowest vertex of each twin class outside N[v]
+        pairs = []
+        rest = ((1 << n) - 1) & ~adj[v] & ~(1 << v)
+        while rest:
+            w = (rest & -rest).bit_length() - 1
+            pairs.append((v, w))
+            rest &= ~classes[w]
+        # class minima inside N(v): each non-adjacent pair of them, and each
+        # minimum with the second-lowest of its class
+        lows = []
+        rest = adj[v]
+        while rest:
+            a = (rest & -rest).bit_length() - 1
+            lows.append(a)
+            rest &= ~classes[a]
+        near = []
+        for i, a in enumerate(lows):
+            if twin := classes[a] & ~(1 << a):
+                near.append((a, (twin & -twin).bit_length() - 1))
+            near += [(a, b) for b in lows[i + 1:] if not adj[a] >> b & 1]
+        near.sort()
+        layers = flow._layers(adj, v)
+        for a, b in pairs + near:
+            value, sep = flow.min_vertex_separator(
+                g, a, b, limit=best, layers=layers if a == v else None)
             if value < best:
                 best, best_sep = value, sep
                 if best == 1:

@@ -27,6 +27,7 @@ from .construct import construct_sgc_theorem1, construct_sgc_theorem3
 from .covers import min_cycle_cover, min_disjoint_path_cover
 from .errors import FormatError
 from .families import (
+    Theorem2Instance,
     counterexample_bipartite,
     expected_theorem2_invariants,
     theorem2_family,
@@ -276,13 +277,13 @@ EXHAUSTIVE_COVER_LIMIT = 12  # vertex count up to which cover claims are searche
 
 
 # --- family checks ----------------------------------------------------------
-# Each takes the family parameter m and never skips.
+# Each takes the instance that FAMILY_INSTANCES builds for m and never skips.
 
-def _check_lemma4_instance(m: int, budget: Budget) -> tuple[str, str]:
+def _check_lemma4_instance(g: Graph, budget: Budget) -> tuple[str, str]:
     """One K_{m,2m} instance.  Lemma 4 claims two disjoint paths cover any
     graph with alpha = 2*kappa; here alpha = 2m = 2*kappa, yet for m >= 3 the
     cover does not exist.  Violations therefore document the refutation."""
-    g = counterexample_bipartite(m)
+    m = g.n // 3  # K_{m,2m} has 3m vertices
     alpha_cert = independence_number(g, budget)
     kappa = vertex_connectivity(g).kappa
     if not alpha_cert.exhaustive:
@@ -312,14 +313,14 @@ def _check_lemma4_instance(m: int, budget: Budget) -> tuple[str, str]:
     return "violation", counting
 
 
-def _check_theorem2_instance(m: int, budget: Budget) -> tuple[str, str]:
+def _check_theorem2_instance(inst: Theorem2Instance, budget: Budget) -> tuple[str, str]:
     """One hub-and-copies instance: verify its invariants and that it has no
     spanning generalized caterpillar, by one whole-graph decision at every m.
     Its "no" is the separator refutation: the m hub vertices leave m + 2
     copies of K_{2m+1,m}, each bipartite with sides differing by m + 1 and
     only its m connectors as anchors (``trees.Refutation``)."""
-    inst = theorem2_family(m)
     validate_theorem2_instance(inst)
+    m = inst.m
     g = inst.graph
     want = expected_theorem2_invariants(m)
     kappa = vertex_connectivity(g).kappa
@@ -340,22 +341,28 @@ def _check_theorem2_instance(m: int, budget: Budget) -> tuple[str, str]:
 
 
 FAMILY_CHECKS = {"lemma4": _check_lemma4_instance, "theorem2": _check_theorem2_instance}
-# the instance each family check examines; instances grow with m
-FAMILY_GRAPHS = {"lemma4": counterexample_bipartite,
-                 "theorem2": lambda m: theorem2_family(m).graph}
+# the instance each family check examines at parameter m; instances grow with m
+FAMILY_INSTANCES = {"lemma4": counterexample_bipartite, "theorem2": theorem2_family}
 DEFAULT_M_VALUES = {"lemma4": (1, 2, 3, 4), "theorem2": (1, 2)}
 
 
-def _violation_ref(theorem_id: str, x) -> str:
-    """graph6 of the graph checked; a family token past graph6's short form."""
-    if theorem_id not in FAMILY_GRAPHS:
-        return emit_graph6(x)
-    g = FAMILY_GRAPHS[theorem_id](x)
-    return emit_graph6(g) if g.n <= 62 else f"family:{theorem_id}:m={x}"
+def _graph_of(x: Graph | Theorem2Instance) -> Graph:
+    """The graph a check examined: a corpus graph or a family instance."""
+    return x.graph if isinstance(x, Theorem2Instance) else x
+
+
+def _violation_ref(theorem_id: str, item, x) -> str:
+    """graph6 of the graph checked, read off ``x``, the instance the check
+    examined, whose ``adj_mask`` it built; past graph6's short form, a family
+    token naming the family parameter ``item``."""
+    g = _graph_of(x)
+    if theorem_id not in FAMILY_CHECKS or g.n <= 62:
+        return emit_graph6(g)
+    return f"family:{theorem_id}:m={item}"
 
 
 def _run_check(theorem_id: str, x, budget: Budget) -> tuple[str, str]:
-    """The claim's check on one graph, or one family parameter."""
+    """The claim's check on one graph, or on one family instance."""
     check = PER_GRAPH_CHECKS.get(theorem_id) or FAMILY_CHECKS[theorem_id]
     try:
         return check(x, budget)
@@ -399,7 +406,9 @@ def verify_theorem(theorem_id: str, corpus: Corpus | None = None,
     started = time.perf_counter()
     report = TheoremReport(theorem_id, corpus_size=len(inputs),
                            hypothesis_count=0, verified=0)
-    for x in inputs:
+    build = FAMILY_INSTANCES.get(theorem_id)
+    for item in inputs:
+        x = item if build is None else build(item)
         outcome, detail = _run_check(theorem_id, x, Budget(budget_nodes, budget_ms))
         if outcome == "skipped":
             continue
@@ -407,7 +416,7 @@ def verify_theorem(theorem_id: str, corpus: Corpus | None = None,
         if outcome == "verified":
             report.verified += 1
         elif outcome == "violation":
-            report.violations.append(Violation(_violation_ref(theorem_id, x), detail))
+            report.violations.append(Violation(_violation_ref(theorem_id, item, x), detail))
         else:
             report.timeouts += 1
     report.elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -427,13 +436,13 @@ def replay_violation(theorem_id: str, violation: Violation,
         _, fam_id, m_part = token.split(":", 2)
         if fam_id != theorem_id or fam_id not in FAMILY_CHECKS or not m_part.startswith("m="):
             raise ValueError(f"cannot replay token {token!r} against {theorem_id}")
-        x = int(m_part[2:])
-    elif theorem_id in FAMILY_GRAPHS:
+        x = FAMILY_INSTANCES[theorem_id](int(m_part[2:]))
+    elif theorem_id in FAMILY_INSTANCES:
         g = parse_graph6(token)
-        x = 1
-        while (inst := FAMILY_GRAPHS[theorem_id](x)).n < g.n:
-            x += 1
-        if inst != g:
+        m = 1
+        while _graph_of(x := FAMILY_INSTANCES[theorem_id](m)).n < g.n:
+            m += 1
+        if _graph_of(x) != g:
             raise ValueError(f"graph is not the {theorem_id} instance of its size")
     else:
         x = parse_graph6(token)

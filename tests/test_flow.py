@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from sgc.families import (
 )
 from sgc.graphs import (
     Graph,
+    bits,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -206,6 +208,8 @@ def test_flow_argument_validation():
         flow.min_vertex_separator(g, 0, 1)
     with pytest.raises(ValueError):
         flow.min_vertex_separator(g, 0, 0)
+    with pytest.raises(ValueError):  # the layers of another source
+        flow.min_vertex_separator(g, 0, 2, 1, layers=flow._layers(g.adj_mask, 1))
     with pytest.raises(ValueError):
         flow.disjoint_paths(g, 1, 1)
     with pytest.raises(ValueError):
@@ -313,6 +317,103 @@ def test_kappa_certificate_is_the_all_pairs_one_on_random_graphs(p):
             cert = vertex_connectivity(g)
             assert (cert.kappa, cert.separator) == \
                 vertex_connectivity_all_pairs(Graph(g.n, g.edges)), g
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, frozenset(norm_edge(perm[u], perm[v]) for u, v in g.edges))
+
+
+@pytest.mark.parametrize("g", [_relabelled(counterexample_bipartite(m), m) for m in range(1, 17)]
+                         + [_relabelled(theorem2_family(m).graph, 100 + m) for m in range(1, 7)],
+                         ids=[f"K{m},{2 * m}" for m in range(1, 17)]
+                         + [f"theorem2-{m}" for m in range(1, 7)])
+def test_kappa_certificate_is_the_all_pairs_one_on_the_families(g):
+    """The paper's families are unions of complete bipartite pieces, so
+    their twin classes are few and large: one pair per pair of classes
+    stands for up to 151 vertex pairs (K_{16,32}).  Relabelled, the class
+    minima are not the lowest labels of a side."""
+    cert = vertex_connectivity(g)
+    assert (cert.kappa, cert.separator) == vertex_connectivity_all_pairs(Graph(g.n, g.edges))
+
+
+def _queries(kappa, g):
+    """The (a, b, limit) of every separator query ``kappa`` runs on a fresh
+    copy of g, and its (kappa, separator)."""
+    calls = []
+    real = flow.min_vertex_separator
+
+    def recording(h, a, b, limit=None, **kwargs):
+        calls.append((a, b, limit))
+        return real(h, a, b, limit, **kwargs)
+
+    with mock.patch.object(flow, "min_vertex_separator", recording):
+        cert = kappa(Graph(g.n, g.edges))
+    return calls, cert if isinstance(cert, tuple) else (cert.kappa, cert.separator)
+
+
+def _same_queries(g):
+    """The pairs read off the twin classes are the first pair of each key of
+    the whole pair set, in its order: the queries are the all-pairs loop's,
+    cut short only by a cut of size 1."""
+    got, cert = _queries(vertex_connectivity, g)
+    want, _ = _queries(vertex_connectivity_all_pairs, g)
+    assert got == want[:len(got)], g
+    assert len(got) == len(want) or cert[0] == 1, g
+
+
+def test_kappa_queries_are_the_all_pairs_ones_on_the_corpus():
+    for g in Corpus.embedded(6):
+        _same_queries(g)
+
+
+@settings(deadline=None, max_examples=300)
+@given(twin_rich_graphs(max_n=14), st.randoms(use_true_random=False))
+def test_kappa_queries_are_the_all_pairs_ones_on_twin_rich_graphs(g, rng):
+    """Relabelled, so a class's second-lowest vertex can lie above the
+    minimum of another class: the neighbour pairs need their sort."""
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    _same_queries(Graph(g.n, frozenset(norm_edge(perm[u], perm[v]) for u, v in g.edges)))
+
+
+def _packings_agree(g):
+    """The packing read off s's full layers equals ``_packed``'s search that
+    avoids t, for every source, non-adjacent target and limit 1..delta."""
+    adj = g.adj_mask
+    delta = min(a.bit_count() for a in adj)
+    for s in range(g.n):
+        layers = flow._layers(adj, s)
+        for t in bits(((1 << g.n) - 1) & ~adj[s] & ~(1 << s)):
+            for limit in range(1, delta + 1):
+                assert flow._packed_in(adj, layers, t, limit) == flow._packed(g, s, t, limit), \
+                    (g, s, t, limit)
+
+
+def test_shared_layers_pack_as_packed_on_the_corpus():
+    for g in Corpus.embedded(6):
+        _packings_agree(g)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.one_of(graphs(max_n=12), twin_rich_graphs(max_n=12)))
+def test_shared_layers_pack_as_packed_on_random_graphs(g):
+    """Disconnected graphs included; a separator query that passes the
+    source's layers answers as one that searches from the source."""
+    _packings_agree(g)
+    for s in range(g.n):
+        layers = flow._layers(g.adj_mask, s)
+        for t in bits(((1 << g.n) - 1) & ~g.adj_mask[s] & ~(1 << s)):
+            for limit in (None, 1, 2, 3):
+                assert flow.min_vertex_separator(g, s, t, limit, layers=layers) == \
+                    flow.min_vertex_separator(g, s, t, limit)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_layers_pack_as_packed_on_larger_graphs(seed):
+    for n, p in ((30, 0.1), (40, 0.2), (70, 0.08)):
+        _packings_agree(_relabelled(random_connected(n, p, seed), seed))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 40])

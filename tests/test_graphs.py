@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -54,6 +55,25 @@ def test_adjacency_masks_match_tuples():
     for v in range(g.n):
         assert sorted(u for u in range(g.n) if g.adj_mask[v] >> u & 1) == list(g.adj[v])
         assert g.degree(v) == len(g.adj[v])
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return new_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@pytest.mark.parametrize("g", [
+    _relabelled(path_graph(500), 1),
+    _relabelled(complete_bipartite(16, 32), 2),
+    # built after the large ones, so it reads entries the table already holds
+    new_graph(4, [(0, 3), (1, 2), (2, 3)]),
+], ids=["P500", "K16,32", "small-after-large"])
+def test_adjacency_masks_past_64_vertices(g):
+    """The masks OR entries of one shared table of powers of two, grown to
+    the largest vertex count built so far; each equals the mask of g.adj."""
+    g = Graph(g.n, g.edges)  # fresh caches
+    assert g.adj_mask == tuple(sum(1 << u for u in nbrs) for nbrs in g.adj)
 
 
 def test_standard_families():

@@ -143,6 +143,22 @@ def test_check_separator_rejects_non_cuts():
     assert _separator_error(Graph(1, frozenset()), frozenset()) == too_few
 
 
+def test_check_separator_past_64_vertices():
+    """One search from the lowest vertex left decides it, also where that
+    vertex is left alone and where the cut leaves 32 components."""
+    stays = "graph stays connected after removing the separator"
+    too_few = "separator leaves fewer than two vertices"
+    p500 = path_graph(500)
+    assert _separator_error(p500, frozenset({250})) is None
+    assert _separator_error(p500, frozenset({1})) is None
+    assert _separator_error(p500, frozenset({0})) == stays
+    assert _separator_error(p500, frozenset({499})) == stays
+    k = complete_bipartite(16, 32)
+    assert _separator_error(k, frozenset(range(16))) is None
+    assert _separator_error(k, frozenset(range(15))) == stays
+    assert _separator_error(k, frozenset(range(47))) == too_few
+
+
 def test_check_separator_matches_reference(corpus_n4, corpus_n5):
     for g in corpus_n4 + corpus_n5[::9]:
         full = (1 << g.n) - 1

@@ -50,6 +50,20 @@ from sgc.trees import (
 from sgc.families import theorem2_family
 
 
+@pytest.mark.parametrize("host, edges", [
+    (path_graph(500), [(v, v + 1) for v in range(499)]),
+    # K_{16,32}: vertex 0 to the big side, vertex 16 to the rest of the small one
+    (complete_bipartite(16, 32), [(0, b) for b in range(16, 48)] + [(a, 16) for a in range(1, 16)]),
+    (path_graph(4), [(0, 1), (1, 2), (2, 3)]),
+], ids=["P500", "K16,32", "small-after-large"])
+def test_spanning_tree_masks_past_64_vertices(host, edges):
+    """``SpanningTree.adj_mask`` shares ``Graph.adj_mask``'s builder; each
+    mask equals the one read off the tree edges' own adjacency tuples."""
+    t = spanning_tree(host, edges)
+    ref = Graph(host.n, t.tree_edges).adj
+    assert t.adj_mask == tuple(sum(1 << u for u in nbrs) for nbrs in ref)
+
+
 @st.composite
 def connected_graphs(draw, min_n, max_n, max_extra=None):
     """A random tree on n vertices plus extra edges (at most ``max_extra``)."""

@@ -332,7 +332,7 @@ def test_theorem2_is_refuted_without_copy_searches(monkeypatch, m):
         return dec
 
     monkeypatch.setattr(verify, "decide_sgc", deciding)
-    outcome, detail = verify._check_theorem2_instance(m, Budget())
+    outcome, detail = verify._check_theorem2_instance(theorem2_family(m), Budget())
     assert outcome == "verified", detail
     assert searches == []
     [dec] = decisions
