@@ -20,17 +20,21 @@ paths are disjoint by construction and their count is a lower bound on the
 flow; when it reaches the limit, the answer is the one the flow would give,
 and no flow runs.  Common neighbours are the length-2 paths of the first
 layer.  A caller with many targets for one source (kappa's minimum-degree
-vertex against its non-neighbours) passes the source's full breadth-first
-layers (``_layers``) to every query: the layers up to the first that meets
-N(t) are those of the search that avoids t, since t lies one layer further
-out, so ``_packed_in`` reads the same hits and walks the same layers back,
-and the count is ``_packed``'s.
+vertex against its non-neighbours) passes one list of the source's
+breadth-first layers to every query, and ``_packed_in`` extends it only as
+far as each target needs: the layers up to the first that meets N(t) are
+those of the search that avoids t, since t lies one layer further out, so
+it reads the same hits and walks the same layers back, and the count is
+``_packed``'s.  A target at distance 2 reads N(s) alone, so no search runs
+where the targets are all that close.
 ``disjoint_paths`` and ``max_fan`` return paths, not a count, and always run
 the flow.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from typing import Sequence
 
 from .graphs import Graph, _neighbourhood, bits
 
@@ -136,17 +140,6 @@ def disjoint_paths(g: Graph, s: int, t: int, limit: int | None = None) -> list[l
     return (direct + [p + [t] for p in fan.paths()])[:limit]
 
 
-def _layers(adj: tuple[int, ...], s: int) -> list[int]:
-    """The breadth-first layers of s's component as masks, ``[1 << s]`` first:
-    layer j holds the vertices at distance j from s."""
-    layers = [1 << s]
-    seen = frontier = 1 << s
-    while frontier := _neighbourhood(adj, frontier) & ~seen:
-        layers.append(frontier)
-        seen |= frontier
-    return layers
-
-
 def _walk_back(adj: tuple[int, ...], hits: int, back: list[int], limit: int) -> int:
     """Paths packed from the ``hits`` mask back through ``back``, the layers
     between the hits and the source, nearest the hits first, at most ``limit``.
@@ -180,7 +173,8 @@ def _packed(g: Graph, s: int, t: int, limit: int) -> int:
 
     A breadth-first search from s, never entering t, stops at the first layer
     that meets N(t), and ``_walk_back`` packs paths from those hits down to
-    s.  The counted paths share only s and t, so their number is a lower
+    s; hits in the first layer are common neighbours, each a path of its
+    own.  The counted paths share only s and t, so their number is a lower
     bound on the pair's local connectivity.
     """
     adj = g.adj_mask
@@ -201,13 +195,17 @@ def _packed(g: Graph, s: int, t: int, limit: int) -> int:
             break
         seen |= frontier
         layers.append(frontier)
+    if not layers:
+        return min(hits.bit_count(), limit)
     layers.reverse()
     return _walk_back(adj, hits, layers, limit)
 
 
-def _packed_in(adj: tuple[int, ...], layers: list[int], t: int, limit: int) -> int:
-    """``_packed``'s count for the source of ``layers`` (its ``_layers``) and
-    the target t, read off those layers.
+def _packed_in(adj: Sequence[int], layers: list[int], t: int, limit: int) -> int:
+    """``_packed``'s count for the target t and the source s of ``layers``,
+    s's breadth-first layers so far: ``[1 << s, N(s), ...]``.  The list is
+    extended in place, one layer at a time, until a layer meets N(t), so the
+    next target reads every layer found for this one.
 
     With j the first layer that meets N(t), t lies at distance j + 1, so no
     shortest path to a vertex of layers 0..j passes through it, and those
@@ -215,11 +213,26 @@ def _packed_in(adj: tuple[int, ...], layers: list[int], t: int, limit: int) -> i
     the same, and so are the layers the walk back steps through.
     """
     near = adj[t]
-    for j in range(1, len(layers)):
+    j = 1
+    while True:
+        if j == len(layers):
+            # N(layer j - 1) lies in layers j - 2 .. j
+            frontier = layers[-1]
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
+            grow &= ~(layers[-1] | layers[-2])
+            if not grow:
+                return 0
+            layers.append(grow)
         hits = layers[j] & near
         if hits:
+            if j == 1:
+                return min(hits.bit_count(), limit)
             return _walk_back(adj, hits, layers[j - 1:0:-1], limit)
-    return 0
+        j += 1
 
 
 def min_vertex_separator(g: Graph, s: int, t: int, limit: int | None = None, *,
@@ -232,10 +245,12 @@ def min_vertex_separator(g: Graph, s: int, t: int, limit: int | None = None, *,
     by side; they are disjoint by construction, so a pair where it reaches
     ``limit`` returns that answer without running a flow.  Distinct common
     neighbours are the paths its first layer yields.  A caller that queries
-    one source against many targets passes s's ``_layers`` as ``layers``,
-    and each packing reads them instead of searching from s again.
+    one source against many targets passes one list ``[1 << s, N(s)]`` as
+    ``layers`` to every query, and each packing reads and extends s's
+    breadth-first layers there (``_packed_in``) instead of searching from s
+    again.
     """
-    if s == t or g.has_edge(s, t):
+    if s == t or g.adj_mask[s] >> t & 1:
         raise ValueError("separator queries need two distinct non-adjacent vertices")
     if layers is not None and layers[0] != 1 << s:
         raise ValueError("layers must be the source's breadth-first layers")

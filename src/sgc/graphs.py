@@ -195,12 +195,12 @@ def random_connected(n: int, p: float, seed: int, max_attempts: int = 10_000) ->
 # ---------------------------------------------------------------------------
 # elementary predicates
 
-# ``_mask_reach``, ``flow._packed`` and the subset tables of ``covers``
-# (``_ends_table``, ``_entries_through``) keep this loop inline: a call per
-# breadth-first level made ``mask_components`` 11% slower on random graphs
-# with n = 14-20, and ``_packed`` 6% slower over the 37,759 packings that
-# kappa runs on the n <= 6 corpus, where a level holds one or two vertices;
-# the tables run it once per subset.
+# ``_mask_reach``, ``flow._packed``, ``flow._packed_in`` and the subset tables
+# of ``covers`` (``_ends_table``, ``_entries_through``) keep this loop inline:
+# a call per breadth-first level made ``mask_components`` 11% slower on
+# random graphs with n = 14-20, and ``_packed`` 6% slower over the 37,759
+# packings that kappa runs on the n <= 6 corpus, where a level holds one or
+# two vertices; the tables run it once per subset.
 def _neighbourhood(adj: Sequence[int], s: int) -> int:
     """N(S) for the vertex set ``s``, as a mask."""
     near = 0
@@ -319,10 +319,11 @@ def _twin_classes(g: Graph) -> tuple[int, ...]:
     """Each vertex's false-twin class as a mask, kept on the instance: the
     vertices with its ``adj_mask``.  The twin separators of the SGC
     refutation and the twin orbits of the path-cover search read it."""
+    adj = g.adj_mask
     classes: dict[int, int] = {}
-    for v, mask in enumerate(g.adj_mask):
+    for v, mask in enumerate(adj):
         classes[mask] = classes.get(mask, 0) | 1 << v
-    return tuple(classes[mask] for mask in g.adj_mask)
+    return tuple(map(classes.__getitem__, adj))
 
 
 @once_per_instance()

@@ -54,10 +54,13 @@ N(v), then sorted, so the queries and their order are those of the whole
 pair set kept one per neighbourhood pair.  On K_{16,32} that is 2 pairs
 where the per-pair key was built 151 times.
 
-The queries from v all share one breadth-first search: v's layers
-(``flow._layers``) go with each of them to ``flow.min_vertex_separator``,
-whose packing reads them instead of searching from v again (see ``flow``).
-On ``theorem2_family(2..5)`` that is one search where 12-21 ran.
+The queries from v all share one breadth-first search: one list of v's
+layers goes with each of them to ``flow.min_vertex_separator``, whose
+packing reads it and extends it only as far as its target needs (see
+``flow``).  On ``theorem2_family(2..5)`` that is one search where 12-21
+ran; on the n <= 6 corpus, where most targets lie at distance 2, N(v) is
+most often the only layer read, and a full search from v before the first
+query made kappa slower there than the searches it saved.
 
 Both certificates are computed once per ``Graph`` instance and kept in its
 instance dict (``graphs.once_per_instance``), beside the cached ``adj`` and
@@ -103,10 +106,10 @@ def check_independent_set(g: Graph, vertices: frozenset[int]) -> None:
 
 def check_separator(g: Graph, separator: frozenset[int]) -> None:
     """Raise CertificateError unless removing ``separator`` disconnects g."""
-    alive = 0
-    for v in range(g.n):
-        if v not in separator:
-            alive |= 1 << v
+    alive = (1 << g.n) - 1
+    for v in separator:
+        if 0 <= v < g.n:
+            alive &= ~(1 << v)
     if alive.bit_count() < 2:
         raise CertificateError("separator leaves fewer than two vertices")
     if _mask_reach(g.adj_mask, alive, alive & -alive) == alive:
@@ -274,7 +277,7 @@ def vertex_connectivity(g: Graph) -> ConnectivityCertificate:
                 near.append((a, (twin & -twin).bit_length() - 1))
             near += [(a, b) for b in lows[i + 1:] if not adj[a] >> b & 1]
         near.sort()
-        layers = flow._layers(adj, v)
+        layers = [1 << v, adj[v]]  # v's breadth-first layers, extended by its queries
         for a, b in pairs + near:
             value, sep = flow.min_vertex_separator(
                 g, a, b, limit=best, layers=layers if a == v else None)

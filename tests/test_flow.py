@@ -209,7 +209,7 @@ def test_flow_argument_validation():
     with pytest.raises(ValueError):
         flow.min_vertex_separator(g, 0, 0)
     with pytest.raises(ValueError):  # the layers of another source
-        flow.min_vertex_separator(g, 0, 2, 1, layers=flow._layers(g.adj_mask, 1))
+        flow.min_vertex_separator(g, 0, 2, 1, layers=[1 << 1, g.adj_mask[1]])
     with pytest.raises(ValueError):
         flow.disjoint_paths(g, 1, 1)
     with pytest.raises(ValueError):
@@ -379,16 +379,21 @@ def test_kappa_queries_are_the_all_pairs_ones_on_twin_rich_graphs(g, rng):
 
 
 def _packings_agree(g):
-    """The packing read off s's full layers equals ``_packed``'s search that
-    avoids t, for every source, non-adjacent target and limit 1..delta."""
+    """The packing read off one list of s's layers, which each target
+    extends as far as it needs, equals ``_packed``'s search that avoids t,
+    for every source, non-adjacent target and limit 1..delta; the targets
+    run upwards, as kappa's do, and downwards, so that a near target also
+    reads layers a far one found."""
     adj = g.adj_mask
     delta = min(a.bit_count() for a in adj)
     for s in range(g.n):
-        layers = flow._layers(adj, s)
-        for t in bits(((1 << g.n) - 1) & ~adj[s] & ~(1 << s)):
-            for limit in range(1, delta + 1):
-                assert flow._packed_in(adj, layers, t, limit) == flow._packed(g, s, t, limit), \
-                    (g, s, t, limit)
+        targets = list(bits(((1 << g.n) - 1) & ~adj[s] & ~(1 << s)))
+        for order in (targets, targets[::-1]):
+            layers = [1 << s, adj[s]]
+            for t in order:
+                for limit in range(1, delta + 1):
+                    assert flow._packed_in(adj, layers, t, limit) == flow._packed(g, s, t, limit), \
+                        (g, s, t, limit)
 
 
 def test_shared_layers_pack_as_packed_on_the_corpus():
@@ -403,7 +408,7 @@ def test_shared_layers_pack_as_packed_on_random_graphs(g):
     source's layers answers as one that searches from the source."""
     _packings_agree(g)
     for s in range(g.n):
-        layers = flow._layers(g.adj_mask, s)
+        layers = [1 << s, g.adj_mask[s]]
         for t in bits(((1 << g.n) - 1) & ~g.adj_mask[s] & ~(1 << s)):
             for limit in (None, 1, 2, 3):
                 assert flow.min_vertex_separator(g, s, t, limit, layers=layers) == \
