@@ -34,8 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import Sequence
-
 from .graphs import Graph, _neighbourhood, bits
 
 
@@ -201,7 +199,7 @@ def _packed(g: Graph, s: int, t: int, limit: int) -> int:
     return _walk_back(adj, hits, layers, limit)
 
 
-def _packed_in(adj: Sequence[int], layers: list[int], t: int, limit: int) -> int:
+def _packed_in(adj: tuple[int, ...], layers: list[int], t: int, limit: int) -> int:
     """``_packed``'s count for the target t and the source s of ``layers``,
     s's breadth-first layers so far: ``[1 << s, N(s), ...]``.  The list is
     extended in place, one layer at a time, until a layer meets N(t), so the
