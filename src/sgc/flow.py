@@ -13,20 +13,19 @@ stops augmenting once the flow reaches it, so a caller that only asks whether
 a pair beats a bound pays for at most that many paths.
 
 A pair query with a limit first packs vertex-disjoint shortest s-t paths
-(``_packed``): one breadth-first search from s to the first layer that meets
-N(t), then a walk back (``_walk_back``) from each hit through the unused
-vertices of the earlier layers.  The walks mark what they use, so the packed
-paths are disjoint by construction and their count is a lower bound on the
-flow; when it reaches the limit, the answer is the one the flow would give,
-and no flow runs.  Common neighbours are the length-2 paths of the first
-layer.  A caller with many targets for one source (kappa's minimum-degree
-vertex against its non-neighbours) passes one list of the source's
-breadth-first layers to every query, and ``_packed_in`` extends it only as
-far as each target needs: the layers up to the first that meets N(t) are
-those of the search that avoids t, since t lies one layer further out, so
-it reads the same hits and walks the same layers back, and the count is
-``_packed``'s.  A target at distance 2 reads N(s) alone, so no search runs
-where the targets are all that close.
+(``_packed``): breadth-first layers from s up to the first that meets N(t),
+then a walk back from each hit through the unused vertices of the earlier
+layers.  The walks mark what they use, so the packed paths are disjoint by
+construction and their count is a lower bound on the flow; when it reaches
+the limit, the answer is the one the flow would give, and no flow runs.
+Common neighbours are the length-2 paths of the first layer.  The layers
+live in a list that the packing extends in place, only as far as its target
+needs, and a caller with many targets for one source (kappa's minimum-degree
+vertex against its non-neighbours) passes one list to every query: the
+layers up to the first that meets N(t) are those of a search that never
+enters t, since t lies one layer further out, so a later target reads the
+layers an earlier one found.  A target at distance 2 reads N(s) alone, so
+no search runs where the targets are all that close.
 ``disjoint_paths`` and ``max_fan`` return paths, not a count, and always run
 the flow.
 """
@@ -138,15 +137,44 @@ def disjoint_paths(g: Graph, s: int, t: int, limit: int | None = None) -> list[l
     return (direct + [p + [t] for p in fan.paths()])[:limit]
 
 
-def _walk_back(adj: tuple[int, ...], hits: int, back: list[int], limit: int) -> int:
-    """Paths packed from the ``hits`` mask back through ``back``, the layers
-    between the hits and the source, nearest the hits first, at most ``limit``.
+def _packed(adj: tuple[int, ...], layers: list[int], t: int, limit: int) -> int:
+    """Vertex-disjoint shortest s-t paths packed greedily, at most ``limit``,
+    for the source s of ``layers``: s's breadth-first layers so far,
+    ``[1 << s, N(s), ...]``.
 
-    From each hit, lowest first, the walk steps to the lowest unused
-    neighbour in each layer of ``back`` in turn, and the path counts when
-    every step finds one; its vertices are then marked used.  The last layer
-    of ``back`` neighbours the source, so every counted path reaches it.
+    The list is extended in place, one layer at a time, until a layer meets
+    N(t), so a later query from s reads every layer found for this one.
+    With j that first layer, t lies at distance j + 1, so layers 0..j are
+    those of a search that never enters t.  From each hit in layer j, lowest
+    first, the walk steps back to the lowest unused neighbour in each
+    earlier layer down to N(s), and the path counts when every step finds
+    one; its vertices are then marked used, so the counted paths share only
+    s and t, and their number is a lower bound on the pair's local
+    connectivity.  Hits in N(s) are common neighbours, each a path of its
+    own.
     """
+    near = adj[t]
+    j = 1
+    while True:
+        if j == len(layers):
+            # N(layer j - 1) lies in layers j - 2 .. j
+            frontier = layers[-1]
+            grow = 0
+            while frontier:
+                low = frontier & -frontier
+                grow |= adj[low.bit_length() - 1]
+                frontier ^= low
+            grow &= ~(layers[-1] | layers[-2])
+            if not grow:
+                return 0
+            layers.append(grow)
+        hits = layers[j] & near
+        if hits:
+            break
+        j += 1
+    if j == 1:
+        return min(hits.bit_count(), limit)
+    back = layers[j - 1:0:-1]
     used = count = 0
     while hits:
         w = hits & -hits  # one-bit masks from here on
@@ -166,73 +194,6 @@ def _walk_back(adj: tuple[int, ...], hits: int, back: list[int], limit: int) -> 
     return count
 
 
-def _packed(g: Graph, s: int, t: int, limit: int) -> int:
-    """Vertex-disjoint shortest s-t paths packed greedily, at most ``limit``.
-
-    A breadth-first search from s, never entering t, stops at the first layer
-    that meets N(t), and ``_walk_back`` packs paths from those hits down to
-    s; hits in the first layer are common neighbours, each a path of its
-    own.  The counted paths share only s and t, so their number is a lower
-    bound on the pair's local connectivity.
-    """
-    adj = g.adj_mask
-    frontier = 1 << s
-    seen = frontier | 1 << t
-    layers = []
-    while True:
-        grow = 0
-        while frontier:
-            low = frontier & -frontier
-            grow |= adj[low.bit_length() - 1]
-            frontier ^= low
-        frontier = grow & ~seen
-        if not frontier:
-            return 0
-        hits = frontier & adj[t]
-        if hits:
-            break
-        seen |= frontier
-        layers.append(frontier)
-    if not layers:
-        return min(hits.bit_count(), limit)
-    layers.reverse()
-    return _walk_back(adj, hits, layers, limit)
-
-
-def _packed_in(adj: tuple[int, ...], layers: list[int], t: int, limit: int) -> int:
-    """``_packed``'s count for the target t and the source s of ``layers``,
-    s's breadth-first layers so far: ``[1 << s, N(s), ...]``.  The list is
-    extended in place, one layer at a time, until a layer meets N(t), so the
-    next target reads every layer found for this one.
-
-    With j the first layer that meets N(t), t lies at distance j + 1, so no
-    shortest path to a vertex of layers 0..j passes through it, and those
-    layers are the ones the search that avoids t finds.  The hits are then
-    the same, and so are the layers the walk back steps through.
-    """
-    near = adj[t]
-    j = 1
-    while True:
-        if j == len(layers):
-            # N(layer j - 1) lies in layers j - 2 .. j
-            frontier = layers[-1]
-            grow = 0
-            while frontier:
-                low = frontier & -frontier
-                grow |= adj[low.bit_length() - 1]
-                frontier ^= low
-            grow &= ~(layers[-1] | layers[-2])
-            if not grow:
-                return 0
-            layers.append(grow)
-        hits = layers[j] & near
-        if hits:
-            if j == 1:
-                return min(hits.bit_count(), limit)
-            return _walk_back(adj, hits, layers[j - 1:0:-1], limit)
-        j += 1
-
-
 def min_vertex_separator(g: Graph, s: int, t: int, limit: int | None = None, *,
                          layers: list[int] | None = None) -> tuple[int, frozenset[int] | None]:
     """Menger for a non-adjacent pair: (local connectivity, witness separator).
@@ -245,18 +206,19 @@ def min_vertex_separator(g: Graph, s: int, t: int, limit: int | None = None, *,
     neighbours are the paths its first layer yields.  A caller that queries
     one source against many targets passes one list ``[1 << s, N(s)]`` as
     ``layers`` to every query, and each packing reads and extends s's
-    breadth-first layers there (``_packed_in``) instead of searching from s
-    again.
+    breadth-first layers there instead of searching from s again; without
+    it, the query starts a list of its own.
     """
-    if s == t or g.adj_mask[s] >> t & 1:
+    adj = g.adj_mask
+    if s == t or adj[s] >> t & 1:
         raise ValueError("separator queries need two distinct non-adjacent vertices")
-    if layers is not None and layers[0] != 1 << s:
+    if layers is None:
+        layers = [1 << s, adj[s]]
+    elif layers[:2] != [1 << s, adj[s]]:
         raise ValueError("layers must be the source's breadth-first layers")
-    if limit is not None and 0 <= limit <= (
-            _packed(g, s, t, limit) if layers is None
-            else _packed_in(g.adj_mask, layers, t, limit)):
+    if limit is not None and 0 <= limit <= _packed(adj, layers, t, limit):
         return limit, None
-    fan = _fan(g, s, g.adj_mask[t], 1 << s | 1 << t, limit)
+    fan = _fan(g, s, adj[t], 1 << s | 1 << t, limit)
     return fan.value, None if fan.cut is None else frozenset(bits(fan.cut))
 
 

@@ -61,10 +61,14 @@ def once_per_instance(settled: Callable[[Any], bool] | None = None):
 # 1 << v for every vertex index below the largest n built so far, shared by
 # all mask builds: a list lookup per endpoint is cheaper than a shift that
 # allocates a new int past v = 8 (K_{16,32} 82 -> 58 us, 2-core host,
-# Python 3.11.7).  Building the list per call took 49.0 ms where the shared
-# one takes 33.7 over the 33,867 labelled graphs with n <= 6.  A larger n
-# replaces the list rather than extending it, so a list once read never
-# changes.
+# Python 3.11.7).  Against the same builder with a shift per endpoint, ten
+# alternating 40 s pairs of perfbench's families-large read items_per_s
+# 7,049 -> 7,573 (+7.4%, 10/10 pairs, q1-q3 spread 63).  Building the list
+# per call took 49.0 ms where the shared one takes 33.7 over the 33,867
+# labelled graphs with n <= 6.  The list holds about n^2 / 2 bits, no more
+# than the masks of a graph with n vertices and an edge at each vertex's
+# top label.  A larger n replaces the list rather than extending it, so a
+# list once read never changes.
 _POWERS = [1]
 
 
@@ -195,12 +199,12 @@ def random_connected(n: int, p: float, seed: int, max_attempts: int = 10_000) ->
 # ---------------------------------------------------------------------------
 # elementary predicates
 
-# ``_mask_reach``, ``flow._packed``, ``flow._packed_in`` and the subset tables
-# of ``covers`` (``_ends_table``, ``_entries_through``) keep this loop inline:
-# a call per breadth-first level made ``mask_components`` 11% slower on
-# random graphs with n = 14-20, and ``_packed`` 6% slower over the 37,759
-# packings that kappa runs on the n <= 6 corpus, where a level holds one or
-# two vertices; the tables run it once per subset.
+# ``_mask_reach``, ``flow._packed`` and the subset tables of ``covers``
+# (``_ends_table``, ``_entries_through``) keep this loop inline: a call per
+# breadth-first level made ``mask_components`` 11% slower on random graphs
+# with n = 14-20, and ``_packed`` 6% slower over the 37,759 packings that
+# kappa runs on the n <= 6 corpus, where a level holds one or two vertices;
+# the tables run it once per subset.
 def _neighbourhood(adj: Sequence[int], s: int) -> int:
     """N(S) for the vertex set ``s``, as a mask."""
     near = 0
@@ -319,11 +323,10 @@ def _twin_classes(g: Graph) -> tuple[int, ...]:
     """Each vertex's false-twin class as a mask, kept on the instance: the
     vertices with its ``adj_mask``.  The twin separators of the SGC
     refutation and the twin orbits of the path-cover search read it."""
-    adj = g.adj_mask
     classes: dict[int, int] = {}
-    for v, mask in enumerate(adj):
+    for v, mask in enumerate(g.adj_mask):
         classes[mask] = classes.get(mask, 0) | 1 << v
-    return tuple(map(classes.__getitem__, adj))
+    return tuple(classes[mask] for mask in g.adj_mask)
 
 
 @once_per_instance()

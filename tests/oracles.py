@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
+from random import Random
 from typing import Iterator
 
 from sgc import flow
@@ -134,6 +135,52 @@ def vertex_connectivity_all_pairs(g: Graph) -> tuple[int, frozenset[int] | None]
         if value < best:
             best, best_sep = value, sep
     return best, best_sep
+
+
+def packed_reference(g: Graph, s: int, t: int, limit: int) -> int:
+    """``flow._packed``'s count by its own breadth-first search from s that
+    never enters t, stopped at the first layer that meets N(t), with the
+    same greedy walk back from each hit (lowest hit first, lowest unused
+    neighbour in each earlier layer)."""
+    adj = g.adj_mask
+    frontier = 1 << s
+    seen = frontier | 1 << t
+    layers = []
+    while True:
+        grow = 0
+        for v in bits(frontier):
+            grow |= adj[v]
+        frontier = grow & ~seen
+        if not frontier:
+            return 0
+        hits = frontier & adj[t]
+        if hits:
+            break
+        seen |= frontier
+        layers.append(frontier)
+    layers.reverse()
+    used = count = 0
+    for h in bits(hits):
+        w, path = h, 0
+        for layer in layers:
+            free = adj[w] & layer & ~used
+            if not free:
+                break
+            w = (free & -free).bit_length() - 1
+            path |= 1 << w
+        else:
+            used |= path
+            count += 1
+            if count == limit:
+                break
+    return count
+
+
+def relabelled(g: Graph, seed: int) -> Graph:
+    """g under a seeded random permutation of its vertices."""
+    perm = list(range(g.n))
+    Random(seed).shuffle(perm)
+    return Graph(g.n, frozenset(norm_edge(perm[u], perm[v]) for u, v in g.edges))
 
 
 def _component_count(g: Graph, alive: int) -> int:

@@ -23,7 +23,13 @@ from sgc.graphs import (
 )
 from sgc.invariants import check_separator, vertex_connectivity
 from sgc.verify import Corpus
-from oracles import max_fan_brute, vertex_connectivity_all_pairs, vertex_connectivity_brute
+from oracles import (
+    max_fan_brute,
+    packed_reference,
+    relabelled,
+    vertex_connectivity_all_pairs,
+    vertex_connectivity_brute,
+)
 
 
 @st.composite
@@ -110,7 +116,7 @@ def test_packed_paths_never_exceed_local_connectivity(g):
                 continue
             want = _local_connectivity(g, s, t)
             for limit in range(1, want + 3):
-                assert flow._packed(g, s, t, limit) <= min(want, limit)
+                assert flow._packed(g.adj_mask, [1 << s, g.adj_mask[s]], t, limit) <= min(want, limit)
 
 
 def test_separator_limit_zero_or_below_answers_zero():
@@ -210,6 +216,10 @@ def test_flow_argument_validation():
         flow.min_vertex_separator(g, 0, 0)
     with pytest.raises(ValueError):  # the layers of another source
         flow.min_vertex_separator(g, 0, 2, 1, layers=[1 << 1, g.adj_mask[1]])
+    with pytest.raises(ValueError):  # N(s) missing
+        flow.min_vertex_separator(g, 0, 2, 1, layers=[1 << 0])
+    with pytest.raises(ValueError):  # a second layer that is not N(s)
+        flow.min_vertex_separator(g, 0, 2, 1, layers=[1 << 0, 1 << 2])
     with pytest.raises(ValueError):
         flow.disjoint_paths(g, 1, 1)
     with pytest.raises(ValueError):
@@ -319,14 +329,8 @@ def test_kappa_certificate_is_the_all_pairs_one_on_random_graphs(p):
                 vertex_connectivity_all_pairs(Graph(g.n, g.edges)), g
 
 
-def _relabelled(g, seed):
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return Graph(g.n, frozenset(norm_edge(perm[u], perm[v]) for u, v in g.edges))
-
-
-@pytest.mark.parametrize("g", [_relabelled(counterexample_bipartite(m), m) for m in range(1, 17)]
-                         + [_relabelled(theorem2_family(m).graph, 100 + m) for m in range(1, 7)],
+@pytest.mark.parametrize("g", [relabelled(counterexample_bipartite(m), m) for m in range(1, 17)]
+                         + [relabelled(theorem2_family(m).graph, 100 + m) for m in range(1, 7)],
                          ids=[f"K{m},{2 * m}" for m in range(1, 17)]
                          + [f"theorem2-{m}" for m in range(1, 7)])
 def test_kappa_certificate_is_the_all_pairs_one_on_the_families(g):
@@ -380,7 +384,7 @@ def test_kappa_queries_are_the_all_pairs_ones_on_twin_rich_graphs(g, rng):
 
 def _packings_agree(g):
     """The packing read off one list of s's layers, which each target
-    extends as far as it needs, equals ``_packed``'s search that avoids t,
+    extends as far as it needs, equals a search from s that avoids t,
     for every source, non-adjacent target and limit 1..delta; the targets
     run upwards, as kappa's do, and downwards, so that a near target also
     reads layers a far one found."""
@@ -392,7 +396,7 @@ def _packings_agree(g):
             layers = [1 << s, adj[s]]
             for t in order:
                 for limit in range(1, delta + 1):
-                    assert flow._packed_in(adj, layers, t, limit) == flow._packed(g, s, t, limit), \
+                    assert flow._packed(adj, layers, t, limit) == packed_reference(g, s, t, limit), \
                         (g, s, t, limit)
 
 
@@ -418,7 +422,7 @@ def test_shared_layers_pack_as_packed_on_random_graphs(g):
 @pytest.mark.parametrize("seed", range(4))
 def test_shared_layers_pack_as_packed_on_larger_graphs(seed):
     for n, p in ((30, 0.1), (40, 0.2), (70, 0.08)):
-        _packings_agree(_relabelled(random_connected(n, p, seed), seed))
+        _packings_agree(relabelled(random_connected(n, p, seed), seed))
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8, 13, 40])

@@ -1,10 +1,9 @@
-import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from oracles import _connected_mask, bipartition_reference, cut_vertices_brute
+from oracles import _connected_mask, bipartition_reference, cut_vertices_brute, relabelled
 
 from sgc.errors import FormatError, GraphError
 from sgc.graphs import (
@@ -57,15 +56,9 @@ def test_adjacency_masks_match_tuples():
         assert g.degree(v) == len(g.adj[v])
 
 
-def _relabelled(g, seed):
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    return new_graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-
-
 @pytest.mark.parametrize("g", [
-    _relabelled(path_graph(500), 1),
-    _relabelled(complete_bipartite(16, 32), 2),
+    relabelled(path_graph(500), 1),
+    relabelled(complete_bipartite(16, 32), 2),
     # built after the large ones, so it reads entries the table already holds
     new_graph(4, [(0, 3), (1, 2), (2, 3)]),
 ], ids=["P500", "K16,32", "small-after-large"])
