@@ -1,4 +1,4 @@
-"""Constructive pipeline: fans, cycles through prescribed vertices, and the
+"""Constructive pipeline: cycles through prescribed vertices, and the
 merge-and-prune step that turns a low-branch spanning tree plus a covering
 cycle into a caterpillar-style certificate.
 
@@ -34,44 +34,8 @@ from .trees import (
 
 
 @dataclass(frozen=True)
-class Fan:
-    """Paths from one origin to distinct targets, pairwise sharing only the
-    origin and touching the target set only at their final vertex."""
-
-    origin: int
-    paths: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class CycleWitness:
     cycle: tuple[int, ...]
-
-
-def validate_fan(g: Graph, fan: Fan, targets: frozenset[int]) -> None:
-    seen: set[int] = set()
-    ends: set[int] = set()
-    for path in fan.paths:
-        if len(path) < 2:
-            raise CertificateError("fan path has fewer than two vertices")
-        if path[0] != fan.origin:
-            raise CertificateError("fan path does not start at the origin")
-        if path[-1] not in targets:
-            raise CertificateError("fan path does not end on a target")
-        if len(set(path)) != len(path):
-            raise CertificateError("fan path repeats a vertex")
-        for a, b in zip(path, path[1:]):
-            if not g.has_edge(a, b):
-                raise CertificateError(f"fan path uses the non-edge {a}-{b}")
-        for v in path[1:-1]:
-            if v in targets:
-                raise CertificateError("fan path passes through a target")
-        if path[-1] in ends:
-            raise CertificateError("two fan paths end on the same target")
-        ends.add(path[-1])
-        body = set(path[1:])
-        if body & seen:
-            raise CertificateError("fan paths share a non-origin vertex")
-        seen |= body
 
 
 def validate_cycle_witness(g: Graph, witness: CycleWitness,
@@ -87,25 +51,6 @@ def validate_cycle_witness(g: Graph, witness: CycleWitness,
     if not required <= set(c):
         missing = sorted(required - set(c))
         raise CertificateError(f"cycle misses required vertices {missing}")
-
-
-def vertex_disjoint_fan(g: Graph, origin: int, targets: frozenset[int],
-                        k: int) -> Fan | None:
-    """A fan of ``k`` internally disjoint origin-to-target paths, or None if
-    the graph does not carry that many."""
-    targets = frozenset(targets)
-    if origin in targets:
-        raise ValueError("origin may not be one of the targets")
-    if not targets or k < 1:
-        raise ValueError("need at least one target and k >= 1")
-    if k > len(targets):
-        raise ValueError("k exceeds the number of targets")
-    paths = flow.max_fan(g, origin, targets, limit=k)
-    if len(paths) < k:
-        return None
-    fan = Fan(origin, tuple(tuple(p) for p in paths))
-    validate_fan(g, fan, targets)
-    return fan
 
 
 def _initial_cycle(g: Graph, u: int, v: int) -> list[int] | None:

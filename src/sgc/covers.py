@@ -247,39 +247,36 @@ def _arms(g: Graph, alive: int, budget: Budget, tip: int, used: int,
     ``tip`` and avoid ``used``, as (vertices after the tip, their mask), one
     node each; with ``below`` (a vertex on the path), only those whose first
     step lies in a class whose lowest vertex is at most below's (without
-    twins, a step below it: ``g.adj`` is sorted, so that step stops there).
-    With ``anchors``, a step is left out, with every path through it, when
-    it strands a vertex off the anchors: one next to the old tip, not next
-    to the new one, with no neighbour left outside the path.
+    twins, a step below it).  With ``anchors``, a step is left out, with
+    every path through it, when it strands a vertex off the anchors: one next
+    to the old tip, not next to the new one, with no neighbour left outside
+    the path.
 
     With ``twin`` (each vertex's twin class as a mask, see
     ``_split_twins``), a step to u is left out when a lower twin of u
     is in ``alive`` and off the path: swapping the two fixes the state, so
     one path per orbit is enough."""
     adj = g.adj_mask
-    if twin is None:
-        stop = g.n if below is None else below
-    else:
-        stop = g.n
-        if below is not None:
+    steps = adj[tip] & alive & ~used
+    if below is not None:
+        if twin is None:
+            steps &= (1 << below) - 1
+        else:
             top = twin[below] & -twin[below]
-    for u in g.adj[tip]:
-        if u >= stop:
-            break
+    for u in bits(steps):
         ub = 1 << u
-        if ub & alive and not ub & used:
-            if twin is not None:
-                c = twin[u]
-                if c & (ub - 1) & alive & ~used or below is not None and c & -c > top:
-                    continue
-            if anchors is not None:
-                rest = alive & ~used & ~ub
-                if any(not adj[y] & rest for y in bits(adj[tip] & rest & ~anchors & ~adj[u])):
-                    continue
-            budget.spend()
-            yield (u,), ub
-            for seq, m in _arms(g, alive, budget, u, used | ub, None, anchors, twin):
-                yield (u,) + seq, ub | m
+        if twin is not None:
+            c = twin[u]
+            if c & (ub - 1) & alive & ~used or below is not None and c & -c > top:
+                continue
+        if anchors is not None:
+            rest = alive & ~used & ~ub
+            if any(not adj[y] & rest for y in bits(adj[tip] & rest & ~anchors & ~adj[u])):
+                continue
+        budget.spend()
+        yield (u,), ub
+        for seq, m in _arms(g, alive, budget, u, used | ub, None, anchors, twin):
+            yield (u,) + seq, ub | m
 
 
 def _iter_paths_through(g: Graph, v: int, alive: int, budget: Budget,
@@ -567,9 +564,8 @@ def _entries_through(g: Graph, v: int, budget: Budget) -> list[tuple[tuple[int, 
             if path[1] > path[-1]:
                 path = (v,) + path[:0:-1]
             entries.append((path, s))
-    for u in g.adj[v]:
-        if not covered >> u & 1:
-            entries.append(((v, u), vbit | 1 << u))
+    for u in bits(closes & ~covered):
+        entries.append(((v, u), vbit | 1 << u))
     if not closes:
         entries.append(((v,), vbit))
     return entries

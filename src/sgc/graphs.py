@@ -1,8 +1,8 @@
 """Immutable simple-graph core: construction, serialization, generators.
 
 Vertices are integers ``0..n-1`` and edges are stored as sorted pairs.
-Adjacency is exposed both as sorted neighbor tuples and as bitmasks; the
-bitmask form is what the exponential solvers in the sibling modules run on.
+Adjacency is one bitmask per vertex (``Graph.adj_mask``), the form every
+solver in the sibling modules runs on.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ def once_per_instance(settled: Callable[[Any], bool] | None = None):
     """Keep the result of ``f(obj, ...)`` in ``obj``'s instance dict.
 
     The result is stored under f's name, beside cached properties such as
-    ``Graph.adj``, so every caller holding the same instance shares one
+    ``Graph.adj_mask``, so every caller holding the same instance shares one
     computation, while an equal instance built anew computes again.  A kept
     result is returned at once, whatever the later arguments; so with
     ``settled``, only results it accepts are kept, and an answer that a
@@ -105,19 +105,11 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in sorted(self.edges):
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in nbrs)
-
-    @cached_property
     def adj_mask(self) -> tuple[int, ...]:
         return _adjacency_masks(self.n, self.edges)
 
     def degree(self, v: int) -> int:
-        return len(self.adj[v])
+        return self.adj_mask[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges

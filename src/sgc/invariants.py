@@ -63,10 +63,10 @@ most often the only layer read, and a full search from v before the first
 query made kappa slower there than the searches it saved.
 
 Both certificates are computed once per ``Graph`` instance and kept in its
-instance dict (``graphs.once_per_instance``), beside the cached ``adj`` and
-``adj_mask``, so every caller holding the same instance shares them.  Alpha is
-kept only once its search was exhaustive: a call whose budget ran out leaves
-nothing behind, and the next call searches again under its own budget.
+instance dict (``graphs.once_per_instance``), beside the cached ``adj_mask``,
+so every caller holding the same instance shares them.  Alpha is kept only
+once its search was exhaustive: a call whose budget ran out leaves nothing
+behind, and the next call searches again under its own budget.
 """
 from __future__ import annotations
 

@@ -1,5 +1,5 @@
-"""Spanning trees: classification, enumeration, branch-vertex minimization,
-and the spanning-generalized-caterpillar decision.
+"""Spanning trees: classification, branch-vertex minimization, and the
+spanning-generalized-caterpillar decision.
 
 A *branch vertex* of a tree has degree greater than two.  A tree is a
 generalized caterpillar when some path (its *spine*) contains every branch
@@ -110,12 +110,10 @@ states fit the budget, so every answer it gives is the one the DP would give
 """
 from __future__ import annotations
 
-import sys
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .covers import anchored_path_cover, ham_path_in_mask
 from .errors import CertificateError, GraphError
@@ -452,16 +450,19 @@ def _path_as_tree(g: Graph, order: tuple[int, ...]) -> SpanningTree:
 
 
 def _dfs_tree(g: Graph) -> SpanningTree:
+    adj = g.adj_mask
     edges = []
-    seen = {0} if g.n else set()
+    seen = 1 if g.n else 0
     stack = [0] if g.n else []
     while stack:
         v = stack.pop()
-        for u in reversed(g.adj[v]):
-            if u not in seen:
-                seen.add(u)
-                edges.append(norm_edge(v, u))
-                stack.append(u)
+        new = adj[v] & ~seen
+        seen |= new
+        while new:  # highest first, so the lowest is popped next
+            u = new.bit_length() - 1
+            new ^= 1 << u
+            edges.append(norm_edge(v, u))
+            stack.append(u)
     return SpanningTree(g, frozenset(edges))
 
 
@@ -525,16 +526,13 @@ def _few_branch_tree(g: Graph, budget: Budget) -> SpanningTree:
     return SpanningTree(g, frozenset(best_edges))
 
 
-def _tree_search(g: Graph, budget: Budget,
-                 stop: Callable[[frozenset[Edge]], bool] | None,
-                 branch_limit: int | None = None,
-                 degree_cap: int | None = None) -> frozenset[Edge] | None:
+def _tree_search(g: Graph, budget: Budget, branch_limit: int,
+                 degree_cap: int | None) -> frozenset[Edge] | None:
     """Include/exclude search over the sorted edges of a connected graph for
-    spanning trees with at most ``branch_limit`` branch vertices and maximum
-    degree at most ``degree_cap`` (None: no limit).  Each tree goes to
-    ``stop`` as its edge set, and the search ends at the first tree ``stop``
-    returns True for (with no ``stop``: the first tree), which it returns;
-    None when the search ran out.  Charges one node per search step.
+    a spanning tree with at most ``branch_limit`` branch vertices and maximum
+    degree at most ``degree_cap`` (None: no cap); the first tree found, as
+    its edge set, or None when there is none.  Charges one node per search
+    step.
 
     An edge is left out only while the chosen edges and the edges not yet
     decided still connect the graph.  They do at the root, and leaving out
@@ -544,7 +542,6 @@ def _tree_search(g: Graph, budget: Budget,
     n = g.n
     edges = g.sorted_edges()
     m = len(edges)
-    limit = n if branch_limit is None else branch_limit
     full = (1 << n) - 1
     avail = list(g.adj_mask)
     parent = list(range(n))
@@ -562,15 +559,14 @@ def _tree_search(g: Graph, budget: Budget,
         nonlocal branches
         budget.spend()
         if len(chosen) == n - 1:
-            tree = frozenset(chosen)
-            return tree if stop is None or stop(tree) else None
+            return frozenset(chosen)
         if i == m or m - i < n - 1 - len(chosen):
             return None
         u, v = edges[i]
         ru, rv = find(u), find(v)
         if ru != rv and (degree_cap is None or (deg[u] < degree_cap and deg[v] < degree_cap)):
             newb = (deg[u] == 2) + (deg[v] == 2)
-            if branches + newb <= limit:
+            if branches + newb <= branch_limit:
                 if size[ru] < size[rv]:
                     ru, rv = rv, ru
                 parent[rv] = ru
@@ -602,36 +598,6 @@ def _tree_search(g: Graph, budget: Budget,
     return rec(0)
 
 
-EnumerationResult = namedtuple("EnumerationResult", "count truncated")
-
-
-def spanning_tree_enumerate(g: Graph,
-                            visitor: Callable[[frozenset[Edge]], None] | None = None,
-                            cap: int | None = None) -> EnumerationResult:
-    """Visit every spanning tree exactly once, in the order of the
-    include/exclude edge search; with ``cap``, stop after that many and
-    report whether more exist."""
-    if not is_connected(g):
-        raise GraphError("spanning tree enumeration needs a connected graph")
-    if g.n <= 1:
-        if visitor is not None:
-            visitor(frozenset())
-        return EnumerationResult(1, False)
-    count = 0
-
-    def visit(tree: frozenset[Edge]) -> bool:
-        nonlocal count
-        if cap is not None and count >= cap:
-            return True  # one more tree exists beyond the cap
-        count += 1
-        if visitor is not None:
-            visitor(tree)
-        return False
-
-    beyond = _tree_search(g, Budget(max_nodes=sys.maxsize), visit)
-    return EnumerationResult(count, beyond is not None)
-
-
 def constrained_spanning_tree(g: Graph, branch_limit: int, budget: Budget,
                               degree_cap: int | None = None) -> Decision:
     """Is there a spanning tree with at most ``branch_limit`` branch vertices
@@ -643,7 +609,7 @@ def constrained_spanning_tree(g: Graph, branch_limit: int, budget: Budget,
     if g.n <= 2:
         return Decision("yes", g.edges)
     try:
-        tree = _tree_search(g, budget, None, branch_limit, degree_cap)
+        tree = _tree_search(g, budget, branch_limit, degree_cap)
     except OutOfBudget:
         return Decision("unknown")
     return Decision("yes", tree) if tree is not None else Decision("no")
@@ -735,27 +701,24 @@ def _spine_candidates(g: Graph, budget: Budget) -> Iterator[tuple[int, ...]]:
     least two neighbours off it at each end.  The start's count off the path
     only falls as the path grows, so a start that fails it ends the branch.
     Charges one node per path grown."""
-    adj = g.adj
-    adj_mask = g.adj_mask
+    adj = g.adj_mask
 
     def go(path: list[int], mask: int) -> Iterator[tuple[int, ...]]:
         budget.spend()
-        first = adj_mask[path[0]]
-        for u in adj[path[-1]]:
-            ub = 1 << u
-            if not ub & mask:
-                grown = mask | ub
-                if (first & ~grown).bit_count() < 2:
-                    continue
-                path.append(u)
-                if path[0] <= u and (adj_mask[u] & ~grown).bit_count() >= 2:
-                    yield tuple(path)
-                yield from go(path, grown)
-                path.pop()
+        first = adj[path[0]]
+        for u in bits(adj[path[-1]] & ~mask):
+            grown = mask | 1 << u
+            if (first & ~grown).bit_count() < 2:
+                continue
+            path.append(u)
+            if path[0] <= u and (adj[u] & ~grown).bit_count() >= 2:
+                yield tuple(path)
+            yield from go(path, grown)
+            path.pop()
 
     for s in range(g.n):
         # an end has a neighbour on the path, so it needs three in all
-        if len(adj[s]) >= 3:
+        if adj[s].bit_count() >= 3:
             yield (s,)
             yield from go([s], 1 << s)
 

@@ -33,13 +33,7 @@ from .families import (
     theorem2_family,
     validate_theorem2_instance,
 )
-from .graphs import (
-    Graph,
-    emit_graph6,
-    is_connected,
-    parse_graph6,
-    random_connected,
-)
+from .graphs import Graph, emit_graph6, is_connected, parse_graph6
 from .invariants import independence_number, vertex_connectivity
 from .search import DEFAULT_NODE_BUDGET, Budget, Decision, OutOfBudget, as_budget
 from .trees import CaterpillarCertificate, branch_profile, decide_sgc, min_branch_spanning_tree
@@ -151,11 +145,6 @@ class Corpus:
                 else:
                     dropped += 1
         return Corpus(graphs, label=path, skipped_disconnected=dropped)
-
-    @staticmethod
-    def random(n: int, p: float, seed: int, count: int) -> "Corpus":
-        graphs = [random_connected(n, p, seed + i) for i in range(count)]
-        return Corpus(graphs, label=f"random(n={n},p={p},seed={seed})")
 
 
 # --- per-graph checks -------------------------------------------------------

@@ -6,15 +6,25 @@ the clever solvers against these on small graphs, so keep them dumb.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
 from random import Random
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from sgc import flow
 from sgc.graphs import Bipartition, Edge, Graph, bits, norm_edge
 from sgc.search import Budget
+
+
+def neighbours(n: int, edges: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:
+    """Each vertex's neighbours in increasing order, read off the edge set
+    alone: the reference for ``Graph.adj_mask`` and ``Graph.degree``, and the
+    neighbour lists the oracles below walk."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    return tuple(tuple(sorted(ns)) for ns in nbrs)
 
 
 def independence_number_brute(g: Graph) -> int:
@@ -69,6 +79,7 @@ def bipartition_reference(g: Graph) -> Bipartition | None:
     """Two-colour the graph by a walk over the neighbour lists, each
     component from its lowest vertex, which goes in ``side_a``; None on an
     odd cycle."""
+    adj = neighbours(g.n, g.edges)
     color: list[int | None] = [None] * g.n
     for root in range(g.n):
         if color[root] is not None:
@@ -77,7 +88,7 @@ def bipartition_reference(g: Graph) -> Bipartition | None:
         queue = [root]
         while queue:
             v = queue.pop()
-            for u in g.adj[v]:
+            for u in adj[v]:
                 if color[u] is None:
                     color[u] = 1 - color[v]  # type: ignore[operator]
                     queue.append(u)
@@ -184,12 +195,13 @@ def relabelled(g: Graph, seed: int) -> Graph:
 
 
 def _component_count(g: Graph, alive: int) -> int:
+    adj = neighbours(g.n, g.edges)
     count = 0
     while alive:
         seen = {(alive & -alive).bit_length() - 1}
         stack = list(seen)
         while stack:
-            for u in g.adj[stack.pop()]:
+            for u in adj[stack.pop()]:
                 if alive >> u & 1 and u not in seen:
                     seen.add(u)
                     stack.append(u)
@@ -210,7 +222,7 @@ def has_hamiltonian_path_brute(g: Graph) -> bool:
     n = g.n
     if n <= 1:
         return True
-    adj = g.adj
+    adj = neighbours(g.n, g.edges)
 
     def extend(tip: int, used: int) -> bool:
         if used.bit_count() == n:
@@ -224,13 +236,14 @@ def has_hamiltonian_path_brute(g: Graph) -> bool:
 def simple_paths_brute(g: Graph) -> set[tuple[int, ...]]:
     """Every simple path of g, one vertex included, each listed once from
     its lower end: every vertex sequence grown one neighbour at a time."""
+    adj = neighbours(g.n, g.edges)
     paths = set()
     grow = [(v,) for v in range(g.n)]
     while grow:
         path = grow.pop()
         if path[0] <= path[-1]:
             paths.add(path)
-        grow += [path + (u,) for u in g.adj[path[-1]] if u not in path]
+        grow += [path + (u,) for u in adj[path[-1]] if u not in path]
     return paths
 
 
@@ -332,7 +345,7 @@ def cycles_through(g: Graph, v: int, budget: Budget
     """Every simple cycle through v once, with its vertex mask, in depth-first
     order from v.  A cycle is listed from v in the orientation whose second
     vertex is below its last.  Charges one node per DFS step."""
-    adj = g.adj
+    adj = neighbours(g.n, g.edges)
     closes = g.adj_mask[v]
     path = [v]
     used = 1 << v
@@ -401,15 +414,7 @@ def merged_tree_brute(n: int, tree_edges: frozenset[Edge],
     return frozenset(best)
 
 
-def _tree_adjacency(n: int, edges: frozenset[Edge]) -> list[list[int]]:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return adj
-
-
-def _tree_path(adj: list[list[int]], s: int, t: int) -> set[int]:
+def _tree_path(adj: tuple[tuple[int, ...], ...], s: int, t: int) -> set[int]:
     """Vertices on the unique s-t path of a tree (BFS parents)."""
     parent = {s: s}
     queue = [s]
@@ -432,7 +437,7 @@ def tree_branches_on_one_path(n: int, edges: frozenset[Edge]) -> bool:
     Checked the obvious way: some pair of branch vertices must span all the
     others along its unique connecting path.
     """
-    adj = _tree_adjacency(n, edges)
+    adj = neighbours(n, edges)
     branch = [v for v in range(n) if len(adj[v]) > 2]
     if len(branch) <= 1:
         return True
@@ -442,7 +447,7 @@ def tree_branches_on_one_path(n: int, edges: frozenset[Edge]) -> bool:
 
 
 def classify_tree_brute(n: int, edges: frozenset[Edge]) -> str:
-    adj = _tree_adjacency(n, edges)
+    adj = neighbours(n, edges)
     degs = [len(a) for a in adj]
     branch = [v for v in range(n) if degs[v] > 2]
     if not branch:
@@ -493,13 +498,14 @@ def sgc_brute(g: Graph) -> bool:
 def max_fan_brute(g: Graph, origin: int, targets: frozenset[int]) -> int:
     """Largest fan size, via the Menger dual: the smallest set of non-origin
     vertices whose removal leaves no target reachable from the origin."""
+    adj = neighbours(g.n, g.edges)
 
     def separated(cut: frozenset[int]) -> bool:
         seen = {origin}
         queue = [origin]
         while queue:
             v = queue.pop()
-            for u in g.adj[v]:
+            for u in adj[v]:
                 if u in cut or u in seen:
                     continue
                 if u in targets:
@@ -513,38 +519,6 @@ def max_fan_brute(g: Graph, origin: int, targets: frozenset[int]) -> int:
         if any(separated(frozenset(cut)) for cut in combinations(others, k)):
             return k
     raise AssertionError("removing every other vertex always separates")
-
-
-def spanning_tree_count(g: Graph) -> int:
-    """Matrix-tree theorem with exact rational elimination."""
-    n = g.n
-    if n <= 1:
-        return 1
-    lap = [[Fraction(0)] * n for _ in range(n)]
-    for u, v in g.edges:
-        lap[u][u] += 1
-        lap[v][v] += 1
-        lap[u][v] -= 1
-        lap[v][u] -= 1
-    size = n - 1  # any cofactor works; drop the last row and column
-    mat = [row[:size] for row in lap[:size]]
-    det = Fraction(1)
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if mat[r][col]), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            mat[col], mat[pivot] = mat[pivot], mat[col]
-            det = -det
-        det *= mat[col][col]
-        inv = 1 / mat[col][col]
-        for r in range(col + 1, size):
-            factor = mat[r][col] * inv
-            if factor:
-                for c in range(col, size):
-                    mat[r][c] -= factor * mat[col][c]
-    assert det.denominator == 1
-    return abs(int(det))
 
 
 def connected_graph_count(n: int) -> int:

@@ -12,8 +12,6 @@ from sgc.construct import (
     merge_and_prune,
     spanning_3tree_bounded,
     validate_cycle_witness,
-    validate_fan,
-    vertex_disjoint_fan,
 )
 from sgc.errors import CertificateError, GraphError
 from sgc import construct
@@ -29,7 +27,7 @@ from sgc.graphs import (
     random_connected,
 )
 from sgc.invariants import vertex_connectivity
-from oracles import _has_hamiltonian_cycle_on, cycles_through, max_fan_brute, merged_tree_brute
+from oracles import _has_hamiltonian_cycle_on, cycles_through, merged_tree_brute
 from sgc.search import Budget
 from sgc.trees import branch_profile, classify_tree, spanning_tree, validate_caterpillar_certificate
 
@@ -44,52 +42,6 @@ def _sample_graphs(n, count, seed, min_kappa=0):
         if is_connected(g) and vertex_connectivity(g).kappa >= min_kappa:
             out.append(g)
     return out
-
-
-# --- fans --------------------------------------------------------------------
-
-def test_fan_examples():
-    k4 = complete_graph(4)
-    fan = vertex_disjoint_fan(k4, 0, frozenset({1, 2, 3}), 3)
-    assert fan is not None
-    assert sorted(p[-1] for p in fan.paths) == [1, 2, 3]
-
-    c6 = cycle_graph(6)
-    assert vertex_disjoint_fan(c6, 0, frozenset({2, 3, 4}), 3) is None
-    fan = vertex_disjoint_fan(c6, 0, frozenset({2, 3, 4}), 2)
-    assert fan is not None
-    validate_fan(c6, fan, frozenset({2, 3, 4}))
-
-    star = new_graph(4, [(0, 1), (0, 2), (0, 3)])
-    assert vertex_disjoint_fan(star, 1, frozenset({2, 3}), 2) is None
-
-
-def test_fan_argument_validation():
-    g = complete_graph(4)
-    with pytest.raises(ValueError):
-        vertex_disjoint_fan(g, 0, frozenset({0, 1}), 1)
-    with pytest.raises(ValueError):
-        vertex_disjoint_fan(g, 0, frozenset({1, 2}), 3)
-    with pytest.raises(ValueError):
-        vertex_disjoint_fan(g, 0, frozenset(), 1)
-
-
-def test_fan_size_matches_menger_brute():
-    rng = random.Random(5)
-    for g in _sample_graphs(6, 30, seed=9):
-        origin = rng.randrange(6)
-        targets = frozenset(v for v in range(6) if v != origin and rng.random() < 0.5)
-        if not targets:
-            continue
-        want = max_fan_brute(g, origin, targets)
-        for k in range(len(targets), 0, -1):
-            fan = vertex_disjoint_fan(g, origin, targets, k)
-            if fan is not None:
-                validate_fan(g, fan, targets)
-                assert k == want
-                break
-        else:
-            assert want == 0
 
 
 # --- cycles through prescribed vertices --------------------------------------

@@ -42,6 +42,7 @@ from oracles import (
     cycle_cover_number_brute,
     cycles_through,
     independence_number_brute,
+    neighbours,
     path_cover_number_brute,
 )
 from sgc.families import theorem2_family
@@ -475,10 +476,11 @@ def test_entries_through_are_the_maximal_entries(corpus_n4, corpus_n5):
     graphs_ = corpus_n4 + corpus_n5[::7] + [complete_bipartite(3, 4), complete_graph(6),
                                              Graph(1, frozenset()), random_connected(9, 0.4, 1)]
     for g in graphs_:
+        nbrs = neighbours(g.n, g.edges)
         for v in range(g.n):
             walked, dp = Budget(), Budget()
             masks = [mask for _, mask in cycles_through(g, v, walked)]
-            masks += [(1 << v) | (1 << u) for u in g.adj[v]] + [1 << v]
+            masks += [(1 << v) | (1 << u) for u in nbrs[v]] + [1 << v]
             maximal = {m for m in masks if not any(m != o and not m & ~o for o in masks)}
             entries = _entries_through(g, v, dp)
             assert {mask for _, mask in entries} == maximal

@@ -10,7 +10,7 @@ from sgc.families import (
 )
 from sgc.graphs import complete_bipartite, is_bipartite, is_connected
 from sgc.invariants import independence_number, vertex_connectivity
-from oracles import independence_number_brute, vertex_connectivity_brute
+from oracles import independence_number_brute, neighbours, vertex_connectivity_brute
 
 
 def test_parameter_validation():
@@ -76,7 +76,7 @@ def test_theorem2_structure_scales(m):
     for copy in inst.copies:
         independent.update(copy.big_side)
     assert len(independent) == expected_theorem2_invariants(m)["alpha"]
-    adj = inst.graph.adj
+    adj = neighbours(inst.graph.n, inst.graph.edges)
     assert all(not (set(adj[v]) & independent) for v in independent)
 
 

@@ -25,6 +25,7 @@ from sgc.invariants import check_separator, vertex_connectivity
 from sgc.verify import Corpus
 from oracles import (
     max_fan_brute,
+    neighbours,
     packed_reference,
     relabelled,
     vertex_connectivity_all_pairs,
@@ -64,14 +65,16 @@ def _local_connectivity(g, s, t):
     """Internally disjoint s-t paths by brute force: the direct edge, plus the
     largest fan from s to t's other neighbours once that edge is gone."""
     rest = Graph(g.n, g.edges - {norm_edge(s, t)})
-    return g.has_edge(s, t) + max_fan_brute(rest, s, frozenset(rest.adj[t]) - {s})
+    near = frozenset(neighbours(rest.n, rest.edges)[t]) - {s}
+    return g.has_edge(s, t) + max_fan_brute(rest, s, near)
 
 
 def _reachable(g, start, removed):
+    adj = neighbours(g.n, g.edges)
     seen = {start}
     stack = [start]
     while stack:
-        for u in g.adj[stack.pop()]:
+        for u in adj[stack.pop()]:
             if u not in seen and u not in removed:
                 seen.add(u)
                 stack.append(u)
@@ -283,7 +286,7 @@ def test_kappa_at_minimum_degree_1_runs_no_query(g, counted_flows):
     lowest vertex v of that degree has N(v) as a minimum separator."""
     cert = vertex_connectivity(g)
     v = min(range(g.n), key=lambda u: (g.degree(u), u))
-    assert cert.kappa == 1 and cert.separator == set(g.adj[v])
+    assert cert.kappa == 1 and cert.separator == set(neighbours(g.n, g.edges)[v])
     assert counted_flows == {"separator": 0, "fan": 0}
 
 

@@ -21,7 +21,7 @@ from sgc.graphs import (
 from sgc.construct import spanning_3tree_bounded
 from sgc.families import theorem2_family
 from sgc.invariants import independence_number
-from oracles import bounded_3tree_brute, has_hamiltonian_path_brute, min_branch_brute
+from oracles import bounded_3tree_brute, has_hamiltonian_path_brute, min_branch_brute, neighbours
 from sgc.search import Budget, Decision
 from sgc.trees import (
     _walked_path,
@@ -55,7 +55,8 @@ def _reference_dp(g, alive):
     verts = list(bits(alive))
     nv = len(verts)
     index = {v: i for i, v in enumerate(verts)}
-    cadj = [sum(1 << index[u] for u in g.adj[v] if u in index) for v in verts]
+    adj = neighbours(g.n, g.edges)
+    cadj = [sum(1 << index[u] for u in adj[v] if u in index) for v in verts]
     full = (1 << nv) - 1
     ends = [0] * (full + 1)
     for i in range(nv):
@@ -182,8 +183,8 @@ def _check_walk_route(g, has_path, s=None, bounded=None):
 def test_walk_route_matches_the_oracles_on_every_small_graph():
     """Every connected labelled graph with at most six vertices: the
     Hamiltonian path against the brute-force path search, s against the
-    spanning-tree enumeration, and the degree-3 tree for k = 0 and 1 against
-    it too (both are answered by the path where there is one)."""
+    brute force over every spanning tree, and the degree-3 tree for k = 0 and
+    1 against it too (both are answered by the path where there is one)."""
     walked = 0
     for g in Corpus.embedded(6):
         has_path = has_hamiltonian_path_brute(g)

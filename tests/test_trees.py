@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -23,7 +24,7 @@ from oracles import (
     min_branch_brute,
     sgc_brute,
     simple_paths_brute,
-    spanning_tree_count,
+    neighbours,
     spanning_trees_brute,
 )
 from sgc import graphs, trees
@@ -42,12 +43,12 @@ from sgc.trees import (
     hamiltonian_path,
     min_branch_spanning_tree,
     spanning_tree,
-    spanning_tree_enumerate,
     validate_caterpillar_certificate,
     validate_refutation,
     validate_spanning_tree,
 )
 from sgc.families import theorem2_family
+from sgc.verify import Corpus
 
 
 @pytest.mark.parametrize("host, edges", [
@@ -58,9 +59,9 @@ from sgc.families import theorem2_family
 ], ids=["P500", "K16,32", "small-after-large"])
 def test_spanning_tree_masks_past_64_vertices(host, edges):
     """``SpanningTree.adj_mask`` shares ``Graph.adj_mask``'s builder; each
-    mask equals the one read off the tree edges' own adjacency tuples."""
+    mask equals the one read off the tree edges' neighbour tuples."""
     t = spanning_tree(host, edges)
-    ref = Graph(host.n, t.tree_edges).adj
+    ref = neighbours(host.n, t.tree_edges)
     assert t.adj_mask == tuple(sum(1 << u for u in nbrs) for nbrs in ref)
 
 
@@ -199,34 +200,33 @@ def test_hamiltonian_path():
     assert hamiltonian_path(complete_graph(8), Budget(max_nodes=0)).status == "unknown"
 
 
-def test_enumeration_counts():
-    assert spanning_tree_enumerate(complete_graph(4)).count == 16
-    assert spanning_tree_enumerate(cycle_graph(5)).count == 5
-    assert spanning_tree_enumerate(path_graph(6)).count == 1
-    assert spanning_tree_enumerate(complete_graph(5)).count == 125  # Cayley: 5^3
-    assert spanning_tree_enumerate(Graph(1, frozenset())).count == 1
-    with pytest.raises(GraphError):
-        spanning_tree_enumerate(Graph(2, frozenset()))
-
-
-def test_enumeration_matches_matrix_tree(corpus_n5):
-    for g in corpus_n5[::23]:
-        assert spanning_tree_enumerate(g).count == spanning_tree_count(g)
-
-
-def test_enumeration_cap_and_visitor():
-    seen = []
-    res = spanning_tree_enumerate(complete_graph(4), visitor=seen.append, cap=5)
-    assert res.count == 5 and res.truncated
-    assert len(seen) == 5
-    assert len(set(seen)) == 5  # no tree visited twice
-    full = spanning_tree_enumerate(complete_graph(4), cap=16)
-    assert full.count == 16 and not full.truncated
+def test_constrained_spanning_tree_matches_brute():
+    """The edge search finds a tree exactly where some spanning tree has at
+    most ``limit`` branch vertices and maximum degree at most ``cap``, on a
+    slice of the n <= 6 corpus and on sparse graphs with n = 7-8, where a
+    limit of 2 can bind."""
+    hosts = list(Corpus.embedded(6))[::97] + [random_connected(n, 0.2, seed)
+                                              for n in (7, 8) for seed in range(100)]
+    answers = Counter()
+    for g in hosts:
+        profiles = {(len(p.branch_vertices), p.max_degree)
+                    for p in (branch_profile(spanning_tree(g, edges))
+                              for edges in spanning_trees_brute(g))}
+        for limit in (0, 1, 2):
+            for cap in (None, 3):
+                dec = constrained_spanning_tree(g, limit, Budget(), degree_cap=cap)
+                want = any(b <= limit and (cap is None or d <= cap) for b, d in profiles)
+                assert (dec.status == "yes") == want
+                if want:
+                    profile = branch_profile(spanning_tree(g, dec.witness))
+                    assert len(profile.branch_vertices) <= limit
+                    assert cap is None or profile.max_degree <= cap
+                answers[limit, cap, dec.status] += 1
+    assert answers[2, None, "no"] >= 1 and answers[2, 3, "no"] >= 1
 
 
 def test_constrained_spanning_tree_node_counts():
-    """The nodes charged on fixed graphs, as before the enumeration and the
-    constrained search shared one edge search."""
+    """The nodes charged on fixed graphs, one per step of the edge search."""
     cases = ((random_connected(12, 0.25, 4), 1, None, "yes", 18),
              (random_connected(12, 0.25, 4), 1, 3, "yes", 1167),
              (random_connected(12, 0.25, 5), 1, None, "yes", 777),

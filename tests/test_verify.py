@@ -104,13 +104,6 @@ def test_corpus_from_file_reports_line_numbers(tmp_path):
         Corpus.from_file(str(path))
 
 
-def test_random_corpus_is_reproducible():
-    a = Corpus.random(8, 0.4, seed=7, count=5)
-    b = Corpus.random(8, 0.4, seed=7, count=5)
-    assert a.graphs == b.graphs
-    assert Corpus.random(8, 0.4, seed=8, count=5).graphs != a.graphs
-
-
 # --- per-graph checks ---------------------------------------------------------
 
 def test_lemma3_check_outcomes():
