@@ -23,8 +23,8 @@ Under a ``--budget-nodes`` that binds, a claim's report from ``verify all``
 can differ from a run of that claim alone: an α or s that an earlier claim
 settled on the same graph is reused without charging nodes, which leaves
 more of the budget to the later claim.  ``verify lemma5 --max-n 5
---budget-nodes 3`` reports 379 verified and 392 timeouts, while lemma5 in
-``verify all --max-n 5 --budget-nodes 3 --m 1`` reports 632 and 139.  Under
+--budget-nodes 3`` reports 412 verified and 359 timeouts, while lemma5 in
+``verify all --max-n 5 --budget-nodes 3 --m 1`` reports 646 and 125.  Under
 the default budget the reports agree.
 """
 from __future__ import annotations

@@ -108,6 +108,16 @@ distinct anchors of their component.
   neighbour outside the path, y not next to the new tip, is left out with
   every path through it: no later tip is next to y, and y would be left
   alone, a component without an anchor.
+
+Both branchings draw their paths from one walker, ``_arms``, which keeps
+the path so far on an explicit stack of (tip, steps left) frames rather than
+in a generator per step.  It lists the simple paths from a tip depth first,
+each path before its extensions, the extensions by increasing next vertex,
+and charges one node per path as it yields it, so a branching that stops
+early pays what it paid before.  The step rules above are tested on each
+frame's tip and the vertices on the stack, so they cut the same paths.  On
+``random_connected(16, 0.2, 302)`` a generator per step took about two
+thirds of the anchored cover's time (cProfile, cumulative).
 """
 from __future__ import annotations
 
@@ -255,7 +265,12 @@ def _arms(g: Graph, alive: int, budget: Budget, tip: int, used: int,
     With ``twin`` (each vertex's twin class as a mask, see
     ``_split_twins``), a step to u is left out when a lower twin of u
     is in ``alive`` and off the path: swapping the two fixes the state, so
-    one path per orbit is enough."""
+    one path per orbit is enough.
+
+    A stack frame for the tip and for each vertex after it holds that vertex
+    and the steps from it still to try; a path's frame is pushed only when the
+    consumer asks for the next path, so a consumer that stops pays for no
+    path it was not given (see the module docstring)."""
     adj = g.adj_mask
     steps = adj[tip] & alive & ~used
     if below is not None:
@@ -263,20 +278,39 @@ def _arms(g: Graph, alive: int, budget: Budget, tip: int, used: int,
             steps &= (1 << below) - 1
         else:
             top = twin[below] & -twin[below]
-    for u in bits(steps):
-        ub = 1 << u
+    start = used
+    path: list[int] = []
+    stack = [(tip, steps)]
+    while stack:
+        tip, steps = stack[-1]
+        if not steps:
+            stack.pop()
+            if path:
+                used ^= 1 << path.pop()
+            continue
+        ub = steps & -steps
+        stack[-1] = (tip, steps ^ ub)
+        u = ub.bit_length() - 1
         if twin is not None:
             c = twin[u]
-            if c & (ub - 1) & alive & ~used or below is not None and c & -c > top:
+            if c & (ub - 1) & alive & ~used \
+                    or below is not None and not path and c & -c > top:
                 continue
         if anchors is not None:
             rest = alive & ~used & ~ub
-            if any(not adj[y] & rest for y in bits(adj[tip] & rest & ~anchors & ~adj[u])):
+            strand = adj[tip] & rest & ~anchors & ~adj[u]
+            while strand:  # stop at a vertex left with no neighbour in rest
+                y = strand & -strand
+                if not adj[y.bit_length() - 1] & rest:
+                    break
+                strand ^= y
+            if strand:
                 continue
         budget.spend()
-        yield (u,), ub
-        for seq, m in _arms(g, alive, budget, u, used | ub, None, anchors, twin):
-            yield (u,) + seq, ub | m
+        used |= ub
+        path.append(u)
+        yield tuple(path), used ^ start
+        stack.append((u, adj[u] & alive & ~used))
 
 
 def _iter_paths_through(g: Graph, v: int, alive: int, budget: Budget,

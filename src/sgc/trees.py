@@ -90,6 +90,21 @@ ends in a leaf of T, and every vertex of degree one in G is a leaf, so a
 centre needs at least as many neighbours as G has such vertices.  Limits of
 two and more keep the include/exclude edge search.
 
+A *forced branch vertex* v is one whose deletion leaves three or more
+components (``graphs._cut_vertices`` finds them in its low-link search and
+keeps them on the instance).  For a spanning tree T, T - v has one
+component per tree neighbour of v.  Each lies inside one component of
+G - v, and together they cover V - v, so v has at least as many tree
+neighbours as G - v has components: it branches in every spanning tree.
+So s >= |F| for the set F of forced branch vertices, and s's limits start
+at max(1, |F|): the limits below are "no" for no nodes, and where |F|
+equals the upper bound's count, s is exact with no search.  A spider has
+one branch vertex, so where F is one vertex that vertex is the only centre
+the spider search tries (where F has two or more, s starts past limit 1).
+F is read only once the Hamiltonian path is "no" and the upper bound has
+two or more branch vertices, so a graph that a Hamiltonian path or a tree
+with one branch vertex settles pays nothing for it.
+
 Wherever a Hamiltonian path settles the answer, one greedy walk comes before
 any search: the Warnsdorff walk over V (``graphs._greedy_walk``, run once per
 ``Graph`` instance), which is the path search's first descent and is charged
@@ -620,13 +635,17 @@ def _spanning_spider(g: Graph, budget: Budget) -> Decision:
     connected graph with no Hamiltonian path?  Witness is the tree's edge set.
 
     Such a tree is a spider, whose legs are an anchored path cover of V - c
-    with anchors N(c) for its centre c (see the module docstring).  Centres
-    are tried by degree, highest first, ties by index, down to three
-    neighbours and to as many as g has vertices of degree one."""
+    with anchors N(c) for its centre c (see the module docstring).  Where g
+    has forced branch vertices, they are the only centres tried (s calls
+    this only where there is at most one); otherwise centres are tried by
+    degree, highest first, ties by index, down to three neighbours and to as
+    many as g has vertices of degree one."""
     adj = g.adj_mask
     least = max(3, sum(m.bit_count() == 1 for m in adj))
+    centres = (list(bits(_cut_vertices(g)[1]))
+               or sorted(range(g.n), key=lambda v: (-adj[v].bit_count(), v)))
     try:
-        for c in sorted(range(g.n), key=lambda v: (-adj[v].bit_count(), v)):
+        for c in centres:
             if adj[c].bit_count() < least:
                 break
             if cert := _spine_with_legs(g, (c,), budget):
@@ -658,8 +677,9 @@ def min_branch_spanning_tree(g: Graph, budget: Budget | int | None = None) -> Mi
     vertices gives way to the greedy few-branch tree (whose first start
     repeats the walk) where that has fewer.  The Hamiltonian path comes
     next, in that order at every size.  Only the limits below the better
-    count are searched: limit 1 as a spanning spider (``_spanning_spider``),
-    the others by the include/exclude edge search
+    count and from the number of forced branch vertices up are searched
+    (see the module docstring): limit 1 as a spanning spider
+    (``_spanning_spider``), the others by the include/exclude edge search
     (``constrained_spanning_tree``)."""
     if not is_connected(g):
         raise GraphError("min-branch spanning tree needs a connected graph")
@@ -682,7 +702,10 @@ def min_branch_spanning_tree(g: Graph, budget: Budget | int | None = None) -> Mi
             return MinBranchResult(best, tree, False)
     except OutOfBudget:
         return MinBranchResult(best, tree, False)
-    for limit in range(1, best):
+    # a tree with one branch vertex and no Hamiltonian path settle s = 1
+    # with no need of the forced branch vertices
+    floor = max(1, _cut_vertices(g)[1].bit_count()) if best > 1 else best
+    for limit in range(floor, best):
         dec = (_spanning_spider(g, budget) if limit == 1
                else constrained_spanning_tree(g, limit, budget))
         if dec.status == "yes":
@@ -859,7 +882,7 @@ def _cut_separators(g: Graph) -> Iterator[int]:
     neither the cut vertices nor kappa are computed."""
     if len(_greedy_walk(g)[0]) == g.n:
         return
-    if cuts := _cut_vertices(g):
+    if cuts := _cut_vertices(g)[0]:
         yield from (1 << v for v in bits(cuts))
     elif (sep := vertex_connectivity(g).separator) and (cut := sum(1 << v for v in sep)) \
             not in _twin_separators(g):

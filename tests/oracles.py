@@ -9,11 +9,12 @@ from __future__ import annotations
 from itertools import combinations, permutations
 from math import comb
 from random import Random
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from sgc import flow
 from sgc.graphs import Bipartition, Edge, Graph, bits, norm_edge
-from sgc.search import Budget
+from sgc.invariants import _clique_cover_bound
+from sgc.search import Budget, OutOfBudget
 
 
 def neighbours(n: int, edges: Iterable[Edge]) -> tuple[tuple[int, ...], ...]:
@@ -57,6 +58,33 @@ def greedy_independent_reference(g: Graph) -> int:
         chosen |= 1 << best_v
         alive &= ~(adj[best_v] | (1 << best_v))
     return chosen
+
+
+def independence_number_unreduced(g: Graph, budget: Budget) -> tuple[int, bool]:
+    """(alpha, exhaustive) by the branch and bound that ``invariants`` ran
+    before the pendant rule: from the greedy's picks, over every vertex, on
+    a vertex of maximum residual degree at each node, with the greedy
+    clique-cover bound."""
+    adj = g.adj_mask
+    best = greedy_independent_reference(g).bit_count()
+
+    def expand(cand: int, size: int) -> None:
+        nonlocal best
+        budget.spend()
+        if cand == 0:
+            best = max(best, size)
+            return
+        if size + _clique_cover_bound(adj, cand) <= best:
+            return
+        pick = max(bits(cand), key=lambda v: ((adj[v] & cand).bit_count(), -v))
+        expand(cand & ~(adj[pick] | 1 << pick), size + 1)
+        expand(cand & ~(1 << pick), size)
+
+    try:
+        expand((1 << g.n) - 1, 0)
+    except OutOfBudget:
+        return best, False
+    return best, True
 
 
 def _connected_mask(g: Graph, alive: int) -> bool:
@@ -216,6 +244,14 @@ def cut_vertices_brute(g: Graph) -> set[int]:
     full = (1 << g.n) - 1
     whole = _component_count(g, full)
     return {v for v in range(g.n) if _component_count(g, full & ~(1 << v)) > whole}
+
+
+def forced_branch_vertices_brute(g: Graph) -> set[int]:
+    """The vertices whose deletion leaves at least two more components than
+    g has: on a connected graph, three or more."""
+    full = (1 << g.n) - 1
+    whole = _component_count(g, full)
+    return {v for v in range(g.n) if _component_count(g, full & ~(1 << v)) >= whole + 2}
 
 
 def has_hamiltonian_path_brute(g: Graph) -> bool:
@@ -548,3 +584,47 @@ def clique_cover_bound_reference(adj: tuple[int, ...], mask: int) -> int:
         else:
             cliques.append(1 << v)
     return len(cliques)
+
+
+def arms_reference(g: Graph, alive: int, budget: Budget, tip: int, used: int,
+                   below: int | None = None, anchors: int | None = None,
+                   twin: Sequence[int] | None = None
+                   ) -> Iterator[tuple[tuple[int, ...], int]]:
+    """The recursive arm walk, one generator per step, that
+    ``covers._arms`` replaced: it must yield these (path, mask) pairs in this
+    order and charge the same nodes.
+
+    All simple paths of the induced subgraph on ``alive`` that leave
+    ``tip`` and avoid ``used``, as (vertices after the tip, their mask), one
+    node each; with ``below`` (a vertex on the path), only those whose first
+    step lies in a class whose lowest vertex is at most below's (without
+    twins, a step below it).  With ``anchors``, a step is left out, with
+    every path through it, when it strands a vertex off the anchors: one next
+    to the old tip, not next to the new one, with no neighbour left outside
+    the path.
+
+    With ``twin`` (each vertex's twin class as a mask, see
+    ``_split_twins``), a step to u is left out when a lower twin of u
+    is in ``alive`` and off the path: swapping the two fixes the state, so
+    one path per orbit is enough."""
+    adj = g.adj_mask
+    steps = adj[tip] & alive & ~used
+    if below is not None:
+        if twin is None:
+            steps &= (1 << below) - 1
+        else:
+            top = twin[below] & -twin[below]
+    for u in bits(steps):
+        ub = 1 << u
+        if twin is not None:
+            c = twin[u]
+            if c & (ub - 1) & alive & ~used or below is not None and c & -c > top:
+                continue
+        if anchors is not None:
+            rest = alive & ~used & ~ub
+            if any(not adj[y] & rest for y in bits(adj[tip] & rest & ~anchors & ~adj[u])):
+                continue
+        budget.spend()
+        yield (u,), ub
+        for seq, m in arms_reference(g, alive, budget, u, used | ub, None, anchors, twin):
+            yield (u,) + seq, ub | m

@@ -1,6 +1,6 @@
 import functools
 import random
-from itertools import combinations
+from itertools import combinations, islice
 from math import factorial
 
 import pytest
@@ -39,6 +39,7 @@ from sgc.graphs import (
 from oracles import (
     _has_hamiltonian_cycle_on,
     anchored_path_cover_brute,
+    arms_reference,
     cycle_cover_number_brute,
     cycles_through,
     independence_number_brute,
@@ -159,6 +160,34 @@ def test_twin_rules_match_brute(g, data):
     full = (1 << g.n) - 1
     alive = data.draw(st.integers(1, full), label="alive")
     _check_anchored_cover(g, alive, data.draw(st.integers(0, full), label="anchors") & alive)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(graphs(max_n=9), twin_graphs()), st.data())
+def test_arms_walk_the_reference_order(g, data):
+    """The stack walker yields the recursive walker's (path, mask) pairs in
+    its order and charges the same nodes, with and without ``below``,
+    anchors and twin classes, also for a consumer that stops after a few
+    paths."""
+    full = (1 << g.n) - 1
+    if not full:
+        return
+    alive = data.draw(st.integers(1, full), label="alive")
+    tip = data.draw(st.sampled_from(list(bits(alive))), label="tip")
+    used = 1 << tip | data.draw(st.integers(0, full), label="used") & ~alive
+    anchors = data.draw(st.none() | st.integers(0, full), label="anchors")
+    if anchors is not None:
+        anchors &= alive
+    twin = _split_twins(g, alive, anchors) if data.draw(st.booleans(), label="twins") else None
+    below = data.draw(st.none() | st.sampled_from(list(bits(alive))), label="below")
+    stop = data.draw(st.none() | st.integers(0, 4), label="stop")
+
+    def walk(arms):
+        budget = Budget()
+        paths = list(islice(arms(g, alive, budget, tip, used, below, anchors, twin), stop))
+        return paths, budget.spent
+
+    assert walk(covers._arms) == walk(arms_reference)
 
 
 def test_twin_classes_run_once_per_instance(monkeypatch):

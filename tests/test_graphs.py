@@ -7,6 +7,7 @@ from oracles import (
     _connected_mask,
     bipartition_reference,
     cut_vertices_brute,
+    forced_branch_vertices_brute,
     neighbours,
     relabelled,
 )
@@ -182,13 +183,18 @@ def test_mask_components_match_reference(g, data):
 
 def test_cut_vertices_match_vertex_deletion():
     """The low-link search finds the vertices whose deletion adds a
-    component, on every labelled graph with n <= 6 (33,868 of them, n <= 2
-    and the disconnected ones included)."""
-    count = 0
+    component, and the forced branch vertices, whose deletion adds two or
+    more, on every labelled graph with n <= 6 (33,868 of them, n <= 2 and
+    the disconnected ones included)."""
+    count = forced_seen = 0
     for g in _all_graphs(6):
-        assert set(bits(_cut_vertices(g))) == cut_vertices_brute(g), g
+        cuts, forced = _cut_vertices(g)
+        assert set(bits(cuts)) == cut_vertices_brute(g), g
+        assert set(bits(forced)) == forced_branch_vertices_brute(g), g
         count += 1
+        forced_seen += forced != 0
     assert count == 33_868
+    assert forced_seen > 0
 
 
 @pytest.mark.parametrize("g, cuts", [
@@ -203,7 +209,7 @@ def test_cut_vertices_match_vertex_deletion():
     (Graph(5, frozenset({(0, 1), (1, 2), (3, 4)})), {1}),
 ])
 def test_cut_vertices_of_long_and_composite_graphs(g, cuts):
-    assert set(bits(_cut_vertices(g))) == cuts
+    assert set(bits(_cut_vertices(g)[0])) == cuts
 
 
 def test_random_connected_deterministic():

@@ -2,7 +2,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sgc.errors import CertificateError
-from sgc.graphs import Graph, bits, complete_bipartite, complete_graph, cycle_graph, path_graph
+from sgc.graphs import (
+    Graph,
+    _neighbourhood,
+    bits,
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    mask_components,
+    path_graph,
+)
 from sgc.invariants import (
     _clique_cover_bound,
     _greedy_independent,
@@ -16,9 +25,11 @@ from oracles import (
     clique_cover_bound_reference,
     greedy_independent_reference,
     independence_number_brute,
+    independence_number_unreduced,
     vertex_connectivity_brute,
 )
 from sgc.search import Budget
+from sgc.verify import Corpus
 
 
 def test_alpha_known_values():
@@ -64,7 +75,7 @@ def graphs_up_to_40(draw):
 @example(cycle_graph(9))
 @example(complete_bipartite(4, 4))
 def test_greedy_independent_matches_reference(g):
-    assert _greedy_independent(g) == greedy_independent_reference(g)
+    assert _greedy_independent(g)[0] == greedy_independent_reference(g)
 
 
 @settings(max_examples=300, deadline=None)
@@ -79,11 +90,73 @@ def test_clique_cover_bound_matches_reference(g, mask):
 
 
 def test_alpha_budget_exhaustion_keeps_lower_bound():
-    g = complete_bipartite(6, 12)
-    cert = independence_number(g, Budget(max_nodes=0))
-    assert not cert.exhaustive
-    assert cert.alpha >= 1
+    # K_{6,12} is its own kernel; a path and a star have an empty one, and
+    # the search still charges its root
+    for g in (complete_bipartite(6, 12), path_graph(7), complete_bipartite(1, 5)):
+        cert = independence_number(g, Budget(max_nodes=0))
+        assert not cert.exhaustive
+        assert cert.alpha >= 1
+        check_independent_set(g, cert.witness)
+
+
+@st.composite
+def sparse_graphs(draw, max_n=14):
+    """A tree, a near-tree (a tree plus up to three edges) or a random
+    graph, with n <= 14; the first two lose up to two edges, so forests and
+    disconnected graphs come too."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    kind = draw(st.sampled_from(("tree", "near-tree", "random")))
+    if kind == "random":
+        edges = set(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else set()
+    else:
+        edges = {(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)}
+        if kind == "near-tree" and pairs:
+            edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=3)))
+        edges -= set(draw(st.lists(st.sampled_from(sorted(edges)), max_size=2))) if edges else set()
+    return Graph(n, frozenset(edges))
+
+
+def _is_forest(g):
+    return g.m + len(mask_components(g.adj_mask, (1 << g.n) - 1)) == g.n
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_graphs())
+@example(path_graph(14))
+@example(Graph(5, frozenset()))
+@example(cycle_graph(9))
+def test_alpha_kernel_matches_brute(g):
+    """alpha is the greedy's picks before the kernel plus alpha of the
+    kernel, where every vertex has two or more neighbours; the search over
+    the kernel matches the brute force, and where the kernel is empty, as on
+    every forest, it takes one node."""
+    picks, kernel = _greedy_independent(g)
+    forced = picks & ~kernel
+    assert all((g.adj_mask[v] & kernel).bit_count() >= 2 for v in bits(kernel))
+    assert not kernel & (forced | _neighbourhood(g.adj_mask, forced))
+    # the kernel's edges alone leave every other vertex isolated
+    inner = Graph(g.n, frozenset((u, v) for u, v in g.edges if kernel >> u & kernel >> v & 1))
+    kernel_alpha = independence_number_brute(inner) - (g.n - kernel.bit_count())
+    alpha = independence_number_brute(g)
+    assert alpha == forced.bit_count() + kernel_alpha
+    budget = Budget()
+    cert = independence_number(Graph(g.n, g.edges), budget)
+    assert cert.exhaustive and cert.alpha == alpha == len(cert.witness)
     check_independent_set(g, cert.witness)
+    if _is_forest(g):
+        assert not kernel
+    if not kernel:
+        assert budget.spent == 1
+
+
+def test_alpha_matches_the_unreduced_search():
+    """The kernel and the pendant takes change no answer: alpha and the
+    exhaustive flag equal those of the search without them on every
+    connected graph with n <= 6."""
+    for g in Corpus.embedded(6):
+        cert = independence_number(Graph(g.n, g.edges))
+        assert (cert.alpha, cert.exhaustive) == independence_number_unreduced(g, Budget())
 
 
 def test_check_independent_set_rejects_edges():

@@ -327,18 +327,55 @@ def test_spanning_spider_matches_the_edge_search():
 
 @pytest.mark.parametrize("n, seed, s, spent, before", [
     (16, 302, 2, 155, 1_731),
-    (14, 3, 2, 75, 195),
+    (14, 3, 2, 48, 195),
     (16, 303, 1, 56, 260),
 ])
 def test_min_branch_spider_route_nodes(n, seed, s, spent, before):
     """The graphs of the search-random benchmark where s reaches branch
     limit 1; ``before`` is what s took with the include/exclude edge search
     at limit 1.  In (14, 3) the vertices 0 and 9 are twins, and the leg
-    covers take one of them per orbit (80 nodes when they took each)."""
+    covers take one of them per orbit (80 nodes when they took each); its
+    one forced branch vertex is the only centre the spider tries (75 nodes
+    when it tried 4)."""
     budget = Budget()
     res = min_branch_spanning_tree(random_connected(n, 0.2, seed), budget)
     assert res.exact and res.value == s
     assert budget.spent == spent < before
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_trees(max_extra=3))
+def test_forced_branch_vertices_bound_s_from_below(g):
+    """Every forced branch vertex branches in every spanning tree, so s is
+    at least their number; with them as the limits' floor and the spider's
+    only centre, s and the spider still match the brute force."""
+    g = Graph(g.n, g.edges)
+    forced = graphs._cut_vertices(g)[1]
+    s = min_branch_brute(g)
+    assert s >= forced.bit_count()
+    res = min_branch_spanning_tree(g)
+    assert res.exact and res.value == s
+    if hamiltonian_path(g).status == "no":
+        dec = _spanning_spider(g, Budget())
+        assert (dec.status == "yes") == (s <= 1)
+        _check_spider(g, dec)
+
+
+def test_two_hubs_settle_s_without_a_cover(monkeypatch):
+    """Hubs 0 and 1, adjacent, each joined to three disjoint triangles: both
+    are forced branch vertices and the greedy tree has two branch vertices,
+    so s = 2 is exact with no limit searched (8 anchored covers and 1,851
+    nodes without the forced floor)."""
+    calls = []
+    cover = trees.anchored_path_cover
+    monkeypatch.setattr(trees, "anchored_path_cover",
+                        lambda *args: calls.append(args) or cover(*args))
+    g = parse_graph6("SpM?GM??G@g??@?@g???@??L?????G??K")
+    assert graphs._cut_vertices(g)[1] == 0b11
+    budget = Budget()
+    res = min_branch_spanning_tree(g, budget)
+    assert res.exact and res.value == 2
+    assert calls == [] and budget.spent == 101
 
 
 @pytest.mark.parametrize("n, p, seed, s, dfs", [
@@ -756,5 +793,12 @@ def test_branch_limit_searches_read_the_kept_connectivity(monkeypatch):
     kept.clear()
     g = theorem2_family(1).graph
     assert min_branch_spanning_tree(Graph(g.n, g.edges)).value == 4
-    # counting settles the Hamiltonian path; limits 2 and 3 search edges
-    assert kept == [None, True, True]
+    # counting settles the Hamiltonian path, and the tree's four branch
+    # vertices are forced, so no limit is searched
+    assert kept == [None]
+    kept.clear()
+    g = random_connected(13, 0.1, 104)
+    assert min_branch_spanning_tree(Graph(g.n, g.edges)).value == 4
+    # two forced branch vertices: the Hamiltonian path reads the kept
+    # answer, then limits 2 and 3 search edges
+    assert kept == [None, True, True, True]
